@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -218,8 +219,8 @@ _RESULT_KEYS = {
     "check": {"verdicts", "per_segment", "conclusive"},
     "radial": {"profile_csv", "n_samples", "u_fit", "du_fit", "guaranteed",
                "predicted"},
-    "solve": {"field_csv", "energy", "grad_norm", "iterations", "converged",
-              "extremum", "segments", "gradient_sup"},
+    "solve": {"field_csv", "energy", "grad_norm", "iterations", "cg_iterations",
+              "converged", "extremum", "segments", "gradient_sup"},
 }
 
 
@@ -258,6 +259,20 @@ def _write_report(report: dict, out_dir: Path) -> Path:
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _write_field_csv(path: Path, lo, h: float, values: np.ndarray) -> None:
+    """Rows ``x, y, z, u`` over every node, last axis fastest, as csv.writer."""
+    axes = [
+        [_fmt(c) for c in (float(lo[d]) + h * np.arange(n)).tolist()]
+        for d, n in enumerate(values.shape)
+    ]
+    u = map(_fmt, values.ravel().tolist())
+    with path.open("w", newline="") as handle:
+        handle.write("x,y,z,u\r\n")
+        handle.writelines(
+            f"{x},{y},{z},{v}\r\n" for (x, y, z), v in zip(itertools.product(*axes), u)
+        )
 
 
 def _verdict_dict(v: conditions.Verdict) -> dict:
@@ -464,19 +479,7 @@ def cmd_solve(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "field.csv"
-    lo = np.asarray(problem.lo)
-    with csv_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x", "y", "z", "u"])
-        nx, ny, nz = problem.shape
-        values = result.values
-        for i in range(nx):
-            for j in range(ny):
-                for k in range(nz):
-                    x, y, z = lo + problem.h * np.array([i, j, k])
-                    writer.writerow(
-                        [_fmt(x), _fmt(y), _fmt(z), _fmt(values[i, j, k])]
-                    )
+    _write_field_csv(csv_path, problem.lo, problem.h, result.values)
     if result.converged:
         extremum = [
             {
@@ -521,6 +524,7 @@ def cmd_solve(args) -> int:
             "energy": result.energy,
             "grad_norm": result.grad_norm,
             "iterations": result.iterations,
+            "cg_iterations": result.cg_iterations,
             "converged": result.converged,
             "snap_distances": list(problem.snap_distances),
             "extremum": extremum,
@@ -591,7 +595,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[common], help="grid solve for a charge configuration")
     p.add_argument("config", help="JSON run configuration")
-    p.add_argument("--max-iter", type=int, default=5000)
+    p.add_argument("--max-iter", type=int, default=5000, help="most Newton steps")
     p.set_defaults(func=cmd_solve)
     return parser
 

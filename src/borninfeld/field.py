@@ -14,10 +14,11 @@ pairing as a plain nodal value at the snapped charge node.
 
 Boundary data is Dirichlet: either zero or the superposition of exact
 single-charge tails recentered at each charge, which is what the field
-looks like far from a compact charge cluster.  Minimization runs a
-quasi-Newton descent (L-BFGS with line search) on the smooth convex
-objective; the reported residual is the max-norm of the objective gradient
-over interior nodes.
+looks like far from a compact charge cluster.  Minimization takes inexact
+Newton steps: conjugate gradients on the exact Hessian action,
+preconditioned by a fast-sine Poisson solve, and a backtracking line
+search on the energy.  The reported residual is the max-norm of the
+objective gradient over interior nodes.
 
 Grid solves are restricted to three dimensions; the radial module covers
 general N for single charges.
@@ -30,10 +31,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
+from scipy.fft import dstn, idstn
 
 from .core import ChargeConfig, taylor_coefficients
-from .quad import exact_radial_profile, shape_constant_A
+from .quad import AccuracyError, exact_radial_profile, shape_constant_A
 
 __all__ = [
     "DiscreteProblem",
@@ -141,7 +142,9 @@ def assemble_problem(
     must resolve at least 8 nodes between the closest snapped pair and the
     box must clear every charge by at least the minimum charge spacing
     (below twice that a truncation warning is issued).  Charges that snap
-    onto the same node merge with summed strengths.  ``config=None``
+    onto the same node merge with summed strengths.  Superposed boundary
+    data above the central-value bound sum_k |a_k|^(1/2) A(3) means the
+    tail quadrature went wrong and raises ``AccuracyError``.  ``config=None``
     assembles a chargeless problem (boundary data only, zero-rule
     boundaries give the zero field).
     """
@@ -241,8 +244,10 @@ def assemble_problem(
         bound = sum(abs(a) ** 0.5 for a in strengths) * shape_constant_A(3)
         max_bd = float(np.max(np.abs(boundary_values)))
         if max_bd > bound * (1.0 + 1e-9):
-            raise AssertionError(
-                f"boundary data {max_bd:g} exceeds the central-value bound {bound:g}"
+            raise AccuracyError(
+                f"boundary data {max_bd:g} exceeds the central-value bound {bound:g}",
+                estimate=max_bd,
+                error_bound=bound,
             )
     return DiscreteProblem(
         config=config,
@@ -259,156 +264,125 @@ def assemble_problem(
 
 
 # ---------------------------------------------------------------------------
-# Discrete energy and gradient
+# Discrete energy and its derivatives
 # ---------------------------------------------------------------------------
+
+
+def _shifted(axis: int, part: slice) -> tuple[slice, ...]:
+    index = [slice(None)] * 3
+    index[axis] = part
+    return tuple(index)
+
+
+_LO, _HI = slice(None, -1), slice(1, None)
+
+
+def _gather(edges: np.ndarray, axis: int) -> np.ndarray:
+    """Per cell, the sum of its four edge values along ``axis``."""
+    for d in range(3):
+        if d != axis:
+            edges = edges[_shifted(d, _LO)] + edges[_shifted(d, _HI)]
+    return edges
+
+
+def _scatter(cells: np.ndarray, axis: int) -> np.ndarray:
+    """Adjoint of ``_gather``: per edge along ``axis``, the sum over its cells."""
+    for d in range(3):
+        if d != axis:
+            shape = list(cells.shape)
+            shape[d] += 1
+            out = np.zeros(shape)
+            out[_shifted(d, _LO)] = cells
+            out[_shifted(d, _HI)] += cells
+            cells = out
+    return cells
+
+
+def _divergence(fluxes: list[np.ndarray], shape) -> np.ndarray:
+    """Adjoint of the edge differences: nodal sums of signed edge fluxes."""
+    out = np.zeros(shape)
+    for d, f in enumerate(fluxes):
+        out[_shifted(d, _HI)] += f
+        out[_shifted(d, _LO)] -= f
+    return out
 
 
 def _cell_s(U: np.ndarray, h: float):
     """Per-cell squared gradient magnitude and the raw edge differences."""
-    dx = U[1:, :, :] - U[:-1, :, :]
-    dy = U[:, 1:, :] - U[:, :-1, :]
-    dz = U[:, :, 1:] - U[:, :, :-1]
-    dx2, dy2, dz2 = dx * dx, dy * dy, dz * dz
-    cx = 0.25 * (dx2[:, :-1, :-1] + dx2[:, 1:, :-1] + dx2[:, :-1, 1:] + dx2[:, 1:, 1:])
-    cy = 0.25 * (dy2[:-1, :, :-1] + dy2[1:, :, :-1] + dy2[:-1, :, 1:] + dy2[1:, :, 1:])
-    cz = 0.25 * (dz2[:-1, :-1, :] + dz2[1:, :-1, :] + dz2[:-1, 1:, :] + dz2[1:, 1:, :])
-    s = (cx + cy + cz) / (h * h)
-    return s, dx, dy, dz
+    diffs = [np.diff(U, axis=d) for d in range(3)]
+    s = sum(_gather(e * e, d) for d, e in enumerate(diffs)) * (0.25 / (h * h))
+    return (s, *diffs)
 
 
-def _density_and_sigma(s: np.ndarray, alphas: tuple[float, ...]):
-    """W(s) = sum (alpha_h/2h) s^h and sigma(s) = 2 W'(s) by Horner."""
-    W = np.zeros_like(s)
-    sigma = np.zeros_like(s)
-    for h in range(len(alphas), 0, -1):
-        a = alphas[h - 1]
-        W = W * s + a / (2 * h)
+def _density_series(s: np.ndarray, alphas: tuple[float, ...]):
+    """W(s) = sum (alpha_k/2k) s^k, sigma = 2 W'(s) and sigma'(s) by Horner."""
+    W = sigma = dsigma = 0.0
+    for k in range(len(alphas), 0, -1):
+        a = alphas[k - 1]
+        W = W * s + a / (2 * k)
+        dsigma = dsigma * s + sigma
         sigma = sigma * s + a
-    return W * s, sigma
+    return W * s, sigma, dsigma
 
 
-def _sigma_prime(s: np.ndarray, alphas: tuple[float, ...]) -> np.ndarray:
-    """sigma'(s) = sum_{h>=2} alpha_h (h-1) s^(h-2) by Horner."""
-    out = np.zeros_like(s)
-    for h in range(len(alphas), 1, -1):
-        out = out * s + alphas[h - 1] * (h - 1)
-    return out
+def _newton_model(problem: DiscreteProblem, U: np.ndarray):
+    """Energy, gradient and Hessian action at U from one pass over the cells.
 
+    The cell quantities s, sigma(s), sigma'(s) and the edge weights
+    (h/4) sum_{cells at e} sigma are computed once; the returned ``hessp``
+    closure reuses them for every full-grid direction V.  Per cell, with d
+    the edge differences of U and w those of V,
 
-def _scatter4_x(cells: np.ndarray, like: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(like)
-    out[:, :-1, :-1] += cells
-    out[:, 1:, :-1] += cells
-    out[:, :-1, 1:] += cells
-    out[:, 1:, 1:] += cells
-    return out
+        (H w)_e = (h/4) sigma(s) w_e + (h/(8 h^2)) sigma'(s) (d . w) d_e,
 
+    scattered to the edges like the gradient.  The charge term is linear and
+    drops out of the Hessian.
+    """
+    h = problem.h
+    s, *diffs = _cell_s(U, h)
+    W, sigma, dsigma = _density_series(s, taylor_coefficients(problem.m).alphas)
+    weights = [(h / 4.0) * _scatter(sigma, d) for d in range(3)]
+    couple = dsigma / (8.0 * h)
+    energy = h**3 * float(np.sum(W))
+    grad = _divergence([w * e for w, e in zip(weights, diffs)], U.shape)
+    for node, a in problem.charges:
+        energy -= a * float(U[node])
+        grad[node] -= a
 
-def _scatter4_y(cells: np.ndarray, like: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(like)
-    out[:-1, :, :-1] += cells
-    out[1:, :, :-1] += cells
-    out[:-1, :, 1:] += cells
-    out[1:, :, 1:] += cells
-    return out
+    def hessp(V: np.ndarray) -> np.ndarray:
+        vdiffs = [np.diff(V, axis=d) for d in range(3)]
+        # sum over the cell's 12 edges of d_e * w_e, times sigma'/(8h)
+        P = couple * sum(
+            _gather(e * v, d) for d, (e, v) in enumerate(zip(diffs, vdiffs))
+        )
+        return _divergence(
+            [
+                w * v + _scatter(P, d) * e
+                for d, (w, e, v) in enumerate(zip(weights, diffs, vdiffs))
+            ],
+            V.shape,
+        )
 
-
-def _scatter4_z(cells: np.ndarray, like: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(like)
-    out[:-1, :-1, :] += cells
-    out[1:, :-1, :] += cells
-    out[:-1, 1:, :] += cells
-    out[1:, 1:, :] += cells
-    return out
-
-
-def _gather4_x(edges: np.ndarray) -> np.ndarray:
-    return edges[:, :-1, :-1] + edges[:, 1:, :-1] + edges[:, :-1, 1:] + edges[:, 1:, 1:]
-
-
-def _gather4_y(edges: np.ndarray) -> np.ndarray:
-    return edges[:-1, :, :-1] + edges[1:, :, :-1] + edges[:-1, :, 1:] + edges[1:, :, 1:]
-
-
-def _gather4_z(edges: np.ndarray) -> np.ndarray:
-    return edges[:-1, :-1, :] + edges[1:, :-1, :] + edges[:-1, 1:, :] + edges[1:, 1:, :]
+    return energy, grad, hessp
 
 
 def discrete_energy_hessp(
     problem: DiscreteProblem, U: np.ndarray, V: np.ndarray
 ) -> np.ndarray:
-    """Action of the energy Hessian at U on a full-grid direction V.
-
-    Per cell, with d the edge differences and w their counterparts for V,
-
-        (H w)_e = (h/4) sigma(s) w_e + (h/(8 h^2)) sigma'(s) (d . w) d_e,
-
-    assembled with the same scatter pattern as the gradient.  The charge
-    term is linear and drops out.
-    """
-    h = problem.h
-    alphas = taylor_coefficients(problem.m).alphas
-    s, dx, dy, dz = _cell_s(U, h)
-    _, sigma = _density_and_sigma(s, alphas)
-    sp = _sigma_prime(s, alphas)
-    vdx = V[1:, :, :] - V[:-1, :, :]
-    vdy = V[:, 1:, :] - V[:, :-1, :]
-    vdz = V[:, :, 1:] - V[:, :, :-1]
-    # P = sum over the cell's 12 edges of d_e * w_e
-    P = (
-        _gather4_x(dx * vdx)
-        + _gather4_y(dy * vdy)
-        + _gather4_z(dz * vdz)
-    )
-    couple = sp * P / (8.0 * h)  # (h/(8 h^2)) sigma' P, cellwise
-    fx = (h / 4.0) * _scatter4_x(sigma, dx) * vdx + _scatter4_x(couple, dx) * dx
-    fy = (h / 4.0) * _scatter4_y(sigma, dy) * vdy + _scatter4_y(couple, dy) * dy
-    fz = (h / 4.0) * _scatter4_z(sigma, dz) * vdz + _scatter4_z(couple, dz) * dz
-    out = np.zeros_like(U)
-    out[1:, :, :] += fx
-    out[:-1, :, :] -= fx
-    out[:, 1:, :] += fy
-    out[:, :-1, :] -= fy
-    out[:, :, 1:] += fz
-    out[:, :, :-1] -= fz
-    return out
+    """Action of the energy Hessian at U on a full-grid direction V."""
+    return _newton_model(problem, U)[2](V)
 
 
 def discrete_energy(problem: DiscreteProblem, U: np.ndarray) -> float:
     """Energy of a full-grid nodal array under the problem's order."""
-    alphas = taylor_coefficients(problem.m).alphas
-    s, _, _, _ = _cell_s(U, problem.h)
-    W, _ = _density_and_sigma(s, alphas)
-    energy = problem.h**3 * float(np.sum(W))
-    for node, a in problem.charges:
-        energy -= a * float(U[node])
-    return energy
+    return _newton_model(problem, U)[0]
 
 
 def discrete_energy_gradient(
     problem: DiscreteProblem, U: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Energy and its exact gradient with respect to every nodal value."""
-    h = problem.h
-    alphas = taylor_coefficients(problem.m).alphas
-    s, dx, dy, dz = _cell_s(U, h)
-    W, sigma = _density_and_sigma(s, alphas)
-    energy = h**3 * float(np.sum(W))
-
-    # Edge weights: sum of sigma over the (up to four) cells sharing the edge.
-    fx = (h / 4.0) * _scatter4_x(sigma, dx) * dx
-    fy = (h / 4.0) * _scatter4_y(sigma, dy) * dy
-    fz = (h / 4.0) * _scatter4_z(sigma, dz) * dz
-    grad = np.zeros_like(U)
-    grad[1:, :, :] += fx
-    grad[:-1, :, :] -= fx
-    grad[:, 1:, :] += fy
-    grad[:, :-1, :] -= fy
-    grad[:, :, 1:] += fz
-    grad[:, :, :-1] -= fz
-    for node, a in problem.charges:
-        energy -= a * float(U[node])
-        grad[node] -= a
+    energy, grad, _ = _newton_model(problem, U)
     return energy, grad
 
 
@@ -419,18 +393,75 @@ def discrete_energy_gradient(
 
 @dataclass(frozen=True)
 class GridField:
-    """A (possibly non-converged) minimizer of the discrete energy."""
+    """A (possibly non-converged) minimizer of the discrete energy.
+
+    ``iterations`` counts Newton steps and ``cg_iterations`` the conjugate
+    gradient iterations spent on their linear systems.
+    """
 
     problem: DiscreteProblem
     values: np.ndarray
     energy: float
     grad_norm: float
     iterations: int
+    cg_iterations: int
     converged: bool
     tol: float
 
     def charge_values(self) -> list[float]:
         return [float(self.values[node]) for node, _ in self.problem.charges]
+
+
+def _poisson_inverse(n_inner: tuple[int, int, int], h: float):
+    """Exact inverse of h times the 7-point Dirichlet Laplacian, by DST-I.
+
+    The sine modes diagonalize the Laplacian on the interior block with
+    eigenvalues sum_d (2 - 2 cos(pi k_d / (n_d + 1))).  At sigma = 1 every
+    interior edge carries weight h (four cells of h/4), so this is the
+    exact inverse Hessian at m = 1; since sigma >= 1 and sigma' >= 0, h times
+    the Laplacian bounds the Hessian from below at every order.
+    """
+    eig = np.zeros(n_inner)
+    for d, n in enumerate(n_inner):
+        shape = [1, 1, 1]
+        shape[d] = n
+        k = np.arange(1, n + 1)
+        eig = eig + (2.0 - 2.0 * np.cos(np.pi * k / (n + 1))).reshape(shape)
+    scale = h * eig
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        return idstn(dstn(r, type=1) / scale, type=1)
+
+    return apply
+
+
+def _pcg(hessp, b: np.ndarray, precond, target: float, max_iter: int):
+    """Preconditioned CG on H x = b from x = 0, until ||b - H x||_2 <= target."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = precond(r)
+    d = z
+    rz = float(np.vdot(r, z))
+    for it in range(1, max_iter + 1):
+        Hd = hessp(d)
+        alpha = rz / float(np.vdot(d, Hd))
+        x += alpha * d
+        r -= alpha * Hd
+        if np.linalg.norm(r) <= target:
+            return x, it
+        z = precond(r)
+        rz, rz_old = float(np.vdot(r, z)), rz
+        d = z + (rz / rz_old) * d
+    return x, max_iter
+
+
+_ETA_MAX = 0.5  # loosest CG forcing term
+_CG_MAX_ITER = 200
+_ARMIJO = 1e-4
+_BACKTRACKS = 30
+# Relative rounding of a summed energy, with a margin over the ~1e-16 seen:
+# the Armijo test cannot see predicted decreases below it.
+_ENERGY_NOISE = 1e-14
 
 
 def minimize_energy(
@@ -442,123 +473,83 @@ def minimize_energy(
     """Minimize the discrete energy over interior nodes, boundary fixed.
 
     The objective is smooth and strictly convex in the cell gradients, so
-    the minimizer is unique and independent of the starting point; descent
-    uses L-BFGS with line search.  On success ``grad_norm`` (max-norm of the
-    objective gradient over interior nodes) is at most ``tol``.  On budget
-    exhaustion the best iterate is returned with ``converged=False`` and the
-    caller decides.
+    the minimizer is unique and independent of the starting point.  Each
+    Newton step runs PCG (``_poisson_inverse``) to an Eisenstat-Walker
+    tolerance and backtracks on the energy (Armijo); below the energy's
+    rounding a step is kept only if the max-norm residual falls.  On success
+    ``grad_norm`` (max-norm of the objective gradient over interior nodes)
+    is at most ``tol``.  After ``max_iter`` Newton steps, or when the line
+    search fails, the last iterate is returned with ``converged=False``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    interior = problem.interior_mask()
+    inner = (slice(1, -1),) * 3
+    n_inner = tuple(n - 2 for n in problem.shape)
     U = problem.initial_guess()
     if x0 is not None:
         x_start = np.asarray(x0, dtype=float).ravel()
-        if x_start.size != int(interior.sum()):
+        if x_start.size != math.prod(n_inner):
             raise ValueError("x0 must have one entry per interior node")
-    else:
-        x_start = U[interior].copy().ravel()
+        U[inner] = x_start.reshape(n_inner)
+    precond = _poisson_inverse(n_inner, problem.h)
+    direction = np.zeros(problem.shape)  # boundary entries stay zero
 
-    def objective(x: np.ndarray):
-        U[interior] = x
-        energy, grad = discrete_energy_gradient(problem, U)
-        return energy, grad[interior]
+    energy, grad, hessp = _newton_model(problem, U)
+    g = grad[inner]
+    residual = float(np.max(np.abs(g)))
+    g_norm = float(np.linalg.norm(g))
+    eta = _ETA_MAX
+    iterations = cg_iterations = 0
 
-    result = _scipy_minimize(
-        objective,
-        x_start,
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": max_iter,
-            "maxfun": 10 * max_iter,
-            "ftol": 1e-18,
-            "gtol": 0.5 * tol,
-            "maxcor": 20,
-        },
-    )
-    iterations = int(result.nit)
-    U[interior] = result.x
-    energy, grad = discrete_energy_gradient(problem, U)
+    def hessp_inner(p: np.ndarray) -> np.ndarray:
+        direction[inner] = p
+        return hessp(direction)[inner]
 
-    # L-BFGS tends to stall within an order of magnitude of tight residual
-    # targets; a few inexact Newton steps (CG on the exact Hessian action,
-    # backtracking on the convex objective) finish the job.
-    polish_budget = min(30, max_iter - iterations)
-    for _ in range(max(0, polish_budget)):
-        grad_norm = float(np.max(np.abs(grad[interior]))) if interior.any() else 0.0
-        if grad_norm <= 0.3 * tol or not interior.any():
-            break
-        g_int = grad[interior]
-        step = _cg_newton_step(problem, U, interior, g_int)
-        if step is None:
-            break
+    while residual > tol and iterations < max_iter:
+        # Below 0.5 tol / |g| the linear residual is already under tol.
+        target = max(eta, 0.5 * tol / g_norm) * g_norm
+        step, n_cg = _pcg(hessp_inner, -g, precond, target, _CG_MAX_ITER)
+        cg_iterations += n_cg
+        slope = float(np.vdot(g, step))
         alpha = 1.0
-        x_cur = U[interior].copy()
-        accepted = False
-        slope = float(np.dot(g_int, step))
-        for _ in range(30):
-            U[interior] = x_cur + alpha * step
-            e_new, g_new = discrete_energy_gradient(problem, U)
-            if e_new <= energy + 1e-4 * alpha * slope:
-                energy, grad = e_new, g_new
-                iterations += 1
-                accepted = True
+        model = None
+        for _ in range(_BACKTRACKS):
+            trial = U.copy()
+            trial[inner] += alpha * step
+            candidate = _newton_model(problem, trial)
+            decrease = -alpha * slope
+            if decrease <= _ENERGY_NOISE * abs(energy):
+                if float(np.max(np.abs(candidate[1][inner]))) < residual:
+                    model = candidate
+                break
+            if candidate[0] <= energy - _ARMIJO * decrease:
+                model = candidate
                 break
             alpha *= 0.5
-        if not accepted:
-            U[interior] = x_cur
-            energy, grad = discrete_energy_gradient(problem, U)
+        if model is None:
             break
+        U = trial
+        energy, grad, hessp = model
+        g = grad[inner]
+        residual = float(np.max(np.abs(g)))
+        g_norm, g_norm_old = float(np.linalg.norm(g)), g_norm
+        iterations += 1
+        # Eisenstat-Walker choice 2 with its safeguard against early collapse
+        eta_new = 0.9 * (g_norm / g_norm_old) ** 2
+        if 0.9 * eta**2 > 0.1:
+            eta_new = max(eta_new, 0.9 * eta**2)
+        eta = min(_ETA_MAX, eta_new)
 
-    grad_norm = float(np.max(np.abs(grad[interior]))) if interior.any() else 0.0
     return GridField(
         problem=problem,
-        values=U.copy(),
+        values=U,
         energy=float(energy),
-        grad_norm=grad_norm,
+        grad_norm=residual,
         iterations=iterations,
-        converged=bool(grad_norm <= tol),
+        cg_iterations=cg_iterations,
+        converged=bool(residual <= tol),
         tol=tol,
     )
-
-
-def _cg_newton_step(
-    problem: DiscreteProblem,
-    U: np.ndarray,
-    interior: np.ndarray,
-    g_int: np.ndarray,
-) -> np.ndarray | None:
-    """Inexact Newton direction: CG on H p = -g restricted to the interior."""
-    shape = U.shape
-
-    def hessp(p_int: np.ndarray) -> np.ndarray:
-        V = np.zeros(shape)
-        V[interior] = p_int
-        return discrete_energy_hessp(problem, U, V)[interior]
-
-    p = np.zeros_like(g_int)
-    r = -g_int.copy()
-    d = r.copy()
-    rs = float(np.dot(r, r))
-    target = max(1e-4 * rs, 0.0)
-    for _ in range(400):
-        if rs <= target:
-            break
-        Hd = hessp(d)
-        dHd = float(np.dot(d, Hd))
-        if dHd <= 0:
-            break  # should not happen on a convex objective
-        alpha = rs / dHd
-        p += alpha * d
-        r -= alpha * Hd
-        rs_new = float(np.dot(r, r))
-        d = r + (rs_new / rs) * d
-        rs = rs_new
-    if not np.any(p):
-        return None
-    return p
-
 
 # ---------------------------------------------------------------------------
 # Reports

@@ -3,7 +3,7 @@
 Each test prints a single PASS/FAIL line (run with ``pytest -s`` to see
 them).  Grids, seeds, and windows are pinned here; nothing is deferred to
 later calibration.  Criteria 6 and 7 carry the grid solves and dominate the
-runtime (a few minutes total).
+runtime.
 """
 
 import json

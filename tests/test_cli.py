@@ -4,8 +4,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+from borninfeld import cli, field
 from borninfeld.cli import main, validate_report
 
 
@@ -188,6 +190,33 @@ class TestRadialCommand:
         )
 
 
+def _field_csv_by_loop(path, lo, h, values):
+    """Per-node writer the vectorized one replaced; the byte-level reference."""
+    lo = np.asarray(lo)
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["x", "y", "z", "u"])
+        nx, ny, nz = values.shape
+        for i in range(nx):
+            for j in range(ny):
+                for k in range(nz):
+                    x, y, z = lo + h * np.array([i, j, k])
+                    writer.writerow(
+                        [cli._fmt(x), cli._fmt(y), cli._fmt(z), cli._fmt(values[i, j, k])]
+                    )
+
+
+def test_field_csv_bytes_match_per_node_writer(tmp_path):
+    rng = np.random.default_rng(7)
+    values = rng.normal(0.0, 1.0, (4, 5, 6)) * 10.0 ** rng.integers(-20, 20, (4, 5, 6))
+    values[0, 0, 0] = 0.0
+    values[1, 2, 3] = -0.0
+    lo, h = (-1.3, 0.1, 2.0), 0.1
+    cli._write_field_csv(tmp_path / "new.csv", lo, h, values)
+    _field_csv_by_loop(tmp_path / "old.csv", lo, h, values)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 class TestSolveCommand:
     SOLVE = {
         "dim": 3,
@@ -239,6 +268,21 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["results"]["converged"] is False
         assert report["results"]["grad_norm"] > 0
+
+    def test_boundary_data_over_bound_exit_3(self, tmp_path, monkeypatch, capsys):
+        exact = field.exact_radial_profile
+
+        def inflated(*args, **kwargs):
+            profile = exact(*args, **kwargs)
+            profile.u[:] *= 100.0
+            return profile
+
+        monkeypatch.setattr(field, "exact_radial_profile", inflated)
+        config = write_config(tmp_path / "solve.json", self.SOLVE)
+        assert run_cli(["solve", config, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "exceeds the central-value bound" in err
+        assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore:boundary clearance")
     def test_dipole_solve_reports_extrema(self, tmp_path):

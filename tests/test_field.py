@@ -1,7 +1,8 @@
 """Tests for the grid solver: assembly, energy, minimization, reports.
 
-Grids here are kept small (9^3 to 17^3) so the whole module runs in
-seconds; the acceptance suite exercises the spec-scale 33^3 and 65^3 runs.
+Grids here are mostly small (9^3 to 17^3) so the whole module runs in
+seconds; only the Newton solver's stress and mesh-independence tests use
+the spec-scale 33^3 and 65^3 grids that the acceptance suite exercises.
 """
 
 import math
@@ -12,6 +13,7 @@ import pytest
 
 from borninfeld.core import ChargeConfig
 from borninfeld.field import (
+    _poisson_inverse,
     assemble_problem,
     compare_solutions,
     discrete_energy,
@@ -309,6 +311,58 @@ class TestReports:
             result = minimize_energy(problem, tol=1e-9)
             sups.append(gradient_sup(result, exclusion_radius=0.75).sup)
         assert sups[1] - sups[0] <= 1e-3
+
+
+class TestNewtonSolver:
+    def test_poisson_preconditioner_inverts_hessian_at_order_one(self):
+        # sigma = 1 at m = 1, so the Hessian is h times the Dirichlet
+        # Laplacian at every U; a non-cubic box exercises every axis.
+        problem = assemble_problem(
+            SINGLE, (-1.0, -0.75, -0.5), (1.0, 1.0, 0.75), 0.25, 1,
+            "radial-superposition",
+        )
+        inner = (slice(1, -1),) * 3
+        n_inner = tuple(n - 2 for n in problem.shape)
+        rng = np.random.default_rng(4)
+        U = problem.initial_guess()
+        U[inner] = rng.normal(0.0, 0.3, n_inner)
+        r = rng.normal(0.0, 1.0, n_inner)
+        V = np.zeros(problem.shape)
+        V[inner] = _poisson_inverse(n_inner, problem.h)(r)
+        hv = discrete_energy_hessp(problem, U, V)[inner]
+        assert np.max(np.abs(hv - r)) <= 1e-12 * np.max(np.abs(r))
+        result = minimize_energy(problem, tol=1e-12)
+        assert result.converged
+        assert (result.iterations, result.cg_iterations) == (1, 1)
+
+    @pytest.mark.parametrize("a, m", [(20.0, 16), (1.0, 64)])
+    def test_strong_charge_and_high_order_converge(self, a, m):
+        cfg = ChargeConfig(3, [((0.0, 0.0, 0.0), a)])
+        problem = assemble_problem(cfg, -4, 4, 0.25, m, "radial-superposition")
+        result = minimize_energy(problem, tol=1e-9)
+        assert result.converged
+        assert all(r.matches_charge_sign for r in extremum_report(result))
+
+    @pytest.mark.parametrize("m", [2, 16])
+    def test_unreachable_tolerance_stops_early(self, m):
+        # Below the energy's rounding the line search needs a falling
+        # residual; at a tolerance under machine precision it soon fails.
+        problem = small_problem(m=m, rule="radial-superposition")
+        result = minimize_energy(problem, tol=1e-18, max_iter=500)
+        assert not result.converged
+        assert result.iterations < 50
+        assert result.grad_norm < 1e-13
+
+    def test_newton_steps_mesh_independent(self, dipole_field):
+        problem = dipole_field.problem
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="boundary clearance")
+            fine = assemble_problem(
+                problem.config, -4, 4, 0.125, 2, "radial-superposition"
+            )
+        result = minimize_energy(fine, tol=1e-9)
+        assert result.converged
+        assert result.iterations - dipole_field.iterations <= 3
 
 
 class TestBoundaryInsensitivity:
