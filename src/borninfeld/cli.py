@@ -331,7 +331,7 @@ def cmd_constants(args) -> int:
         "results": {
             "sphere_measure": omega,
             "best_constant": best_constant_cbar(N),
-            "central_value_scale": shape_constant_A(N, quad_tol),
+            "central_value_scale": shape_constant_A(N),
             "refined_constant": ctilde,
             "refined_over_sphere": ctilde / omega,
             "min_guaranteed_order": min_order_for_guarantee(N),

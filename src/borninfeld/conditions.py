@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .core import ChargeConfig, sphere_measure
-from .quad import shape_constant_A
+from .quad import refined_constant_ctilde, shape_constant_A
 
 __all__ = [
     "VerdictLevel",
@@ -225,8 +225,6 @@ def classify_segments(
     if config.n < 2:
         return []
     if ctilde is None:
-        from .quad import refined_constant_ctilde
-
         ctilde = refined_constant_ctilde(config.dim)
     lhs = ctilde ** (-1.0 / (config.dim - 1)) * _strength_bracket(config)
     return list(_pairwise_levels(config, lhs))

@@ -119,9 +119,9 @@ def _superposition_boundary(shape, lo, h, charges_pos, strengths):
     values = np.zeros(len(idx))
     for pos, a in zip(charges_pos, strengths):
         dists = np.linalg.norm(coords - np.asarray(pos), axis=1)
-        radii, inverse = np.unique(np.round(dists, 12), return_inverse=True)
-        profile = exact_radial_profile(a, 3, radii, abs_tol=1e-11)
-        values += profile.u[inverse]
+        # exact dedupe: the profile takes strictly increasing radii
+        radii, inverse = np.unique(dists, return_inverse=True)
+        values += exact_radial_profile(a, 3, radii).u[inverse]
     out = np.zeros(shape)
     out[idx[:, 0], idx[:, 1], idx[:, 2]] = values
     return out
@@ -143,8 +143,9 @@ def assemble_problem(
     box must clear every charge by at least the minimum charge spacing
     (below twice that a truncation warning is issued).  Charges that snap
     onto the same node merge with summed strengths.  Superposed boundary
-    data above the central-value bound sum_k |a_k|^(1/2) A(3) means the
-    tail quadrature went wrong and raises ``AccuracyError``.  ``config=None``
+    data above the central-value bound sum_k |a_k|^(1/2) A(3) cannot come
+    from correct single-charge fields, each bounded by its central value, so
+    it raises ``AccuracyError``.  ``config=None``
     assembles a chargeless problem (boundary data only, zero-rule
     boundaries give the zero field).
     """

@@ -7,29 +7,35 @@ s = split + tau/(1 - tau), after which the transformed integrand is again
 mild enough for the same rule.  The Kronrod nodes are interior, so
 integrable endpoint singularities never get evaluated directly.
 
-On top of the engine sit the closed-form objects of the single-charge
-problem: the central-value scale
+The exact single-charge field needs no quadrature.  Its slope is pinned at
+every radius by the flux identity r^(N-1) u' / sqrt(1 - u'^2) =
+-a/omega_{N-1}; with q = N-1, p = 2q, c = |a|/omega_{N-1}, L = c^(1/q) and
+w = 1/(1 + (r/L)^p) the substitution s = L ((1-w)/w)^(1/p) turns
+u(r) = int_r^inf c/sqrt(s^p + c^2) ds into a regularized incomplete Beta
+function (DLMF 8.17),
 
-    A(N) = omega_{N-1}^(-1/(N-1)) * int_0^inf ds / sqrt(s^(2(N-1)) + 1),
+    u(r) = sign(a) L B I_w(1/2 - 1/p, 1/p),    B = B(1/2 - 1/p, 1/p) / p,
 
-the refined energy constant
+so the central value is u(0+) = sign(a) L B and the central-value scale is
+
+    A(N) = omega_{N-1}^(-1/(N-1)) * int_0^inf ds / sqrt(s^(2(N-1)) + 1)
+         = omega_{N-1}^(-1/(N-1)) * B.
+
+The refined energy constant still runs through the engine:
 
     Ctilde(N) = omega_{N-1} * int r^(N-1) (1 - r^(N-1)/sqrt(r^(2(N-1))+1)) dr
-                / (int (r^(2(N-1))+1)^(-1/2) dr)^N,
-
-and the exact radial field of one charge, whose slope is pinned at every
-radius by the flux identity r^(N-1) u' / sqrt(1 - u'^2) = -a/omega_{N-1}.
+                / (int (r^(2(N-1))+1)^(-1/2) dr)^N.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import special
 
 from .core import sphere_measure
 
@@ -221,7 +227,30 @@ def integrate_decaying(
 # ---------------------------------------------------------------------------
 
 
-def shape_constant_A(N: int, abs_tol: float = 1e-10) -> float:
+def _single_charge_field(a: float, N: int, r: np.ndarray) -> tuple[float, np.ndarray]:
+    """Central value u(0+) and field u(r) of one charge, in closed form.
+
+    I_w(alpha, beta) with w -> 1 near the charge loses every digit of the
+    small complement 1 - w, so w = 1/(1+x) and 1 - w = 1/(1+1/x) are formed
+    separately, and once w exceeds 1/2 the reflection
+    I_w(alpha, beta) = 1 - I_{1-w}(beta, alpha) is evaluated instead.
+    """
+    q = N - 1
+    p = 2 * q
+    alpha, beta = 0.5 - 1.0 / p, 1.0 / p
+    length = (abs(a) / sphere_measure(N)) ** (1.0 / q)
+    u0 = math.copysign(length * special.beta(alpha, beta) / p, a)
+    with np.errstate(over="ignore", divide="ignore"):
+        x = (r / length) ** p
+        w = 1.0 / (1.0 + x)
+        w_comp = 1.0 / (1.0 + 1.0 / x)
+    ratio = np.where(
+        w <= 0.5, special.betainc(alpha, beta, w), special.betaincc(beta, alpha, w_comp)
+    )
+    return u0, u0 * ratio
+
+
+def shape_constant_A(N: int) -> float:
     """Central-value scale A(N) of the single-charge field.
 
     A unit charge produces a field of central value A(N); strength a scales
@@ -229,13 +258,7 @@ def shape_constant_A(N: int, abs_tol: float = 1e-10) -> float:
     """
     if not isinstance(N, int) or N < 3:
         raise ValueError(f"dimension must be an integer >= 3, got {N!r}")
-    p = 2 * (N - 1)
-
-    def integrand(s: float) -> float:
-        return 1.0 / math.sqrt(s**p + 1.0)
-
-    value = integrate_decaying(integrand, 0.0, abs_tol)
-    return sphere_measure(N) ** (-1.0 / (N - 1)) * value
+    return _single_charge_field(1.0, N, np.empty(0))[0]
 
 
 def refined_constant_ctilde(N: int, abs_tol: float = 1e-10) -> float:
@@ -320,47 +343,16 @@ class RadialProfile:
         return zip(self.r.tolist(), self.u.tolist(), self.du.tolist())
 
 
-def _cumulative_from_infinity(
-    slope_mag: Callable[[float], float],
-    rgrid: np.ndarray,
-    abs_tol: float,
-) -> np.ndarray:
-    """u(r_i) = int_{r_i}^inf slope_mag for a strictly positive integrand.
-
-    Single tail quadrature at the largest radius, then short smooth segments
-    downward; errors are budgeted so the sum stays within ``abs_tol``.
-    """
-    n = rgrid.size
-    seg_tol = abs_tol / (n + 1)
-    # Pick the tail split so the integrand is already in its power-law regime.
-    top = float(rgrid[-1])
-    tail_split = top + max(10.0, top)
-    values = np.empty(n)
-    values[-1] = integrate_decaying(
-        slope_mag, top, seg_tol, split=tail_split, max_subdivisions=200
-    )
-    for i in range(n - 2, -1, -1):
-        seg, _ = adaptive_gauss_kronrod(
-            slope_mag, float(rgrid[i]), float(rgrid[i + 1]), seg_tol, 200
-        )
-        values[i] = values[i + 1] + seg
-    return values
-
-
-def exact_radial_profile(
-    a: float, N: int, rgrid, abs_tol: float = 1e-10
-) -> RadialProfile:
+def exact_radial_profile(a: float, N: int, rgrid) -> RadialProfile:
     """Exact single-charge radial field sampled on ``rgrid``.
 
     The slope comes from the flux identity in closed form,
 
         u'(r) = -(a/omega) / sqrt(r^(2(N-1)) + (a/omega)^2),
 
-    even in a up to the overall sign, and u is recovered by tail quadrature
-    with u -> 0 at infinity.  The central value u(0+) =
-    sign(a) |a|^(1/(N-1)) A(N) is attached as ``u0``, computed by quadrature
-    of the slope over (0, r_min] and corroborated against the light-cone
-    extrapolation u(r) + r when the grid reaches deep enough.
+    odd in a, and u, with u -> 0 at infinity, is its incomplete Beta
+    antiderivative (see the module docstring).  The central value u(0+) =
+    sign(a) |a|^(1/(N-1)) A(N) is attached as ``u0``.
     """
     a = float(a)
     if a == 0.0 or not math.isfinite(a):
@@ -370,42 +362,17 @@ def exact_radial_profile(
     r = np.asarray(rgrid, dtype=float)
     if r.ndim != 1 or r.size < 1 or not np.all(r > 0) or not np.all(np.diff(r) > 0):
         raise ValueError("rgrid must be strictly increasing and positive")
-    omega = sphere_measure(N)
-    c = abs(a) / omega
-    q = N - 1
-    sign = math.copysign(1.0, a)
-
-    def slope_mag(s: float) -> float:
-        return c / math.hypot(s**q, c)
-
-    du = -sign * c / np.hypot(r**q, c)
-    u_mag = _cumulative_from_infinity(slope_mag, r, abs_tol=abs_tol)
-    head, _ = adaptive_gauss_kronrod(slope_mag, 0.0, float(r[0]), abs_tol, 200)
-    u0_mag = u_mag[0] + head
-    # Light-cone corroboration: near the charge |u'| ~ 1 - (r^(N-1)/c)^2/2,
-    # so u(r) + r estimates the central value to O(r^(2N-1)); Richardson
-    # over the two smallest radii removes that leading term.
-    if r.size >= 2 and slope_mag(float(r[1])) > 0.999:
-        r0, r1 = float(r[0]), float(r[1])
-        est0 = u_mag[0] + r0
-        est1 = u_mag[1] + r1
-        p = 2 * N - 1
-        est = est0 + (est0 - est1) * r0**p / (r1**p - r0**p)
-        if abs(est - u0_mag) > 1e-5:
-            warnings.warn(
-                f"central value check: quadrature {u0_mag:.8g} vs light-cone "
-                f"extrapolation {est:.8g} disagree beyond 1e-5",
-                stacklevel=2,
-            )
+    c = a / sphere_measure(N)
+    u0, u = _single_charge_field(a, N, r)
     return RadialProfile(
         dim=N,
         strength=a,
         kind="exact-bi",
         order=None,
         r=r,
-        u=sign * u_mag,
-        du=du,
-        u0=sign * u0_mag,
+        u=u,
+        du=-c / np.hypot(r ** (N - 1), c),
+        u0=u0,
     )
 
 

@@ -1,10 +1,11 @@
 """Tests for the half-line quadrature engine and the exact radial field."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borninfeld.core import sphere_measure
 from borninfeld.quad import (
@@ -76,10 +77,12 @@ class TestShapeConstantA:
         # the defining integrand equals 1 at s = 0
         assert (0.0 ** (2 * 2) + 1.0) ** -0.5 == 1.0
 
-    def test_consistency_with_generic_path(self):
-        direct = integrate_decaying(lambda s: (s**4 + 1.0) ** -0.5, 0.0, 1e-12)
-        assert shape_constant_A(3) == pytest.approx(
-            direct / math.sqrt(sphere_measure(3)), abs=1e-10
+    @pytest.mark.parametrize("N", [3, 4, 5, 7])
+    def test_consistency_with_generic_path(self, N):
+        p = 2 * (N - 1)
+        direct = integrate_decaying(lambda s: (s**p + 1.0) ** -0.5, 0.0, 1e-12)
+        assert shape_constant_A(N) == pytest.approx(
+            direct * sphere_measure(N) ** (-1.0 / (N - 1)), abs=1e-10
         )
 
     def test_invalid_dimension(self):
@@ -157,10 +160,41 @@ class TestExactRadialProfile:
             math.sqrt(5.0) * shape_constant_A(3), rel=1e-9
         )
 
-    def test_no_central_value_warning_on_fine_grids(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            exact_radial_profile(1.0, 3, np.geomspace(1e-5, 10.0, 100))
+    @pytest.mark.parametrize("N", [3, 4, 5, 7])
+    def test_central_value_matches_light_cone_extrapolation(self, N):
+        # near the charge |u'| ~ 1 - (r^(N-1)/c)^2/2, so u(r) + r estimates
+        # u0 to O(r^(2N-1)); Richardson over the two smallest radii removes
+        # that term
+        profile = exact_radial_profile(1.0, N, np.geomspace(1e-5, 10.0, 100))
+        r0, r1 = profile.r[:2]
+        est0, est1 = profile.u[0] + r0, profile.u[1] + r1
+        k = 2 * N - 1
+        est = est0 + (est0 - est1) * r0**k / (r1**k - r0**k)
+        assert est == pytest.approx(profile.u0, abs=1e-10)
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 7])
+    def test_far_field_relative(self, N):
+        # (N-2) omega r^(N-2) u(r) -> a, with relative correction O(r^(-2(N-1)))
+        for a in (0.3, 1.0, -5.0):
+            r = 1e6
+            u = exact_radial_profile(a, N, np.array([r])).u[0]
+            newton = (N - 2) * sphere_measure(N) * r ** (N - 2) * u
+            assert newton == pytest.approx(a, rel=1e-9)
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 7])
+    def test_matches_quadrature_of_the_slope(self, N):
+        # independent oracle: the tail integral of the closed-form slope
+        a = 2.0
+        c = a / sphere_measure(N)
+        q = N - 1
+        rgrid = np.geomspace(1e-3, 1e2, 12)
+        profile = exact_radial_profile(a, N, rgrid)
+        for r, u in zip(rgrid, profile.u):
+            oracle = integrate_decaying(
+                lambda s: c / math.hypot(s**q, c), float(r), 1e-13,
+                max_subdivisions=200,
+            )
+            assert u == pytest.approx(oracle, abs=1e-12)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -169,3 +203,27 @@ class TestExactRadialProfile:
             exact_radial_profile(1.0, 3, np.array([1.0, 0.5]))
         with pytest.raises(ValueError):
             exact_radial_profile(1.0, 3, np.array([-1.0, 0.5]))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    N=st.integers(3, 7),
+    a=st.floats(0.05, 20.0),
+    r=st.floats(1e-6, 1e6),
+)
+def test_exact_profile_properties(N, a, r):
+    rgrid = r * np.geomspace(1.0, 10.0, 5)
+    profile = exact_radial_profile(a, N, rgrid)
+    negated = exact_radial_profile(-a, N, rgrid)
+    # odd in the strength
+    assert np.array_equal(negated.u, -profile.u)
+    assert negated.u0 == -profile.u0
+    # strictly decreasing in r for a positive charge
+    assert np.all(np.diff(profile.u) < 0)
+    # the slope stays inside the light cone, so u0 - u(r) <= r up to the
+    # rounding of u0
+    assert np.all(profile.u0 - profile.u <= rgrid + 4 * math.ulp(profile.u0))
+    # central value scaling
+    assert profile.u0 == pytest.approx(
+        a ** (1.0 / (N - 1)) * shape_constant_A(N), rel=1e-14
+    )
