@@ -9,8 +9,10 @@ and a total exit-code convention:
     3  quadrature accuracy failure
     4  solver non-convergence
 
-Reports are deterministic: identical config and seed produce byte-identical
-files.  Infinite margins serialize as the string "inf".
+Reports are deterministic: identical config and arguments produce
+byte-identical files.  ``--seed`` is a label recorded in every report; the
+package has no randomness, so it drives nothing.  Infinite margins
+serialize as the string "inf".
 """
 
 from __future__ import annotations
@@ -61,18 +63,21 @@ def _require(cond: bool, path: str, message: str) -> None:
         _fail(path, message)
 
 
+def _is_finite_number(x) -> bool:
+    # json.loads accepts Infinity and NaN, which no coordinate or strength can use
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _as_vector(value, path: str) -> list[float]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_finite_number(value):
         return [float(value)] * 3
     _require(
-        isinstance(value, list) and len(value) == 3, path, "expected a number or [x, y, z]"
+        isinstance(value, list) and len(value) == 3,
+        path,
+        "expected a finite number or [x, y, z]",
     )
     for i, x in enumerate(value):
-        _require(
-            isinstance(x, (int, float)) and not isinstance(x, bool),
-            f"{path}[{i}]",
-            "expected a number",
-        )
+        _require(_is_finite_number(x), f"{path}[{i}]", "expected a finite number")
     return [float(x) for x in value]
 
 
@@ -118,16 +123,8 @@ def load_config(path: Path, *, need_box: bool) -> dict:
             f"expected a list of {raw['dim']} numbers",
         )
         for j, x in enumerate(pos):
-            _require(
-                isinstance(x, (int, float)) and not isinstance(x, bool),
-                f"{p}.pos[{j}]",
-                "expected a number",
-            )
-        _require(
-            isinstance(entry["a"], (int, float)) and not isinstance(entry["a"], bool),
-            f"{p}.a",
-            "expected a number",
-        )
+            _require(_is_finite_number(x), f"{p}.pos[{j}]", "expected a finite number")
+        _require(_is_finite_number(entry["a"]), f"{p}.a", "expected a finite number")
         charges.append((tuple(float(x) for x in pos), float(entry["a"])))
     out = {"dim": raw["dim"], "charges": charges}
 
@@ -144,10 +141,9 @@ def load_config(path: Path, *, need_box: bool) -> dict:
         lo = _as_vector(box["lo"], "box.lo")
         hi = _as_vector(box["hi"], "box.hi")
         _require(
-            isinstance(box["h"], (int, float)) and not isinstance(box["h"], bool)
-            and box["h"] > 0,
+            _is_finite_number(box["h"]) and box["h"] > 0,
             "box.h",
-            "expected a positive number",
+            "expected a positive finite number",
         )
         out["box"] = {"lo": lo, "hi": hi, "h": float(box["h"])}
     if "order_m" in raw:
@@ -558,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--tol", type=float, default=None, help="tolerance override")
-    common.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
+    common.add_argument("--seed", type=int, default=0, help="report label; drives nothing")
     common.add_argument(
         "--override-guarantee",
         action="store_true",

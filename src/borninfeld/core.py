@@ -30,6 +30,7 @@ __all__ = [
     "AsymptoticsSpec",
     "GuaranteeRangeError",
     "taylor_coefficients",
+    "density_series",
     "lagrangian_partial_sum",
     "sphere_measure",
     "best_constant_cbar",
@@ -188,6 +189,21 @@ def taylor_coefficients(m: int) -> CoefficientTable:
     return CoefficientTable(m, tuple(alphas))
 
 
+def density_series(s, alphas: tuple[float, ...]):
+    """W(s) = sum (alpha_k/2k) s^k, sigma(s) = 2 W'(s) and sigma'(s) by Horner.
+
+    ``s`` is a squared slope t^2, a float or an ndarray.  The radial flux
+    function is g(t) = t sigma(t^2), with g'(t) = sigma + 2 t^2 sigma'.
+    """
+    W = sigma = dsigma = 0.0
+    for k in range(len(alphas), 0, -1):
+        a = alphas[k - 1]
+        W = W * s + a / (2 * k)
+        dsigma = dsigma * s + sigma
+        sigma = sigma * s + a
+    return W * s, sigma, dsigma
+
+
 def lagrangian_partial_sum(t: float, m: int) -> float:
     """Order-m truncation sum_{h<=m} (alpha_h/2h) t^(2h) of 1 - sqrt(1-t^2).
 
@@ -196,18 +212,7 @@ def lagrangian_partial_sum(t: float, m: int) -> float:
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"order m must be an integer >= 1, got {m!r}")
-    t2 = t * t
-    terms = []
-    a = 1.0
-    power = t2
-    for h in range(1, m + 1):
-        if h > 1:
-            a *= (2 * h - 3) / (2 * h - 2)
-            power *= t2
-        terms.append(a / (2 * h) * power)
-    return math.fsum(terms)
+    return density_series(t * t, taylor_coefficients(m).alphas)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dstn, idstn
 
-from .core import ChargeConfig, taylor_coefficients
+from .core import ChargeConfig, density_series, taylor_coefficients
 from .quad import AccuracyError, exact_radial_profile, shape_constant_A
 
 __all__ = [
@@ -315,17 +315,6 @@ def _cell_s(U: np.ndarray, h: float):
     return (s, *diffs)
 
 
-def _density_series(s: np.ndarray, alphas: tuple[float, ...]):
-    """W(s) = sum (alpha_k/2k) s^k, sigma = 2 W'(s) and sigma'(s) by Horner."""
-    W = sigma = dsigma = 0.0
-    for k in range(len(alphas), 0, -1):
-        a = alphas[k - 1]
-        W = W * s + a / (2 * k)
-        dsigma = dsigma * s + sigma
-        sigma = sigma * s + a
-    return W * s, sigma, dsigma
-
-
 def _newton_model(problem: DiscreteProblem, U: np.ndarray):
     """Energy, gradient and Hessian action at U from one pass over the cells.
 
@@ -341,7 +330,7 @@ def _newton_model(problem: DiscreteProblem, U: np.ndarray):
     """
     h = problem.h
     s, *diffs = _cell_s(U, h)
-    W, sigma, dsigma = _density_series(s, taylor_coefficients(problem.m).alphas)
+    W, sigma, dsigma = density_series(s, taylor_coefficients(problem.m).alphas)
     weights = [(h / 4.0) * _scatter(sigma, d) for d in range(3)]
     couple = dsigma / (8.0 * h)
     energy = h**3 * float(np.sum(W))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import sphere_measure, taylor_coefficients
+from .core import density_series, sphere_measure, taylor_coefficients
 from .quad import (
     RadialProfile,
     adaptive_gauss_kronrod,
@@ -54,18 +54,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Flux root find
 # ---------------------------------------------------------------------------
-
-
-def _g_and_derivative(t: float, alphas: tuple[float, ...]) -> tuple[float, float]:
-    """g(t) = sum alpha_h t^(2h-1) and g'(t), by Horner in t^2."""
-    t2 = t * t
-    g = 0.0
-    dg = 0.0
-    for h in range(len(alphas), 0, -1):
-        a = alphas[h - 1]
-        g = g * t2 + a
-        dg = dg * t2 + (2 * h - 1) * a
-    return g * t, dg
 
 
 def flux_gradient_magnitude(r: float, a: float, m: int, N: int) -> float:
@@ -96,14 +84,15 @@ def flux_gradient_magnitude(r: float, a: float, m: int, N: int) -> float:
     lo, hi = 0.0, upper
     t = upper
     for _ in range(100):
-        g, dg = _g_and_derivative(t, alphas)
+        _, sigma, dsigma = density_series(t * t, alphas)
+        g = t * sigma
         if abs(g - target) <= tol or hi - lo <= math.ulp(hi):
             return t
         if g > target:
             hi = t
         else:
             lo = t
-        step = (g - target) / dg
+        step = (g - target) / (sigma + 2.0 * t * t * dsigma)
         t_new = t - step
         if not lo < t_new < hi:
             t_new = 0.5 * (lo + hi)
@@ -111,7 +100,7 @@ def flux_gradient_magnitude(r: float, a: float, m: int, N: int) -> float:
     # Newton budget exhausted: plain bisection on the maintained bracket.
     for _ in range(200):
         t = 0.5 * (lo + hi)
-        g, _ = _g_and_derivative(t, alphas)
+        g = t * density_series(t * t, alphas)[1]
         if abs(g - target) <= tol or hi - lo <= math.ulp(hi):
             return t
         if g > target:
@@ -131,13 +120,18 @@ def approx_radial_profile(
 ) -> RadialProfile:
     """Order-m single-charge radial field sampled on ``rgrid``.
 
-    The slope is the flux root at each radius with the sign of -a; the field
-    is its tail quadrature, vanishing at infinity.  For 2m > N the central
-    value u(0+) is finite and attached as ``u0``: the head integral over
-    (0, r_min] is computed after substituting s = sigma^(1/(1-q)) with
-    q = (N-1)/(2m-1), which flattens the power blow-up of the slope into a
-    bounded integrand.  For 2m <= N the field itself diverges at the charge
-    and ``u0`` is None.
+    The slope is the flux root at each radius with the sign of -a.  The
+    field, vanishing at infinity, is integrated in the slope variable, where
+    the radius r(tau) = (c/g(tau))^(1/q), c = |a|/omega_{N-1}, q = N-1, is
+    explicit:
+
+        u(r) = (1/q) int_0^{t(r)} tau r(tau) g'(tau)/g(tau) dtau,
+
+    so the root find runs only at the sample radii.  tau = v^(q/(q-1))
+    bounds the integrand on [0, t(r_max)].  For 2m > N the central value
+    u(0+) is finite and attached as ``u0``; beyond T = max(t(r_min), 1) the
+    substitution tau = T x^(-q/(2m-N)), x in (0, 1], bounds it.  For
+    2m <= N the field diverges at the charge and ``u0`` is None.
     """
     a = float(a)
     if a == 0.0 or not math.isfinite(a):
@@ -150,40 +144,55 @@ def approx_radial_profile(
     if r.ndim != 1 or r.size < 1 or not np.all(r > 0) or not np.all(np.diff(r) > 0):
         raise ValueError("rgrid must be strictly increasing and positive")
     sign = math.copysign(1.0, a)
+    slopes = [flux_gradient_magnitude(float(s), a, m, N) for s in r]
+    alphas = taylor_coefficients(m).alphas
+    c = abs(a) / sphere_measure(N)
+    q = N - 1
 
-    def slope_mag(s: float) -> float:
-        return flux_gradient_magnitude(s, a, m, N)
+    def integrand(tau: float) -> float:
+        # tau g'/g = 1 + 2 tau^2 sigma'/sigma with g(tau) = tau sigma(tau^2)
+        tau2 = tau * tau
+        _, sigma, dsigma = density_series(tau2, alphas)
+        r_tau = (c / (tau * sigma)) ** (1.0 / q)
+        return r_tau * (1.0 + 2.0 * tau2 * dsigma / sigma) / q
 
-    du = -sign * np.array([slope_mag(float(s)) for s in r])
     n = r.size
     seg_tol = abs_tol / (n + 1)
-    top = float(r[-1])
+    k = q / (q - 1)
     u_mag = np.empty(n)
-    u_mag[-1] = integrate_decaying(
-        slope_mag, top, seg_tol, split=top + max(10.0, top), max_subdivisions=200
+    u_mag[-1], _ = adaptive_gauss_kronrod(
+        lambda v: integrand(v**k) * k * v ** (k - 1),
+        0.0,
+        slopes[-1] ** (1.0 / k),
+        seg_tol,
+        200,
     )
     for i in range(n - 2, -1, -1):
         # The relative floor keeps diverging profiles (2m <= N) integrable
         # per segment without chasing sub-roundoff absolute targets.
         seg, _ = adaptive_gauss_kronrod(
-            slope_mag, float(r[i]), float(r[i + 1]), seg_tol, 200, rel_tol=1e-13
+            integrand, slopes[i + 1], slopes[i], seg_tol, 200, rel_tol=1e-13
         )
         u_mag[i] = u_mag[i + 1] + seg
 
     u0 = None
     if 2 * m > N:
-        q = (N - 1) / (2 * m - 1)
-        pow_back = 1.0 / (1.0 - q)
-        r_min = float(r[0])
-
-        def head_integrand(sigma: float) -> float:
-            s = sigma**pow_back
-            return slope_mag(s) * pow_back * sigma ** (q * pow_back)
-
-        head, _ = adaptive_gauss_kronrod(
-            head_integrand, 0.0, r_min ** (1.0 - q), abs_tol, 200
+        # Below tau = 1 the top term of g does not dominate, and the range of
+        # the substituted integrand would grow like T^(-(2m-2)/q); a slope
+        # t(r_min) < 1 is first integrated up to 1 as a plain segment.
+        j = q / (2 * m - N)
+        T = max(slopes[0], 1.0)
+        mid, _ = adaptive_gauss_kronrod(
+            integrand, slopes[0], T, seg_tol, 200, rel_tol=1e-13
         )
-        u0 = sign * (u_mag[0] + head)
+        head, _ = adaptive_gauss_kronrod(
+            lambda x: integrand(T * x**-j) * j * T * x ** (-j - 1),
+            0.0,
+            1.0,
+            abs_tol,
+            200,
+        )
+        u0 = sign * (u_mag[0] + mid + head)
     return RadialProfile(
         dim=N,
         strength=a,
@@ -191,7 +200,7 @@ def approx_radial_profile(
         order=m,
         r=r,
         u=sign * u_mag,
-        du=du,
+        du=-sign * np.array(slopes),
         u0=u0,
     )
 

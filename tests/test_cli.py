@@ -256,6 +256,18 @@ class TestSolveCommand:
         config = write_config(tmp_path / "solve.json", payload)
         assert run_cli(["solve", config, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "lo", [-math.inf, [-2.0, math.nan, -2.0]], ids=["scalar-inf", "nan-entry"]
+    )
+    def test_non_finite_box_bound_exit_2(self, tmp_path, capsys, lo):
+        # json.dumps writes -Infinity and NaN, which json.loads accepts back
+        payload = dict(self.SOLVE, box={"lo": lo, "hi": 2.0, "h": 0.25})
+        config = write_config(tmp_path / "solve.json", payload)
+        assert run_cli(["solve", config, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "box.lo" in err
+        assert "finite" in err
+
     def test_non_convergence_exit_4(self, tmp_path):
         config = write_config(tmp_path / "solve.json", self.SOLVE)
         assert (

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from borninfeld.core import (
@@ -10,6 +11,7 @@ from borninfeld.core import (
     GuaranteeRangeError,
     asymptotics_spec,
     best_constant_cbar,
+    density_series,
     lagrangian_partial_sum,
     min_order_for_guarantee,
     sphere_measure,
@@ -117,6 +119,28 @@ class TestLagrangianPartialSum:
             lagrangian_partial_sum(-0.1, 3)
         with pytest.raises(ValueError):
             lagrangian_partial_sum(1.5, 3)
+
+    @pytest.mark.parametrize("m", [1, 2, 16, 64])
+    def test_density_series_matches_fsum_definitions(self, m):
+        # Horner over non-negative terms: relative error below 2m roundoffs,
+        # plus the roundoff of the powers in the fsum reference.
+        alphas = taylor_coefficients(m).alphas
+        s = np.linspace(0.0, 4.0, 41)
+        W, sigma, dsigma = density_series(s, alphas)
+        rel = 4 * m * 2.0**-53
+        for i, x in enumerate(s.tolist()):
+            assert density_series(x, alphas) == (W[i], sigma[i], dsigma[i])
+            exact = (
+                math.fsum(a / (2 * k) * x**k for k, a in enumerate(alphas, 1)),
+                math.fsum(a * x ** (k - 1) for k, a in enumerate(alphas, 1)),
+                math.fsum(
+                    (k - 1) * a * x ** (k - 2) for k, a in enumerate(alphas, 1) if k > 1
+                ),
+            )
+            for got, want in zip((W[i], sigma[i], dsigma[i]), exact):
+                assert abs(got - want) <= rel * want
+        for t in (0.3, 0.9, 1.0):
+            assert lagrangian_partial_sum(t, m) == density_series(t * t, alphas)[0]
 
 
 class TestSphereMeasure:

@@ -4,14 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from borninfeld import radial
 from borninfeld.core import (
     asymptotics_spec,
     best_constant_cbar,
     sphere_measure,
     taylor_coefficients,
 )
-from borninfeld.quad import exact_radial_profile
+from borninfeld.quad import (
+    adaptive_gauss_kronrod,
+    exact_radial_profile,
+    integrate_decaying,
+)
 from borninfeld.radial import (
     ConeTailCandidate,
     approx_radial_profile,
@@ -71,6 +78,25 @@ class TestFluxRoot:
             flux_gradient_magnitude(1.0, 0.0, 2, 3)
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    m=st.integers(1, 64),
+    N=st.integers(3, 7),
+    log_r=st.floats(-8.0, 8.0),
+    a=st.floats(1e-2, 30.0),
+    negative=st.booleans(),
+)
+def test_flux_root_residual_property(m, N, log_r, a, negative):
+    r = 10.0**log_r
+    t = flux_gradient_magnitude(r, -a if negative else a, m, N)
+    target = a / (sphere_measure(N) * r ** (N - 1))
+    alphas = taylor_coefficients(m).alphas
+    residual = math.fsum(
+        [al * t ** (2 * h - 1) for h, al in enumerate(alphas, 1)] + [-target]
+    )
+    assert abs(residual) <= 1e-12 * max(1.0, target)
+
+
 class TestApproxProfile:
     def test_newtonian_closed_form(self):
         rgrid = np.geomspace(1e-2, 1e3, 300)
@@ -113,6 +139,64 @@ class TestApproxProfile:
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
             approx_radial_profile(1.0, 2, 3, np.array([2.0, 1.0]))
+
+    def test_one_root_find_per_sample(self, monkeypatch):
+        calls = []
+        root = radial.flux_gradient_magnitude
+
+        def counting(*args):
+            calls.append(args)
+            return root(*args)
+
+        monkeypatch.setattr(radial, "flux_gradient_magnitude", counting)
+        rgrid = np.geomspace(1e-6, 1e2, 37)
+        approx_radial_profile(1.0, 4, 3, rgrid)
+        assert len(calls) == rgrid.size
+
+    @pytest.mark.parametrize("m,N", [(64, 3), (16, 4), (4, 5)])
+    def test_sparse_grid_far_from_the_charge(self, m, N):
+        # r_min = 3 puts the first slope below 1; at r = 3e3 the field is the
+        # Newtonian tail c/((N-2) r^(N-2)) to full relative precision.
+        a = 1.7
+        sparse = approx_radial_profile(a, m, N, np.array([3.0, 6.0, 3e3]))
+        dense = approx_radial_profile(a, m, N, np.geomspace(1e-7, 1e3, 400))
+        assert abs(sparse.du[0]) < 1.0
+        assert sparse.u0 == pytest.approx(dense.u0, rel=1e-12)
+        c = a / sphere_measure(N)
+        newtonian = c / ((N - 2) * 3e3 ** (N - 2))
+        assert sparse.u[-1] == pytest.approx(newtonian, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("N", [3, 4])
+    @pytest.mark.parametrize("m", [2, 4, 16])
+    def test_matches_r_space_quadrature(self, m, N):
+        # Oracle: the field as the tail integral of the flux root in r, and
+        # u0 as u(r_min) plus the head integral of the slope over (0, r_min],
+        # taken after s = v^(1/(1-p)), p = (N-1)/(2m-1), which bounds it.
+        a = 1.3
+        rgrid = np.geomspace(1e-5, 1e2, 8)
+        profile = approx_radial_profile(a, m, N, rgrid)
+
+        def slope(s):
+            return flux_gradient_magnitude(s, a, m, N)
+
+        oracle = np.array([
+            integrate_decaying(
+                slope, r, 1e-15, split=r + max(10.0, r), max_subdivisions=400,
+                rel_tol=1e-13,
+            )
+            for r in rgrid
+        ])
+        np.testing.assert_allclose(profile.u, oracle, rtol=1e-11, atol=0)
+        if 2 * m <= N:
+            assert profile.u0 is None
+            return
+        p = (N - 1) / (2 * m - 1)
+        back = 1.0 / (1.0 - p)
+        head, _ = adaptive_gauss_kronrod(
+            lambda v: slope(v**back) * back * v ** (p * back),
+            0.0, rgrid[0] ** (1.0 - p), 1e-15, 400, rel_tol=1e-13,
+        )
+        assert profile.u0 == pytest.approx(oracle[0] + head, rel=1e-11)
 
 
 @pytest.fixture(scope="module")
