@@ -13,6 +13,7 @@ from .core import (
     ChargeConfig,
     CoefficientTable,
     GuaranteeRangeError,
+    InputError,
     asymptotics_spec,
     best_constant_cbar,
     lagrangian_partial_sum,

@@ -1,13 +1,18 @@
 """Command-line front end: constants, certificates, radial runs, grid solves.
 
 One JSON config per run, machine-readable JSON reports plus CSV data files,
-and a total exit-code convention:
+and an exit-code convention:
 
     0  success (a certificate applies, a solve converged, ...)
     1  no implemented certificate applies (check only)
-    2  invalid input (schema violation, malformed file, bad arguments)
-    3  quadrature accuracy failure
+    2  invalid input, raised as ``core.InputError``: a schema violation, a
+       malformed file, a bad argument, or a value outside the problem's
+       hypotheses or outside binary64
+    3  quadrature accuracy failure (``quad.AccuracyError``)
     4  solver non-convergence
+
+Any other exception is a bug; it is not caught and ends the run with a
+traceback (exit status 1).
 
 Reports are deterministic: identical config and arguments produce
 byte-identical files.  ``--seed`` is a label recorded in every report; the
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import enum
 import itertools
 import json
 import math
@@ -30,7 +36,7 @@ import numpy as np
 from . import conditions, field, radial
 from .core import (
     ChargeConfig,
-    GuaranteeRangeError,
+    InputError,
     asymptotics_spec,
     best_constant_cbar,
     min_order_for_guarantee,
@@ -41,7 +47,7 @@ from .quad import AccuracyError, refined_constant_ctilde, shape_constant_A
 __all__ = ["main"]
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Run configuration failed schema validation."""
 
 
@@ -66,6 +72,11 @@ def _require(cond: bool, path: str, message: str) -> None:
 def _is_finite_number(x) -> bool:
     # json.loads accepts Infinity and NaN, which no coordinate or strength can use
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _is_positive_number(x) -> bool:
+    # an infinite tolerance ends a solve before its first step, a NaN one after it
+    return _is_finite_number(x) and x > 0
 
 
 def _as_vector(value, path: str) -> list[float]:
@@ -141,9 +152,7 @@ def load_config(path: Path, *, need_box: bool) -> dict:
         lo = _as_vector(box["lo"], "box.lo")
         hi = _as_vector(box["hi"], "box.hi")
         _require(
-            _is_finite_number(box["h"]) and box["h"] > 0,
-            "box.h",
-            "expected a positive finite number",
+            _is_positive_number(box["h"]), "box.h", "expected a positive finite number"
         )
         out["box"] = {"lo": lo, "hi": hi, "h": float(box["h"])}
     if "order_m" in raw:
@@ -168,16 +177,12 @@ def load_config(path: Path, *, need_box: bool) -> dict:
     _require(not unknown, "tolerances", f"unknown keys {sorted(unknown)}")
     for key, value in tolerances.items():
         _require(
-            isinstance(value, (int, float)) and not isinstance(value, bool)
-            and value > 0,
+            _is_positive_number(value),
             f"tolerances.{key}",
-            "expected a positive number",
+            "expected a positive finite number",
         )
     out["tolerances"] = {k: float(v) for k, v in tolerances.items()}
-    try:
-        out["config"] = ChargeConfig(out["dim"], out["charges"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid charge configuration: {exc}") from exc
+    out["config"] = ChargeConfig(out["dim"], out["charges"])
     return out
 
 
@@ -188,6 +193,8 @@ def load_config(path: Path, *, need_box: bool) -> dict:
 
 def _jsonable(obj):
     """Recursively convert report content to strict JSON (inf -> 'inf')."""
+    if isinstance(obj, enum.Enum):
+        return obj.value
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -271,21 +278,20 @@ def _write_field_csv(path: Path, lo, h: float, values: np.ndarray) -> None:
         )
 
 
+def _fields(record, *names: str) -> dict:
+    """The named attributes of a result record, keyed by name."""
+    return {name: getattr(record, name) for name in names}
+
+
+_PAIR_KEYS = ("j", "l", "level", "separation")
+_FIT_KEYS = ("exponent", "coefficient", "residual", "window")
+
+
 def _verdict_dict(v: conditions.Verdict) -> dict:
-    out = {
-        "level": v.level.value,
-        "rule": v.rule,
-        "lhs": v.lhs,
-        "rhs": v.rhs,
-        "margin": v.margin,
-    }
+    out = _fields(v, "level", "rule", "lhs", "rhs", "margin")
     if v.per_segment is not None:
-        out["per_segment"] = [_pair_dict(p) for p in v.per_segment]
+        out["per_segment"] = [_fields(p, *_PAIR_KEYS) for p in v.per_segment]
     return out
-
-
-def _pair_dict(p: conditions.PairVerdict) -> dict:
-    return {"j": p.j, "l": p.l, "level": p.level.value, "separation": p.separation}
 
 
 # ---------------------------------------------------------------------------
@@ -295,29 +301,18 @@ def _pair_dict(p: conditions.PairVerdict) -> dict:
 
 def cmd_constants(args) -> int:
     N = args.dim
-    if not isinstance(N, int) or N < 3:
-        raise ConfigError(f"dimension must be an integer >= 3, got {N}")
     orders = args.orders or []
     quad_tol = args.tol if args.tol is not None else 1e-10
-    per_order = []
-    for m in orders:
-        try:
-            spec = asymptotics_spec(m, N, 1.0, override_guarantee=args.override_guarantee)
-        except GuaranteeRangeError as exc:
-            raise ConfigError(str(exc)) from exc
-        per_order.append(
-            {
-                "m": spec.m,
-                "kappa": spec.kappa,
-                "gamma": spec.gamma,
-                "K": spec.K,
-                "Kprime": spec.Kprime,
-                "u_exponent": spec.u_exponent,
-                "grad_exponent": spec.grad_exponent,
-                "holder": spec.holder,
-                "guaranteed": spec.guaranteed,
-            }
+    per_order = [
+        _fields(
+            asymptotics_spec(m, N, 1.0, override_guarantee=args.override_guarantee),
+            "m", "kappa", "gamma", "K", "Kprime", "u_exponent", "grad_exponent",
+            "holder", "guaranteed",
         )
+        for m in orders
+    ]
+    # best_constant_cbar rejects N < 3; sphere_measure would accept N = 2
+    cbar = best_constant_cbar(N)
     omega = sphere_measure(N)
     ctilde = refined_constant_ctilde(N, quad_tol)
     report = {
@@ -326,7 +321,7 @@ def cmd_constants(args) -> int:
         "inputs": {"dim": N, "orders": orders, "quad_tol": quad_tol},
         "results": {
             "sphere_measure": omega,
-            "best_constant": best_constant_cbar(N),
+            "best_constant": cbar,
             "central_value_scale": shape_constant_A(N),
             "refined_constant": ctilde,
             "refined_over_sphere": ctilde / omega,
@@ -370,7 +365,7 @@ def cmd_check(args) -> int:
         },
         "results": {
             "verdicts": [_verdict_dict(v) for v in verdicts],
-            "per_segment": [_pair_dict(p) for p in segments],
+            "per_segment": [_fields(p, *_PAIR_KEYS) for p in segments],
             "conclusive": conclusive,
         },
     }
@@ -383,12 +378,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_radial(args) -> int:
-    if args.a == 0:
-        raise ConfigError("charge strength must be nonzero")
-    if args.dim < 3:
-        raise ConfigError("dimension must be >= 3")
-    if args.order < 1:
-        raise ConfigError("order must be >= 1")
     if not (0 < args.rmin < args.rmax):
         raise ConfigError("radial grid needs 0 < rmin < rmax")
     if args.points < 2:
@@ -410,13 +399,9 @@ def cmd_radial(args) -> int:
         spec = asymptotics_spec(
             args.order, args.dim, args.a, override_guarantee=True
         )
-        predicted = {
-            "u_exponent": spec.u_exponent,
-            "grad_exponent": spec.grad_exponent,
-            "K": spec.K,
-            "Kprime": spec.Kprime,
-            "guaranteed": spec.guaranteed,
-        }
+        predicted = _fields(
+            spec, "u_exponent", "grad_exponent", "K", "Kprime", "guaranteed"
+        )
     report = {
         "command": "radial",
         "seed": args.seed,
@@ -433,18 +418,8 @@ def cmd_radial(args) -> int:
             "profile_csv": csv_path.name,
             "n_samples": profile.n_samples,
             "central_value": profile.u0 if profile.u0 is not None else "nan",
-            "u_fit": {
-                "exponent": u_fit.exponent,
-                "coefficient": u_fit.coefficient,
-                "residual": u_fit.residual,
-                "window": list(u_fit.window),
-            },
-            "du_fit": {
-                "exponent": du_fit.exponent,
-                "coefficient": du_fit.coefficient,
-                "residual": du_fit.residual,
-                "window": list(du_fit.window),
-            },
+            "u_fit": _fields(u_fit, *_FIT_KEYS),
+            "du_fit": _fields(du_fit, *_FIT_KEYS),
             "guaranteed": u_fit.guaranteed,
             "predicted": predicted,
         },
@@ -464,13 +439,9 @@ def cmd_solve(args) -> int:
     config: ChargeConfig = cfg["config"]
     box = cfg["box"]
     tol = args.tol if args.tol is not None else cfg["tolerances"].get("solver", 1e-9)
-    try:
-        problem = field.assemble_problem(
-            config, box["lo"], box["hi"], box["h"], cfg["order_m"],
-            cfg["boundary_rule"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    problem = field.assemble_problem(
+        config, box["lo"], box["hi"], box["h"], cfg["order_m"], cfg["boundary_rule"]
+    )
     result = field.minimize_energy(problem, tol=tol, max_iter=args.max_iter)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -478,25 +449,14 @@ def cmd_solve(args) -> int:
     _write_field_csv(csv_path, problem.lo, problem.h, result.values)
     if result.converged:
         extremum = [
-            {
-                "node": list(r.node),
-                "strength": r.strength,
-                "kind": r.kind,
-                "margin": r.margin,
-                "matches_charge_sign": r.matches_charge_sign,
-            }
+            _fields(r, "node", "strength", "kind", "margin", "matches_charge_sign")
             for r in field.extremum_report(result)
         ]
         segments = [
-            {
-                "j": s.j,
-                "l": s.l,
-                "distance": s.distance,
-                "same_sign": s.same_sign,
-                "chord_defect": s.chord_defect,
-                "light_ratio": s.light_ratio,
-                "near_light": s.near_light,
-            }
+            _fields(
+                s, "j", "l", "distance", "same_sign", "chord_defect", "light_ratio",
+                "near_light",
+            )
             for s in field.segment_report(result)
         ]
     else:
@@ -525,10 +485,7 @@ def cmd_solve(args) -> int:
             "snap_distances": list(problem.snap_distances),
             "extremum": extremum,
             "segments": segments,
-            "gradient_sup": {
-                "sup": sup.sup,
-                "argmax_distance": sup.argmax_distance,
-            },
+            "gradient_sup": _fields(sup, "sup", "argmax_distance"),
         },
     }
     path = _write_report(report, Path(args.out))
@@ -600,16 +557,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.tol is not None and not _is_positive_number(args.tol):
+            raise ConfigError(f"--tol must be a positive finite number, got {args.tol}")
         return args.func(args)
-    except ConfigError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AccuracyError as exc:
         print(f"accuracy failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

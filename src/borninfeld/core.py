@@ -23,11 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Charge",
     "ChargeConfig",
     "CoefficientTable",
     "AsymptoticsSpec",
+    "InputError",
     "GuaranteeRangeError",
     "taylor_coefficients",
     "density_series",
@@ -39,7 +42,40 @@ __all__ = [
 ]
 
 
-class GuaranteeRangeError(ValueError):
+class InputError(ValueError):
+    """An input outside the problem's hypotheses or outside binary64.
+
+    The hypotheses are a dimension N >= 3, finite nonzero strengths at
+    distinct finite points and an order m >= 1; each has one checker below.
+    The command line reports this error as invalid input (exit 2).
+    """
+
+
+def _check_dim(N) -> None:
+    if not isinstance(N, int) or N < 3:
+        raise InputError(f"dimension must be an integer >= 3, got {N!r}")
+
+
+def _check_strength(a) -> float:
+    a = float(a)
+    if a == 0.0 or not math.isfinite(a):
+        raise InputError(f"charge strength must be finite and nonzero, got {a}")
+    return a
+
+
+def _check_order(m) -> None:
+    if not isinstance(m, int) or m < 1:
+        raise InputError(f"order m must be an integer >= 1, got {m!r}")
+
+
+def _check_radii(rgrid) -> np.ndarray:
+    r = np.asarray(rgrid, dtype=float)
+    if r.ndim != 1 or r.size < 1 or not np.all(r > 0) or not np.all(np.diff(r) > 0):
+        raise InputError("rgrid must be strictly increasing and positive")
+    return r
+
+
+class GuaranteeRangeError(InputError):
     """Asymptotic formulas requested outside the range where they are backed.
 
     The constants are still well defined; pass ``override_guarantee=True``
@@ -73,8 +109,7 @@ class ChargeConfig:
     charges: tuple[Charge, ...]
 
     def __init__(self, dim: int, charges) -> None:
-        if not isinstance(dim, int) or dim < 3:
-            raise ValueError(f"dimension must be an integer >= 3, got {dim!r}")
+        _check_dim(dim)
         normalized = []
         for entry in charges:
             if isinstance(entry, Charge):
@@ -82,22 +117,20 @@ class ChargeConfig:
             else:
                 pos, a = entry
             pos = tuple(float(x) for x in pos)
-            a = float(a)
             if len(pos) != dim:
-                raise ValueError(
+                raise InputError(
                     f"charge position {pos} has length {len(pos)}, expected {dim}"
                 )
-            if a == 0.0 or not math.isfinite(a):
-                raise ValueError(f"charge strength must be finite and nonzero, got {a}")
+            a = _check_strength(a)
             if not all(math.isfinite(x) for x in pos):
-                raise ValueError(f"charge position must be finite, got {pos}")
+                raise InputError(f"charge position must be finite, got {pos}")
             normalized.append(Charge(pos, a))
         if not normalized:
-            raise ValueError("at least one charge is required")
+            raise InputError("at least one charge is required")
         for i in range(len(normalized)):
             for j in range(i + 1, len(normalized)):
                 if normalized[i].pos == normalized[j].pos:
-                    raise ValueError(
+                    raise InputError(
                         f"charges {i} and {j} share the position {normalized[i].pos}"
                     )
         object.__setattr__(self, "dim", dim)
@@ -179,8 +212,7 @@ def taylor_coefficients(m: int) -> CoefficientTable:
     numbers of comparable size) and reproduces the exact dyadic values at
     machine precision; it is safe for m up to 10^4 and beyond.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"order m must be an integer >= 1, got {m!r}")
+    _check_order(m)
     alphas = [1.0]
     a = 1.0
     for h in range(1, m):
@@ -223,8 +255,11 @@ def lagrangian_partial_sum(t: float, m: int) -> float:
 def sphere_measure(N: int) -> float:
     """Measure of the unit sphere S^(N-1) in R^N: 2 pi^(N/2) / Gamma(N/2)."""
     if not isinstance(N, int) or N < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {N!r}")
-    return 2.0 * math.pi ** (N / 2) / math.gamma(N / 2)
+        raise InputError(f"dimension must be an integer >= 2, got {N!r}")
+    try:
+        return 2.0 * math.pi ** (N / 2) / math.gamma(N / 2)
+    except OverflowError:
+        raise InputError(f"Gamma(N/2) exceeds binary64 at dimension N={N}") from None
 
 
 def best_constant_cbar(N: int) -> float:
@@ -234,15 +269,13 @@ def best_constant_cbar(N: int) -> float:
     The extremal profile is the unit cone matched to a harmonic tail; see
     ``radial.cone_tail_energy`` for the one-parameter family it minimizes.
     """
-    if not isinstance(N, int) or N < 3:
-        raise ValueError(f"dimension must be an integer >= 3, got {N!r}")
+    _check_dim(N)
     return 2.0 / N * ((N - 2) / (N - 1)) ** (N - 1) * sphere_measure(N)
 
 
 def min_order_for_guarantee(N: int) -> int:
     """Smallest m with 2m > max(N, 2N/(N-2)), the range the asymptotics cover."""
-    if not isinstance(N, int) or N < 3:
-        raise ValueError(f"dimension must be an integer >= 3, got {N!r}")
+    _check_dim(N)
     bound = max(N, 2.0 * N / (N - 2))
     m = int(bound // 2) + 1
     while 2 * m <= bound:
@@ -289,13 +322,9 @@ def asymptotics_spec(
     GuaranteeRangeError, while ``override_guarantee=True`` returns the
     values flagged ``guaranteed=False``.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"order m must be an integer >= 1, got {m!r}")
-    if not isinstance(N, int) or N < 3:
-        raise ValueError(f"dimension must be an integer >= 3, got {N!r}")
-    a = float(a)
-    if a == 0.0 or not math.isfinite(a):
-        raise ValueError(f"charge strength must be finite and nonzero, got {a}")
+    _check_order(m)
+    _check_dim(N)
+    a = _check_strength(a)
     guaranteed = 2 * m > max(N, 2.0 * N / (N - 2))
     if not guaranteed:
         if not override_guarantee:
@@ -305,7 +334,7 @@ def asymptotics_spec(
                 "pass override_guarantee=True to compute unguaranteed values"
             )
         if 2 * m == N:
-            raise ValueError(f"constants are undefined at 2m == N (m={m}, N={N})")
+            raise InputError(f"constants are undefined at 2m == N (m={m}, N={N})")
     omega = sphere_measure(N)
     alpha_m = taylor_coefficients(m).alphas[-1]
     p = 2 * m - 1

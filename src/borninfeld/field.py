@@ -34,6 +34,7 @@ import numpy as np
 from scipy.fft import dstn, idstn
 
 from .core import ChargeConfig, density_series, taylor_coefficients
+from .core import InputError, _check_order
 from .quad import AccuracyError, exact_radial_profile, shape_constant_A
 
 __all__ = [
@@ -153,20 +154,19 @@ def assemble_problem(
     hi = tuple(float(x) for x in np.broadcast_to(box_hi, (3,)))
     h = float(h)
     if h <= 0:
-        raise ValueError(f"grid spacing must be positive, got {h}")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"order m must be an integer >= 1, got {m!r}")
+        raise InputError(f"grid spacing must be positive, got {h}")
+    _check_order(m)
     if boundary_rule not in ("zero", "radial-superposition"):
-        raise ValueError(f"unknown boundary rule {boundary_rule!r}")
+        raise InputError(f"unknown boundary rule {boundary_rule!r}")
     counts = []
     for d in range(3):
         edge = hi[d] - lo[d]
         if edge <= 0:
-            raise ValueError(f"box is empty along axis {d}")
+            raise InputError(f"box is empty along axis {d}")
         n = edge / h
         n_int = round(n)
         if n_int < 2 or abs(n - n_int) > 1e-9 * max(1.0, abs(n)):
-            raise ValueError(
+            raise InputError(
                 f"spacing {h} does not divide the box edge {edge} along axis {d}"
             )
         counts.append(n_int)
@@ -178,13 +178,13 @@ def assemble_problem(
     strengths: list[float] = []
     if config is not None:
         if config.dim != 3:
-            raise ValueError("grid solves are restricted to dimension 3")
+            raise InputError("grid solves are restricted to dimension 3")
         for charge in config.charges:
             pos = np.asarray(charge.pos)
             rel = (pos - np.asarray(lo)) / h
             node = tuple(int(round(x)) for x in rel)
             if not all(0 < node[d] < shape[d] - 1 for d in range(3)):
-                raise ValueError(
+                raise InputError(
                     f"charge at {charge.pos} does not snap to a strictly "
                     "interior grid node"
                 )
@@ -212,7 +212,7 @@ def assemble_problem(
                 for b in nodes[i + 1 :]
             )
             if min_spacing / h < 8:
-                raise ValueError(
+                raise InputError(
                     f"spacing {h} is too coarse: fewer than 8 nodes between the "
                     f"closest charges (separation {min_spacing:g})"
                 )
@@ -223,7 +223,7 @@ def assemble_problem(
                     min(pos[d] - lo[d], hi[d] - pos[d]) for d in range(3)
                 )
                 if bd_dist < min_spacing:
-                    raise ValueError(
+                    raise InputError(
                         f"box too small: charge node at "
                         f"{tuple(float(x) for x in pos)} clears the boundary "
                         f"by {bd_dist:g} < min charge spacing {min_spacing:g}"

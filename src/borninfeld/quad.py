@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .core import sphere_measure
+from .core import _check_dim, _check_radii, _check_strength, sphere_measure
 
 __all__ = [
     "AccuracyError",
@@ -95,7 +95,10 @@ def _gk15_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float,
     resabs = 0.0
     values = []
     for x, wg, wk in _GK15:
-        fx = f(mid + half * x)
+        try:
+            fx = f(mid + half * x)
+        except (OverflowError, ZeroDivisionError):
+            fx = math.nan  # the integrand left binary64
         values.append((fx, wk))
         resk += wk * fx
         resg += wg * fx
@@ -108,6 +111,13 @@ def _gk15_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float,
     if asc != 0.0 and err != 0.0:
         err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
     err = max(err, 50.0 * _EPS * resabs * abs(half))
+    if not (math.isfinite(value) and math.isfinite(err)):
+        # a NaN bound would end the adaptive loop as if it had converged
+        raise AccuracyError(
+            f"integrand is not a finite binary64 number on [{a:g}, {b:g}]",
+            estimate=value,
+            error_bound=err,
+        )
     return value, err
 
 
@@ -256,8 +266,7 @@ def shape_constant_A(N: int) -> float:
     A unit charge produces a field of central value A(N); strength a scales
     it by sign(a) |a|^(1/(N-1)).
     """
-    if not isinstance(N, int) or N < 3:
-        raise ValueError(f"dimension must be an integer >= 3, got {N!r}")
+    _check_dim(N)
     return _single_charge_field(1.0, N, np.empty(0))[0]
 
 
@@ -269,8 +278,7 @@ def refined_constant_ctilde(N: int, abs_tol: float = 1e-10) -> float:
     half-line engine; the numerator is evaluated in the cancellation-free
     form r^(N-1) / (sqrt(R+1) (sqrt(R+1) + r^(N-1))) with R = r^(2(N-1)).
     """
-    if not isinstance(N, int) or N < 3:
-        raise ValueError(f"dimension must be an integer >= 3, got {N!r}")
+    _check_dim(N)
     q = N - 1
     p = 2 * q
 
@@ -354,14 +362,9 @@ def exact_radial_profile(a: float, N: int, rgrid) -> RadialProfile:
     antiderivative (see the module docstring).  The central value u(0+) =
     sign(a) |a|^(1/(N-1)) A(N) is attached as ``u0``.
     """
-    a = float(a)
-    if a == 0.0 or not math.isfinite(a):
-        raise ValueError(f"charge strength must be finite and nonzero, got {a}")
-    if not isinstance(N, int) or N < 3:
-        raise ValueError(f"dimension must be an integer >= 3, got {N!r}")
-    r = np.asarray(rgrid, dtype=float)
-    if r.ndim != 1 or r.size < 1 or not np.all(r > 0) or not np.all(np.diff(r) > 0):
-        raise ValueError("rgrid must be strictly increasing and positive")
+    a = _check_strength(a)
+    _check_dim(N)
+    r = _check_radii(rgrid)
     c = a / sphere_measure(N)
     u0, u = _single_charge_field(a, N, r)
     return RadialProfile(

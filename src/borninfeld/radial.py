@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import InputError, _check_dim, _check_order, _check_radii, _check_strength
 from .core import density_series, sphere_measure, taylor_coefficients
 from .quad import (
     RadialProfile,
@@ -68,9 +69,7 @@ def flux_gradient_magnitude(r: float, a: float, m: int, N: int) -> float:
     r = float(r)
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
-    a = float(a)
-    if a == 0.0 or not math.isfinite(a):
-        raise ValueError(f"charge strength must be finite and nonzero, got {a}")
+    a = _check_strength(a)
     alphas = taylor_coefficients(m).alphas
     target = abs(a) / (sphere_measure(N) * r ** (N - 1))
     if target == 0.0:
@@ -133,21 +132,29 @@ def approx_radial_profile(
     substitution tau = T x^(-q/(2m-N)), x in (0, 1], bounds it.  For
     2m <= N the field diverges at the charge and ``u0`` is None.
     """
-    a = float(a)
-    if a == 0.0 or not math.isfinite(a):
-        raise ValueError(f"charge strength must be finite and nonzero, got {a}")
-    if not isinstance(N, int) or N < 3:
-        raise ValueError(f"dimension must be an integer >= 3, got {N!r}")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"order m must be an integer >= 1, got {m!r}")
-    r = np.asarray(rgrid, dtype=float)
-    if r.ndim != 1 or r.size < 1 or not np.all(r > 0) or not np.all(np.diff(r) > 0):
-        raise ValueError("rgrid must be strictly increasing and positive")
+    a = _check_strength(a)
+    _check_dim(N)
+    _check_order(m)
+    r = _check_radii(rgrid)
+    omega = sphere_measure(N)
+    q = N - 1
+    # The flux root divides |a| by omega r^(N-1): binary64 must hold that
+    # divisor at r_max and the quotient at r_min.
+    try:
+        finite = math.isfinite(
+            abs(a) / (omega * float(r[0]) ** q) + omega * float(r[-1]) ** q
+        )
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise InputError(
+            f"binary64 cannot hold |a|/(omega r^(N-1)) at r = {r[0]:g} or "
+            f"r^(N-1) at r = {r[-1]:g} (a = {a:g}, N = {N})"
+        )
     sign = math.copysign(1.0, a)
     slopes = [flux_gradient_magnitude(float(s), a, m, N) for s in r]
     alphas = taylor_coefficients(m).alphas
-    c = abs(a) / sphere_measure(N)
-    q = N - 1
+    c = abs(a) / omega
 
     def integrand(tau: float) -> float:
         # tau g'/g = 1 + 2 tau^2 sigma'/sigma with g(tau) = tau sigma(tau^2)
@@ -166,6 +173,7 @@ def approx_radial_profile(
         slopes[-1] ** (1.0 / k),
         seg_tol,
         200,
+        rel_tol=1e-13,
     )
     for i in range(n - 2, -1, -1):
         # The relative floor keeps diverging profiles (2m <= N) integrable
@@ -252,21 +260,21 @@ def fit_singularity(
     """
     w_lo, w_hi = float(window[0]), float(window[1])
     if not 0 < w_lo < w_hi:
-        raise ValueError(f"window must satisfy 0 < r_min < r_max, got {window}")
+        raise InputError(f"window must satisfy 0 < r_min < r_max, got {window}")
     r = profile.r
     if w_lo < r[0] or w_hi > r[-1]:
-        raise ValueError("window must lie inside the sampled radius range")
+        raise InputError("window must lie inside the sampled radius range")
     scale = (abs(profile.strength) / sphere_measure(profile.dim)) ** (
         1.0 / (profile.dim - 1)
     )
     if w_hi > 1e-2 * scale:
-        raise ValueError(
+        raise InputError(
             f"window top {w_hi:g} is not deep inside the charge region "
             f"(needs <= {1e-2 * scale:g})"
         )
     mask = (r >= w_lo) & (r <= w_hi)
     if int(np.count_nonzero(mask)) < 8:
-        raise ValueError("fewer than 8 samples inside the fit window")
+        raise InputError("fewer than 8 samples inside the fit window")
 
     guaranteed = profile.kind == "approximant" and profile.u0 is not None
     if guaranteed:
@@ -277,7 +285,7 @@ def fit_singularity(
     rw = r[mask]
     diff = profile.u[mask] - center
     if np.any(diff == 0):
-        raise ValueError("field equals its central value inside the window")
+        raise InputError("field equals its central value inside the window")
     u_sign = 1.0 if np.median(diff) > 0 else -1.0
     slope_u, intercept_u, res_u = _loglog_fit(rw, np.abs(diff))
     u_fit = FitResult(
@@ -290,7 +298,7 @@ def fit_singularity(
     )
     du_w = np.abs(profile.du[mask])
     if np.any(du_w == 0):
-        raise ValueError("slope vanishes inside the window")
+        raise InputError("slope vanishes inside the window")
     slope_d, intercept_d, res_d = _loglog_fit(rw, du_w)
     du_fit = FitResult(
         exponent=slope_d,
@@ -321,8 +329,7 @@ class ConeTailCandidate:
     R: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or self.dim < 3:
-            raise ValueError(f"dimension must be an integer >= 3, got {self.dim!r}")
+        _check_dim(self.dim)
         lo = (self.dim - 2) / (self.dim - 1)
         if not lo <= self.R <= 1.0:
             raise ValueError(

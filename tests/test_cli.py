@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from borninfeld import cli, field
 from borninfeld.cli import main, validate_report
@@ -316,3 +319,232 @@ class TestSolveCommand:
         assert kinds[-1.0] == "min"
         (segment,) = report["results"]["segments"]
         assert segment["near_light"] is False
+
+
+# ---------------------------------------------------------------------------
+# Error taxonomy: InputError -> 2, AccuracyError -> 3, anything else escapes
+# ---------------------------------------------------------------------------
+
+BAD_TOLERANCES = pytest.mark.parametrize(
+    "tol", [math.inf, math.nan, 0.0, -1.0], ids=["inf", "nan", "zero", "negative"]
+)
+
+
+@BAD_TOLERANCES
+@pytest.mark.parametrize("command", ["solve", "check", "constants"])
+def test_tol_flag_must_be_positive_and_finite(tmp_path, capsys, command, tol):
+    # --tol inf used to end a solve after 0 steps as converged, and nan as
+    # not converged; check and constants accepted either
+    if command == "constants":
+        argv = ["constants", "--dim", "3"]
+    else:
+        argv = [command, write_config(tmp_path / "c.json", TestSolveCommand.SOLVE)]
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--tol", repr(tol), "--out", str(out)]) == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@BAD_TOLERANCES
+@pytest.mark.parametrize("command,key", [("solve", "solver"), ("check", "quadrature")])
+def test_config_tolerance_must_be_positive_and_finite(
+    tmp_path, capsys, command, key, tol
+):
+    payload = dict(TestSolveCommand.SOLVE, tolerances={key: tol})
+    config = write_config(tmp_path / "c.json", payload)
+    assert run_cli([command, config, "--out", str(tmp_path / "out")]) == 2
+    assert f"tolerances.{key}" in capsys.readouterr().err
+
+
+def test_internal_error_escapes_main(tmp_path, monkeypatch):
+    # a ValueError from a bug is not invalid input: it must surface as a traceback
+    def bug(N):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(cli, "shape_constant_A", bug)
+    with pytest.raises(ValueError, match="^bug$"):
+        run_cli(["constants", "--dim", "3", "--out", str(tmp_path)])
+
+
+def ctilde_over_omega(N: int) -> float:
+    """Ctilde(N)/omega_{N-1} from its Gamma form, independent of quadrature."""
+    q = N - 1
+    p = 2 * q
+    B = special.beta(0.5 - 1.0 / p, 1.0 / p) / p
+    head = -math.gamma(1 + 1 / (2 * q)) * math.gamma(-0.5 - 1 / (2 * q))
+    return head / (2 * q * math.sqrt(math.pi)) / B**N
+
+
+@pytest.mark.parametrize("N,code", [(65, 0), (66, 3), (100, 3), (343, 3), (344, 2)])
+def test_constants_at_high_dimension(tmp_path, capsys, N, code):
+    # From N = 66 the Ctilde integrands overflow inside the quadrature, and
+    # from N = 344 Gamma(N/2) does; both used to escape as OverflowError.
+    assert run_cli(["constants", "--dim", str(N), "--out", str(tmp_path)]) == code
+    if code == 0:
+        report = json.loads((tmp_path / "report.json").read_text())
+        ratio = report["results"]["refined_over_sphere"]
+        assert ratio == pytest.approx(ctilde_over_omega(N), rel=1e-9)
+    else:
+        assert "binary64" in capsys.readouterr().err
+
+
+def test_check_at_dimension_66_exit_3(tmp_path, capsys):
+    origin = [0.0] * 66
+    payload = {
+        "dim": 66,
+        "charges": [{"pos": origin, "a": 1.0}, {"pos": [3.0] + origin[1:], "a": -1.0}],
+    }
+    config = write_config(tmp_path / "c.json", payload)
+    assert run_cli(["check", config, "--out", str(tmp_path)]) == 3
+    assert "binary64" in capsys.readouterr().err
+
+
+def test_radial_at_dimension_46_exit_2(tmp_path, capsys):
+    # omega_45 (1e-7)^45 underflows to 0 at the default r_min
+    argv = ["radial", "--a", "1", "--order", "4", "--dim", "46", "--out", str(tmp_path)]
+    assert run_cli(argv) == 2
+    assert "binary64 cannot hold" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the boundary: malformed input exits 2, never a traceback
+# ---------------------------------------------------------------------------
+
+FUZZ_BASE = {
+    "dim": 3,
+    "charges": [{"pos": [0.0, 0.0, 0.0], "a": 1.0}],
+    "box": {"lo": [-2.0, -2.0, -2.0], "hi": 2.0, "h": 0.25},
+    "order_m": 2,
+    "boundary_rule": "radial-superposition",
+    "tolerances": {"solver": 1e-9, "quadrature": 1e-10},
+}
+NUMBER_SLOTS = [
+    ("dim",), ("charges", 0, "a"), ("charges", 0, "pos", 1), ("box", "lo"),
+    ("box", "lo", 2), ("box", "hi"), ("box", "h"), ("order_m",),
+    ("tolerances", "solver"), ("tolerances", "quadrature"),
+]
+CONTAINER_SLOTS = [
+    ("charges",), ("charges", 0), ("charges", 0, "pos"), ("box",), ("tolerances",),
+    ("boundary_rule",),
+]
+REQUIRED = [
+    ("dim",), ("charges",), ("charges", 0, "pos"), ("charges", 0, "a"),
+    ("box", "lo"), ("box", "hi"), ("box", "h"),
+]
+REQUIRED_FOR_SOLVE = [("box",), ("order_m",)]
+# rejected by the domain's checks rather than by the schema
+OUT_OF_RANGE = [
+    (("charges", 0, "a"), 0.0), (("order_m",), 0), (("box", "h"), -0.25),
+    (("charges", 0, "pos"), [0.0, 0.0]),
+]
+OUT_OF_RANGE_FOR_SOLVE = [(("box", "h"), 0.3), (("box", "hi"), -2.0)]
+KNOWN_KEYS = set(FUZZ_BASE) | {"pos", "a", "lo", "hi", "h", "solver", "quadrature"}
+_junk_scalars = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.lists(st.text(max_size=2), max_size=2),
+)
+JUNK = {"number": st.one_of(_junk_scalars, st.just({}), st.just({"x": 1})),
+        "container": _junk_scalars}
+
+
+def _edit(config: dict, path: tuple, value=None, delete: bool = False) -> None:
+    *parents, last = path
+    for key in parents:
+        config = config[key]
+    if delete:
+        del config[last]
+    else:
+        config[last] = value
+
+
+@st.composite
+def malformed_runs(draw):
+    """(command, config text) with exactly one defect in a valid config."""
+    command = draw(st.sampled_from(["check", "solve"]))
+    config = json.loads(json.dumps(FUZZ_BASE))
+    kind = draw(st.sampled_from(
+        ["junk", "non-finite", "missing", "unknown", "out-of-range", "truncated"]
+    ))
+    if kind == "truncated":
+        text = json.dumps(config)
+        return command, text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "junk":
+        path = draw(st.sampled_from(NUMBER_SLOTS + CONTAINER_SLOTS))
+        junk = JUNK["number" if path in NUMBER_SLOTS else "container"]
+        _edit(config, path, draw(junk))
+    elif kind == "non-finite":
+        value = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        _edit(config, draw(st.sampled_from(NUMBER_SLOTS)), value)
+    elif kind == "missing":
+        extra = REQUIRED_FOR_SOLVE if command == "solve" else []
+        _edit(config, draw(st.sampled_from(REQUIRED + extra)), delete=True)
+    elif kind == "unknown":
+        parent = draw(st.sampled_from([(), ("charges", 0), ("box",), ("tolerances",)]))
+        names = st.text(min_size=1, max_size=4).filter(lambda k: k not in KNOWN_KEYS)
+        key = draw(names)
+        _edit(config, parent + (key,), 1)
+    else:
+        extra = OUT_OF_RANGE_FOR_SOLVE if command == "solve" else []
+        path, value = draw(st.sampled_from(OUT_OF_RANGE + extra))
+        _edit(config, path, value)
+    return command, json.dumps(config)
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_fuzz_base_config_is_valid(tmp_path, command):
+    config = write_config(tmp_path / "c.json", FUZZ_BASE)
+    assert run_cli([command, config, "--out", str(tmp_path)]) == 0
+
+
+@settings(max_examples=150)
+@given(run=malformed_runs())
+def test_malformed_config_exit_2(tmp_path_factory, run):
+    command, text = run
+    work = tmp_path_factory.mktemp("malformed")
+    (work / "c.json").write_text(text)
+    assert run_cli([command, str(work / "c.json"), "--out", str(work)]) == 2
+    assert not (work / "report.json").exists()
+
+
+@settings(max_examples=120)
+@given(
+    # each range mixed with the region where most calls succeed
+    a=st.one_of(
+        st.floats(-1e300, 1e300),
+        st.floats(-30.0, 30.0),
+        st.sampled_from([math.inf, -math.inf, math.nan]),
+    ),
+    dim=st.one_of(st.integers(-2, 400), st.integers(3, 8)),
+    order=st.one_of(st.integers(-2, 64), st.integers(1, 16)),
+    points=st.one_of(st.integers(-2, 64), st.integers(48, 64)),
+)
+def test_radial_arguments_exit_0_2_or_3(tmp_path_factory, a, dim, order, points):
+    out = tmp_path_factory.mktemp("radial")
+    argv = [
+        "radial", f"--a={a!r}", "--dim", str(dim), "--order", str(order),
+        "--points", str(points), "--out", str(out),
+    ]
+    code = run_cli(argv)
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    if code == 0:
+        with (out / "profile.csv").open() as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
+        results = json.loads((out / "report.json").read_text())["results"]
+        if 2 * order > dim:
+            assert math.isfinite(results["central_value"])
+            assert math.isfinite(results["u_fit"]["exponent"])
+
+
+@settings(max_examples=40)
+@given(dim=st.one_of(st.integers(-2, 400), st.integers(3, 70)))
+def test_constants_dimension_exit_0_2_or_3(tmp_path_factory, dim):
+    out = tmp_path_factory.mktemp("constants")
+    code = run_cli(["constants", "--dim", str(dim), "--out", str(out)])
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    if code == 0:
+        report = json.loads((out / "report.json").read_text())
+        ratio = report["results"]["refined_over_sphere"]
+        assert ratio == pytest.approx(ctilde_over_omega(dim), rel=1e-9)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borninfeld.conditions import (
     NotApplicableError,
@@ -192,3 +194,88 @@ class TestClassifySegments:
         assert levels[(0, 1)] is VerdictLevel.SAME_SIGN_SEGMENT
         assert levels[(0, 2)] is VerdictLevel.SEGMENT_CLASSICAL
         assert levels[(1, 2)] is VerdictLevel.SEGMENT_CLASSICAL
+
+
+# ---------------------------------------------------------------------------
+# Properties: every certificate compares a strength bracket with distances
+# ---------------------------------------------------------------------------
+
+CTILDE = {N: refined_constant_ctilde(N) for N in range(3, 8)}
+
+
+@st.composite
+def charge_configs(draw):
+    """2-5 charges in N = 3..7 with |a| in [0.05, 5] of either sign, on a
+    small lattice whose spacing, 0.05 to 1, puts separations on both sides
+    of the certificate thresholds (about 1 to 3 here)."""
+    N = draw(st.integers(3, 7))
+    n = draw(st.integers(2, 5))
+    spacing = draw(st.floats(0.05, 1.0))
+    lattice = st.tuples(*[st.integers(-3, 3)] * N)
+    positions = [
+        tuple(spacing * k for k in point)
+        for point in draw(st.lists(lattice, min_size=n, max_size=n, unique=True))
+    ]
+    strengths = draw(
+        st.lists(
+            st.tuples(st.floats(0.05, 5.0), st.booleans()).map(
+                lambda t: -t[0] if t[1] else t[0]
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return ChargeConfig(N, list(zip(positions, strengths)))
+
+
+def certificates(config: ChargeConfig) -> dict:
+    """Every verdict that applies to ``config``, by rule."""
+    out = {
+        "global": check_global(config),
+        "refined": check_refined(config, CTILDE[config.dim]),
+    }
+    if config.n == 2 and config.strengths[0] * config.strengths[1] < 0:
+        out["two-charge"] = check_two_charge(config)
+    return out
+
+
+def with_strengths(config: ChargeConfig, factor: float) -> ChargeConfig:
+    return ChargeConfig(
+        config.dim, [(c.pos, factor * c.strength) for c in config.charges]
+    )
+
+
+@settings(max_examples=50)
+@given(config=charge_configs(), lam=st.floats(1.01, 10.0))
+def test_spreading_charges_never_hurts(config, lam):
+    before, after = certificates(config), certificates(config.scaled(lam))
+    for rule, v in before.items():
+        assert after[rule].margin >= v.margin, rule
+        if v.conclusive:
+            assert after[rule].conclusive, rule
+    kept = {
+        (p.j, p.l) for p in before["refined"].per_segment
+        if p.level is VerdictLevel.SEGMENT_CLASSICAL
+    }
+    for p in after["refined"].per_segment:
+        if (p.j, p.l) in kept:
+            assert p.level is VerdictLevel.SEGMENT_CLASSICAL
+    segments = classify_segments(config.scaled(lam), CTILDE[config.dim])
+    assert kept <= {
+        (p.j, p.l) for p in segments if p.level is VerdictLevel.SEGMENT_CLASSICAL
+    }
+
+
+@settings(max_examples=50)
+@given(config=charge_configs(), lam=st.floats(1.01, 10.0))
+def test_stronger_charges_never_help(config, lam):
+    before, after = certificates(config), certificates(with_strengths(config, lam))
+    for rule, v in before.items():
+        assert after[rule].margin <= v.margin, rule
+
+
+@settings(max_examples=50)
+@given(config=charge_configs())
+def test_negating_every_strength_changes_nothing(config):
+    # levels, thresholds, margins and per-segment detail, bit for bit
+    assert certificates(with_strengths(config, -1.0)) == certificates(config)

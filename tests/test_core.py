@@ -6,9 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from borninfeld import field, quad, radial
+from borninfeld.cli import ConfigError
 from borninfeld.core import (
     ChargeConfig,
     GuaranteeRangeError,
+    InputError,
     asymptotics_spec,
     best_constant_cbar,
     density_series,
@@ -218,3 +221,84 @@ class TestAsymptoticsSpec:
     def test_zero_strength_rejected(self):
         with pytest.raises(ValueError):
             asymptotics_spec(4, 3, 0.0)
+
+
+class TestInputError:
+    """Each hypothesis is checked by one function and fails with one message."""
+
+    RGRID = np.geomspace(1e-3, 1e2, 16)
+
+    def test_hierarchy(self):
+        assert issubclass(GuaranteeRangeError, InputError)
+        assert issubclass(ConfigError, InputError)
+        assert issubclass(InputError, ValueError)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda N: ChargeConfig(N, [((0.0,) * 3, 1.0)]),
+            best_constant_cbar,
+            min_order_for_guarantee,
+            lambda N: asymptotics_spec(4, N, 1.0),
+            quad.shape_constant_A,
+            quad.refined_constant_ctilde,
+            lambda N: quad.exact_radial_profile(1.0, N, TestInputError.RGRID),
+            lambda N: radial.approx_radial_profile(1.0, 4, N, TestInputError.RGRID),
+            lambda N: radial.ConeTailCandidate(N, 0.9),
+        ],
+    )
+    @pytest.mark.parametrize("N", [2, 3.0, True])
+    def test_dimension(self, call, N):
+        with pytest.raises(InputError, match="^dimension must be an integer >= 3, got"):
+            call(N)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a: ChargeConfig(3, [((0.0,) * 3, a)]),
+            lambda a: asymptotics_spec(4, 3, a),
+            lambda a: quad.exact_radial_profile(a, 3, TestInputError.RGRID),
+            lambda a: radial.flux_gradient_magnitude(1.0, a, 4, 3),
+            lambda a: radial.approx_radial_profile(a, 4, 3, TestInputError.RGRID),
+        ],
+    )
+    @pytest.mark.parametrize("a", [0.0, -0.0, math.inf, math.nan])
+    def test_strength(self, call, a):
+        with pytest.raises(
+            InputError, match=r"^charge strength must be finite and nonzero, got "
+        ):
+            call(a)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            taylor_coefficients,
+            lambda m: asymptotics_spec(m, 3, 1.0),
+            lambda m: radial.approx_radial_profile(1.0, m, 3, TestInputError.RGRID),
+            lambda m: field.assemble_problem(None, -1.0, 1.0, 0.25, m),
+        ],
+    )
+    @pytest.mark.parametrize("m", [0, -2, 4.0])
+    def test_order(self, call, m):
+        with pytest.raises(InputError, match=r"^order m must be an integer >= 1, got "):
+            call(m)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r: quad.exact_radial_profile(1.0, 3, r),
+            lambda r: radial.approx_radial_profile(1.0, 4, 3, r),
+        ],
+    )
+    @pytest.mark.parametrize("rgrid", [[], [1.0, 0.5], [0.0, 1.0], [[1.0, 2.0]]])
+    def test_radius_grid(self, call, rgrid):
+        with pytest.raises(
+            InputError, match=r"^rgrid must be strictly increasing and positive$"
+        ):
+            call(rgrid)
+
+    def test_sphere_measure_beyond_binary64(self):
+        # Gamma(344/2) ~ 1.2e309 is the first Gamma(N/2) past binary64
+        assert math.isfinite(sphere_measure(343))
+        with pytest.raises(InputError, match="Gamma"):
+            sphere_measure(344)

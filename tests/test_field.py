@@ -185,6 +185,20 @@ class TestMinimization:
         )
         assert np.max(np.abs(f_plus.values + f_minus.values)) <= 10 * 1e-10
 
+    def test_sign_flip_symmetry_with_extrema(self):
+        # an off-centre charge on 17^3 nodes: -a gives -u to rounding and
+        # turns the charge's maximum into a minimum
+        def solve(a):
+            config = ChargeConfig(3, [((0.25, -0.5, 0.0), a)])
+            problem = assemble_problem(config, -2, 2, 0.25, 2, "radial-superposition")
+            return minimize_energy(problem, tol=1e-10)
+
+        plus, minus = solve(0.7), solve(-0.7)
+        assert plus.converged and minus.converged
+        assert np.max(np.abs(plus.values + minus.values)) <= 1e-12
+        assert [r.kind for r in extremum_report(plus)] == ["max"]
+        assert [r.kind for r in extremum_report(minus)] == ["min"]
+
     def test_result_independent_of_initialization(self):
         problem = small_problem(m=2)
         rng = np.random.default_rng(3)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from borninfeld import radial
 from borninfeld.core import (
+    InputError,
     asymptotics_spec,
     best_constant_cbar,
     sphere_measure,
@@ -78,7 +79,7 @@ class TestFluxRoot:
             flux_gradient_magnitude(1.0, 0.0, 2, 3)
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(
     m=st.integers(1, 64),
     N=st.integers(3, 7),
@@ -165,6 +166,18 @@ class TestApproxProfile:
         c = a / sphere_measure(N)
         newtonian = c / ((N - 2) * 3e3 ** (N - 2))
         assert sparse.u[-1] == pytest.approx(newtonian, rel=1e-12, abs=0)
+
+    def test_single_radius_near_a_diverging_charge(self):
+        # 2m < N: u(1e-5) ~ 4e4, so [0, t(r_max)] needs the relative floor the
+        # segments have; an absolute 1e-10/2 alone is below its rounding.
+        single = approx_radial_profile(1.0, 2, 7, [1e-5])
+        dense = approx_radial_profile(1.0, 2, 7, np.geomspace(1e-5, 1e3, 400))
+        assert single.u[0] == pytest.approx(dense.u[0], rel=1e-13)
+
+    def test_flux_target_beyond_binary64(self):
+        # omega_45 (1e-7)^45 underflows to 0: the flux root would divide by it
+        with pytest.raises(InputError, match="binary64 cannot hold"):
+            approx_radial_profile(1.0, 4, 46, np.geomspace(1e-7, 1e3, 50))
 
     @pytest.mark.parametrize("N", [3, 4])
     @pytest.mark.parametrize("m", [2, 4, 16])
