@@ -23,7 +23,6 @@ serialize as the string "inf".
 from __future__ import annotations
 
 import argparse
-import csv
 import enum
 import itertools
 import json
@@ -264,18 +263,25 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_field_csv(path: Path, lo, h: float, values: np.ndarray) -> None:
-    """Rows ``x, y, z, u`` over every node, last axis fastest, as csv.writer."""
-    axes = [
-        [_fmt(c) for c in (float(lo[d]) + h * np.arange(n)).tolist()]
-        for d, n in enumerate(values.shape)
-    ]
-    u = map(_fmt, values.ravel().tolist())
+def _column(values: np.ndarray):
+    """The values as CSV fields, formatted lazily while the file is written."""
+    return map(_fmt, values.ravel().tolist())
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """``header`` and rows of CSV fields, byte for byte as csv.writer."""
     with path.open("w", newline="") as handle:
-        handle.write("x,y,z,u\r\n")
-        handle.writelines(
-            f"{x},{y},{z},{v}\r\n" for (x, y, z), v in zip(itertools.product(*axes), u)
-        )
+        for line in itertools.chain([header], map(",".join, rows)):
+            handle.write(line + "\r\n")
+
+
+def _write_field_csv(path: Path, lo, h: float, values: np.ndarray) -> None:
+    """Rows ``x, y, z, u`` over every node, last axis fastest."""
+    axes = [
+        _column(float(lo[d]) + h * np.arange(n)) for d, n in enumerate(values.shape)
+    ]
+    nodes = map(",".join, itertools.product(*axes))
+    _write_csv(path, "x,y,z,u", zip(nodes, _column(values)))
 
 
 def _fields(record, *names: str) -> dict:
@@ -389,11 +395,11 @@ def cmd_radial(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "profile.csv"
-    with csv_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["r", "u", "du"])
-        for r, u, du in profile.rows():
-            writer.writerow([_fmt(r), _fmt(u), _fmt(du)])
+    _write_csv(
+        csv_path,
+        "r,u,du",
+        zip(_column(profile.r), _column(profile.u), _column(profile.du)),
+    )
     predicted = None
     if 2 * args.order != args.dim:
         spec = asymptotics_spec(

@@ -75,6 +75,13 @@ def _check_radii(rgrid) -> np.ndarray:
     return r
 
 
+def _strength_sum(name: str, values) -> float:
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise InputError(f"the sum of the {name} exceeds binary64") from None
+
+
 class GuaranteeRangeError(InputError):
     """Asymptotic formulas requested outside the range where they are backed.
 
@@ -153,10 +160,14 @@ class ChargeConfig:
         return tuple(k for k, c in enumerate(self.charges) if c.strength < 0)
 
     def sum_positive(self) -> float:
-        return math.fsum(c.strength for c in self.charges if c.strength > 0)
+        return _strength_sum(
+            "positive strengths", (c.strength for c in self.charges if c.strength > 0)
+        )
 
     def sum_negative_abs(self) -> float:
-        return math.fsum(-c.strength for c in self.charges if c.strength < 0)
+        return _strength_sum(
+            "negative strengths", (-c.strength for c in self.charges if c.strength < 0)
+        )
 
     def distance(self, j: int, l: int) -> float:
         pj, pl = self.charges[j].pos, self.charges[l].pos

@@ -121,6 +121,41 @@ def _gk15_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float,
     return value, err
 
 
+_GK15_NODES, _GK15_GAUSS, _GK15_KRONROD = (np.array(col) for col in zip(*_GK15))
+
+
+def _gk15_panels(
+    f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_gk15_panel`` on every [a_i, b_i] at once: (estimates, error bounds).
+
+    ``f`` maps an array of nodes to an array of values; it is called once,
+    on the (n, 15) node matrix.  The sums run over the nodes in the order of
+    ``_GK15``, so each panel equals the scalar one on the same values.  An
+    overflowing integrand gives a non-finite estimate or bound, which the
+    caller must reject.
+    """
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    with np.errstate(all="ignore"):
+        fx = f(mid[:, None] + half[:, None] * _GK15_NODES)
+        resk = resg = resabs = resasc = 0.0
+        for j in range(len(_GK15)):
+            resk = resk + _GK15_KRONROD[j] * fx[:, j]
+            resg = resg + _GK15_GAUSS[j] * fx[:, j]
+            resabs = resabs + _GK15_KRONROD[j] * np.abs(fx[:, j])
+        reskh = 0.5 * resk
+        for j in range(len(_GK15)):
+            resasc = resasc + _GK15_KRONROD[j] * np.abs(fx[:, j] - reskh)
+        value = resk * half
+        err = np.abs((resk - resg) * half)
+        asc = resasc * np.abs(half)
+        scaled = asc * np.minimum(1.0, (200.0 * err / asc) ** 1.5)
+        err = np.where((asc != 0.0) & (err != 0.0), scaled, err)
+        err = np.maximum(err, 50.0 * _EPS * resabs * np.abs(half))
+    return value, err
+
+
 def adaptive_gauss_kronrod(
     f: Callable[[float], float],
     a: float,
@@ -345,10 +380,6 @@ class RadialProfile:
     @property
     def n_samples(self) -> int:
         return int(self.r.size)
-
-    def rows(self):
-        """Iterate (r, u, du) triples, e.g. for CSV output."""
-        return zip(self.r.tolist(), self.u.tolist(), self.du.tolist())
 
 
 def exact_radial_profile(a: float, N: int, rgrid) -> RadialProfile:

@@ -1,17 +1,20 @@
 """Radial solver for the order-m problem and the cone-plus-tail extremals.
 
 A single charge at the origin makes the order-m problem radial, and
-integrating the divergence over balls turns the PDE into one scalar root
-find per radius: with g(t) = sum_{h<=m} alpha_h t^(2h-1), the slope
-magnitude t = |u'(r)| is pinned by
+integrating the divergence over balls turns the PDE into a root find per
+radius: with g(t) = sum_{h<=m} alpha_h t^(2h-1), the slope magnitude
+t = |u'(r)| is pinned by
 
     g(t) = |a| / (omega_{N-1} r^(N-1)).
 
 g is strictly increasing and convex on t >= 0, so a guarded Newton
 iteration from an explicit upper bound converges monotonically; bisection
-picks up the rare stall.  The field itself follows by quadrature of the
-slope with u -> 0 at infinity, which avoids integrating a stiff ODE through
-the singularity.
+picks up the rare stall.  All sample radii run through one array
+iteration.  The field itself follows by quadrature of the slope with
+u -> 0 at infinity, which avoids integrating a stiff ODE through the
+singularity: one batched Gauss-Kronrod panel per segment between
+neighbouring slopes, with the adaptive engine as the fallback for any
+segment whose panel misses the tolerance.
 
 The same module hosts the measurement side: log-log fits of the field and
 slope against radius inside the charge-dominated window (recovering the
@@ -36,7 +39,9 @@ import numpy as np
 from .core import InputError, _check_dim, _check_order, _check_radii, _check_strength
 from .core import density_series, sphere_measure, taylor_coefficients
 from .quad import (
+    AccuracyError,
     RadialProfile,
+    _gk15_panels,
     adaptive_gauss_kronrod,
     integrate_decaying,
 )
@@ -57,56 +62,74 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def flux_gradient_magnitude(r: float, a: float, m: int, N: int) -> float:
+def flux_gradient_magnitude(r, a: float, m: int, N: int):
     """Slope magnitude |u'(r)| of the order-m single-charge field.
 
-    Solves g(t) = |a| / (omega_{N-1} r^(N-1)) to a residual below
-    1e-12 * max(1, target).  Newton from the explicit upper bound
-    min(target, (target/alpha_m)^(1/(2m-1))) decreases monotonically on the
-    convex g; if it ever stalls the bracket [0, upper] falls back to
-    bisection, so termination is unconditional.
+    ``r`` is a radius or an ndarray of radii; a float comes back as a float,
+    an array as an array of its shape.  Each element solves
+    g(t) = |a| / (omega_{N-1} r^(N-1)) to a residual below
+    1e-12 * max(1, target).  All elements run one guarded Newton iteration
+    together, each inside its own bracket [lo, hi]: from the explicit upper
+    bound min(target, (target/alpha_m)^(1/(2m-1))) Newton decreases
+    monotonically on the convex g, a step leaving the bracket is replaced by
+    its midpoint, and elements still open after 100 steps go on by plain
+    bisection, so termination is unconditional.  Converged elements leave
+    the iteration.
     """
-    r = float(r)
-    if r <= 0:
+    radii = np.asarray(r, dtype=float)
+    if not np.all(radii > 0):
         raise ValueError(f"radius must be positive, got {r}")
     a = _check_strength(a)
     alphas = taylor_coefficients(m).alphas
-    target = abs(a) / (sphere_measure(N) * r ** (N - 1))
-    if target == 0.0:
-        return 0.0
+    with np.errstate(over="ignore", divide="ignore"):
+        target = abs(a) / (sphere_measure(N) * radii ** (N - 1))
+    if not np.all(np.isfinite(target)):
+        raise InputError(
+            f"binary64 cannot hold |a|/(omega r^(N-1)) (a = {a:g}, N = {N})"
+        )
     # Aim for machine-relative residuals (the flux identity then holds to
     # ~1e-15 relative at every sample); the documented guarantee is the
-    # looser 1e-12 * max(1, target).
-    tol = 4.0 * math.ulp(target)
+    # looser 1e-12 * max(1, target).  A target of 0 (r^(N-1) overflowed)
+    # stops at once on its root 0.
+    tol = 4.0 * np.spacing(target)
     # g(t) >= t and g(t) >= alpha_m t^(2m-1) give two upper bounds for the root.
-    upper = min(target, (target / alphas[-1]) ** (1.0 / (2 * m - 1)))
-    lo, hi = 0.0, upper
-    t = upper
-    for _ in range(100):
-        _, sigma, dsigma = density_series(t * t, alphas)
-        g = t * sigma
-        if abs(g - target) <= tol or hi - lo <= math.ulp(hi):
-            return t
-        if g > target:
-            hi = t
+    hi = np.minimum(target, (target / alphas[-1]) ** (1.0 / (2 * m - 1)))
+    lo = np.zeros_like(hi)
+    t = hi
+    slope = np.empty(radii.size)
+    idx = np.arange(radii.size).reshape(radii.shape)  # where each element goes
+    # g overflows for targets near the top of binary64, as the float
+    # arithmetic did silently; such steps fail the bracket test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(300):
+            newton = step < 100  # then plain bisection on the kept bracket
+            if not newton:
+                t = 0.5 * (lo + hi)
+            _, sigma, dsigma = density_series(t * t, alphas)
+            g = t * sigma
+            done = (np.abs(g - target) <= tol) | (hi - lo <= np.spacing(hi))
+            n_done = np.count_nonzero(done)
+            if n_done == done.size:  # a scalar only ends here: never indexed
+                slope[idx] = t
+                break
+            if n_done:
+                slope[idx[done]] = t[done]
+            above = g > target
+            hi = np.where(above, t, hi)
+            lo = np.where(above, lo, t)
+            if newton:
+                t_new = t - (g - target) / (sigma + 2.0 * t * t * dsigma)
+                t = np.where((lo < t_new) & (t_new < hi), t_new, 0.5 * (lo + hi))
+            if n_done:  # converged elements leave the iteration
+                keep = ~done
+                idx, t, lo, hi, target, tol = (
+                    x[keep] for x in (idx, t, lo, hi, target, tol)
+                )
         else:
-            lo = t
-        step = (g - target) / (sigma + 2.0 * t * t * dsigma)
-        t_new = t - step
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)
-        t = t_new
-    # Newton budget exhausted: plain bisection on the maintained bracket.
-    for _ in range(200):
-        t = 0.5 * (lo + hi)
-        g = t * density_series(t * t, alphas)[1]
-        if abs(g - target) <= tol or hi - lo <= math.ulp(hi):
-            return t
-        if g > target:
-            hi = t
-        else:
-            lo = t
-    return 0.5 * (lo + hi)
+            slope[idx] = 0.5 * (lo + hi)
+    if radii.ndim == 0:
+        return float(slope[0])
+    return slope.reshape(radii.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +149,17 @@ def approx_radial_profile(
 
         u(r) = (1/q) int_0^{t(r)} tau r(tau) g'(tau)/g(tau) dtau,
 
-    so the root find runs only at the sample radii.  tau = v^(q/(q-1))
-    bounds the integrand on [0, t(r_max)].  For 2m > N the central value
-    u(0+) is finite and attached as ``u0``; beyond T = max(t(r_min), 1) the
+    so the root find runs once, on the whole grid.  Each segment
+    [t(r_{i+1}), t(r_i)] gets one Gauss-Kronrod 7-15 panel, all in one
+    batched pass; a panel that is not finite or whose error bound exceeds
+    max(abs_tol/(n+1), 1e-13 |value|) is redone by the adaptive engine, and
+    an AccuracyError there names the segment.  tau = v^(q/(q-1)) bounds the
+    integrand on [0, t(r_max)].  For 2m > N the central value u(0+) is
+    finite and attached as ``u0``; beyond T = max(t(r_min), 1) the
     substitution tau = T x^(-q/(2m-N)), x in (0, 1], bounds it.  For
-    2m <= N the field diverges at the charge and ``u0`` is None.
+    2m <= N the field diverges at the charge and ``u0`` is None.  The
+    pieces other than the segments run on the adaptive engine, each held to
+    its absolute tolerance or 1e-13 relative, whichever is looser.
     """
     a = _check_strength(a)
     _check_dim(N)
@@ -152,11 +181,12 @@ def approx_radial_profile(
             f"r^(N-1) at r = {r[-1]:g} (a = {a:g}, N = {N})"
         )
     sign = math.copysign(1.0, a)
-    slopes = [flux_gradient_magnitude(float(s), a, m, N) for s in r]
+    slopes = flux_gradient_magnitude(r, a, m, N)
+    t = slopes.tolist()  # the adaptive pieces run on floats
     alphas = taylor_coefficients(m).alphas
     c = abs(a) / omega
 
-    def integrand(tau: float) -> float:
+    def integrand(tau):
         # tau g'/g = 1 + 2 tau^2 sigma'/sigma with g(tau) = tau sigma(tau^2)
         tau2 = tau * tau
         _, sigma, dsigma = density_series(tau2, alphas)
@@ -170,18 +200,32 @@ def approx_radial_profile(
     u_mag[-1], _ = adaptive_gauss_kronrod(
         lambda v: integrand(v**k) * k * v ** (k - 1),
         0.0,
-        slopes[-1] ** (1.0 / k),
+        t[-1] ** (1.0 / k),
         seg_tol,
         200,
         rel_tol=1e-13,
     )
-    for i in range(n - 2, -1, -1):
-        # The relative floor keeps diverging profiles (2m <= N) integrable
-        # per segment without chasing sub-roundoff absolute targets.
-        seg, _ = adaptive_gauss_kronrod(
-            integrand, slopes[i + 1], slopes[i], seg_tol, 200, rel_tol=1e-13
-        )
-        u_mag[i] = u_mag[i + 1] + seg
+    # One GK15 panel per segment [t(r_{i+1}), t(r_i)]; the relative floor
+    # keeps diverging profiles (2m <= N) integrable per segment without
+    # chasing sub-roundoff absolute targets.  A panel that misses it goes to
+    # the adaptive engine.
+    seg, err = _gk15_panels(integrand, slopes[1:], slopes[:-1])
+    accepted = np.isfinite(seg) & (err <= np.maximum(seg_tol, 1e-13 * np.abs(seg)))
+    for i in np.flatnonzero(~accepted).tolist():
+        try:
+            seg[i], _ = adaptive_gauss_kronrod(
+                integrand, t[i + 1], t[i], seg_tol, 200, rel_tol=1e-13
+            )
+        except AccuracyError as exc:
+            raise AccuracyError(
+                f"slope segment [{t[i + 1]:g}, {t[i]:g}] of the radii "
+                f"[{r[i]:g}, {r[i + 1]:g}] (estimate {exc.estimate:g}, error "
+                f"bound {exc.error_bound:g}): {exc}",
+                estimate=exc.estimate,
+                error_bound=exc.error_bound,
+            ) from exc
+    # summed from the outer radius inward, as u vanishes at infinity
+    u_mag[:-1] = np.cumsum(np.concatenate((u_mag[-1:], seg[::-1])))[:0:-1]
 
     u0 = None
     if 2 * m > N:
@@ -189,9 +233,9 @@ def approx_radial_profile(
         # the substituted integrand would grow like T^(-(2m-2)/q); a slope
         # t(r_min) < 1 is first integrated up to 1 as a plain segment.
         j = q / (2 * m - N)
-        T = max(slopes[0], 1.0)
+        T = max(t[0], 1.0)
         mid, _ = adaptive_gauss_kronrod(
-            integrand, slopes[0], T, seg_tol, 200, rel_tol=1e-13
+            integrand, t[0], T, seg_tol, 200, rel_tol=1e-13
         )
         head, _ = adaptive_gauss_kronrod(
             lambda x: integrand(T * x**-j) * j * T * x ** (-j - 1),
@@ -199,6 +243,7 @@ def approx_radial_profile(
             1.0,
             abs_tol,
             200,
+            rel_tol=1e-13,
         )
         u0 = sign * (u_mag[0] + mid + head)
     return RadialProfile(
@@ -208,7 +253,7 @@ def approx_radial_profile(
         order=m,
         r=r,
         u=sign * u_mag,
-        du=-sign * np.array(slopes),
+        du=-sign * slopes,
         u0=u0,
     )
 

@@ -10,8 +10,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from borninfeld import cli, field
+from borninfeld import cli, field, radial
 from borninfeld.cli import main, validate_report
+from borninfeld.quad import AccuracyError
 
 
 def run_cli(args):
@@ -209,6 +210,19 @@ def _field_csv_by_loop(path, lo, h, values):
                     )
 
 
+def test_profile_csv_bytes_match_csv_writer(tmp_path):
+    argv = ["radial", "--a", "-1.5", "--order", "3", "--points", "300"]
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+    profile = radial.approx_radial_profile(-1.5, 3, 3, np.geomspace(1e-7, 1e3, 300))
+    with (tmp_path / "old.csv").open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["r", "u", "du"])
+        for r, u, du in zip(profile.r, profile.u, profile.du):
+            writer.writerow([cli._fmt(r), cli._fmt(u), cli._fmt(du)])
+    new, old = (tmp_path / "profile.csv"), (tmp_path / "old.csv")
+    assert new.read_bytes() == old.read_bytes()
+
+
 def test_field_csv_bytes_match_per_node_writer(tmp_path):
     rng = np.random.default_rng(7)
     values = rng.normal(0.0, 1.0, (4, 5, 6)) * 10.0 ** rng.integers(-20, 20, (4, 5, 6))
@@ -397,6 +411,60 @@ def test_check_at_dimension_66_exit_3(tmp_path, capsys):
     config = write_config(tmp_path / "c.json", payload)
     assert run_cli(["check", config, "--out", str(tmp_path)]) == 3
     assert "binary64" in capsys.readouterr().err
+
+
+def test_radial_central_value_of_a_huge_charge(tmp_path, capsys):
+    # |a| = 1e100 puts u0 near 6.6e49; the head integral used to chase an
+    # absolute 1e-10 and exit 3.  In the default window u - u0 is below the
+    # rounding of u0, so the fit runs where the growth is resolvable.
+    argv = [
+        "radial", "--a", "1e100", "--order", "4", "--rmin", "1e30", "--rmax", "1e52",
+        "--fit-window", "1e33", "1e37", "--out", str(tmp_path),
+    ]
+    assert run_cli(argv) == 0
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    assert math.isfinite(results["central_value"])
+    assert results["central_value"] == pytest.approx(6.5677704353645e49, rel=1e-12)
+    assert results["u_fit"]["exponent"] == pytest.approx(5 / 7, rel=1e-3)
+    capsys.readouterr()
+    default = ["radial", "--a", "1e100", "--order", "4", "--out", str(tmp_path / "d")]
+    assert run_cli(default) == 2
+    assert "field equals its central value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_check_with_overflowing_strength_sum_exit_2(tmp_path, capsys, sign):
+    payload = {
+        "dim": 3,
+        "charges": [
+            {"pos": [0.0, 0.0, 0.0], "a": sign * 1e308},
+            {"pos": [1.0, 0.0, 0.0], "a": sign * 1e308},
+        ],
+    }
+    config = write_config(tmp_path / "c.json", payload)
+    assert run_cli(["check", config, "--out", str(tmp_path)]) == 2
+    name = "positive" if sign > 0 else "negative"
+    assert f"sum of the {name} strengths exceeds binary64" in capsys.readouterr().err
+
+
+def test_radial_segment_failure_says_where(tmp_path, monkeypatch, capsys):
+    # A coarse grid sends slope segments to the adaptive engine; make it fail
+    # on them and check the exit-3 message locates the segment.
+    engine = radial.adaptive_gauss_kronrod
+
+    def failing(f, lo, hi, *args, **kwargs):
+        if lo > 0.0 and hi > lo:
+            raise AccuracyError("tolerance not reached", estimate=1.25, error_bound=0.5)
+        return engine(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(radial, "adaptive_gauss_kronrod", failing)
+    argv = [
+        "radial", "--a", "1", "--order", "4", "--points", "7", "--out", str(tmp_path),
+    ]
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err
+    assert "slope segment [" in err and "of the radii [" in err
+    assert "estimate 1.25" in err and "error bound 0.5" in err
 
 
 def test_radial_at_dimension_46_exit_2(tmp_path, capsys):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from borninfeld.core import sphere_measure
 from borninfeld.quad import (
     AccuracyError,
+    _gk15_panel,
+    _gk15_panels,
     adaptive_gauss_kronrod,
     exact_radial_profile,
     flux_identity_residual,
@@ -75,6 +77,29 @@ class TestIntegrateDecaying:
         # a NaN error bound used to pass the tolerance test and return NaN
         with pytest.raises(AccuracyError, match="not a finite binary64 number"):
             adaptive_gauss_kronrod(f, 0.0, 1.0)
+
+    def test_batched_panels_equal_the_scalar_panel(self):
+        # same nodes, same summation order: equal estimates; the bound's
+        # power may round differently in numpy, so it is held to 4 ulp
+        rng = np.random.default_rng(11)
+        a = rng.uniform(-3.0, 3.0, 40)
+        b = a + rng.uniform(1e-6, 5.0, 40)
+
+        def f(x):
+            return (1.0 + x * x * x) / (1.0 + x * x)
+
+        values, bounds = _gk15_panels(f, a, b)
+        for i in range(a.size):
+            value, bound = _gk15_panel(f, float(a[i]), float(b[i]))
+            assert values[i] == value
+            assert bounds[i] == pytest.approx(bound, rel=4 * np.finfo(float).eps)
+
+    def test_batched_panel_overflow_is_not_finite(self):
+        values, bounds = _gk15_panels(
+            lambda x: 10.0 ** (1000.0 * x), np.array([0.0, 0.0]), np.array([0.1, 1.0])
+        )
+        assert np.isfinite(values[0]) and np.isfinite(bounds[0])
+        assert not np.isfinite(values[1])
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

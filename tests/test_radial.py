@@ -12,6 +12,7 @@ from borninfeld.core import (
     InputError,
     asymptotics_spec,
     best_constant_cbar,
+    density_series,
     sphere_measure,
     taylor_coefficients,
 )
@@ -76,7 +77,12 @@ class TestFluxRoot:
         with pytest.raises(ValueError):
             flux_gradient_magnitude(0.0, 1.0, 2, 3)
         with pytest.raises(ValueError):
+            flux_gradient_magnitude(np.array([1.0, -1.0]), 1.0, 2, 3)
+        with pytest.raises(ValueError):
             flux_gradient_magnitude(1.0, 0.0, 2, 3)
+        # omega_6 r^6 underflows to 0: the target |a|/0 is not a number
+        with pytest.raises(InputError, match="binary64 cannot hold"):
+            flux_gradient_magnitude(1e-300, 1.0, 2, 7)
 
 
 @settings(max_examples=200)
@@ -89,13 +95,21 @@ class TestFluxRoot:
 )
 def test_flux_root_residual_property(m, N, log_r, a, negative):
     r = 10.0**log_r
-    t = flux_gradient_magnitude(r, -a if negative else a, m, N)
+    strength = -a if negative else a
+    t = flux_gradient_magnitude(r, strength, m, N)
+    assert isinstance(t, float)
     target = a / (sphere_measure(N) * r ** (N - 1))
     alphas = taylor_coefficients(m).alphas
     residual = math.fsum(
         [al * t ** (2 * h - 1) for h, al in enumerate(alphas, 1)] + [-target]
     )
     assert abs(residual) <= 1e-12 * max(1.0, target)
+    # one array call equals the scalar calls element for element
+    radii = r * np.array([[1.0, 0.37, 2.9], [1e-3, 1e3, 1.0 + 1e-9]])
+    slopes = flux_gradient_magnitude(radii, strength, m, N)
+    assert slopes.shape == radii.shape
+    scalar = [flux_gradient_magnitude(x, strength, m, N) for x in radii.flat]
+    assert slopes.ravel().tolist() == scalar
 
 
 class TestApproxProfile:
@@ -141,7 +155,7 @@ class TestApproxProfile:
         with pytest.raises(ValueError):
             approx_radial_profile(1.0, 2, 3, np.array([2.0, 1.0]))
 
-    def test_one_root_find_per_sample(self, monkeypatch):
+    def test_one_root_find_call_on_the_grid(self, monkeypatch):
         calls = []
         root = radial.flux_gradient_magnitude
 
@@ -152,7 +166,77 @@ class TestApproxProfile:
         monkeypatch.setattr(radial, "flux_gradient_magnitude", counting)
         rgrid = np.geomspace(1e-6, 1e2, 37)
         approx_radial_profile(1.0, 4, 3, rgrid)
-        assert len(calls) == rgrid.size
+        # one call on the whole grid, and none at quadrature nodes
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][0], rgrid)
+
+    @staticmethod
+    def _adaptive_segments(profile, a, m, N):
+        """u on the profile's radii by one adaptive quadrature per segment.
+
+        The per-segment loop the batched panel pass replaced, on the
+        profile's own slopes and first piece [0, t(r_max)].
+        """
+        q = N - 1
+        c = abs(a) / sphere_measure(N)
+        alphas = taylor_coefficients(m).alphas
+
+        def integrand(tau):
+            tau2 = tau * tau
+            _, sigma, dsigma = density_series(tau2, alphas)
+            r_tau = (c / (tau * sigma)) ** (1.0 / q)
+            return r_tau * (1.0 + 2.0 * tau2 * dsigma / sigma) / q
+
+        slopes = np.abs(profile.du).tolist()
+        n = len(slopes)
+        seg_tol = 1e-10 / (n + 1)
+        u_mag = [abs(profile.u[-1])]
+        for i in range(n - 2, -1, -1):
+            seg, _ = adaptive_gauss_kronrod(
+                integrand, slopes[i + 1], slopes[i], seg_tol, 200, rel_tol=1e-13
+            )
+            u_mag.append(u_mag[-1] + seg)
+        return math.copysign(1.0, a) * np.array(u_mag[::-1])
+
+    @pytest.mark.parametrize("N", [3, 4, 7])
+    @pytest.mark.parametrize("m", [2, 4, 16, 64])
+    def test_batched_segments_match_adaptive(self, m, N):
+        a = -1.3
+        rgrid = np.geomspace(1e-7, 1e3, 1200)
+        profile = approx_radial_profile(a, m, N, rgrid)
+        oracle = self._adaptive_segments(profile, a, m, N)
+        np.testing.assert_allclose(profile.u, oracle, rtol=1e-13, atol=0)
+
+    def test_coarse_grid_segments_fall_back_to_adaptive(self, monkeypatch):
+        # 7 radii over ten decades: one GK15 panel per segment cannot reach
+        # the 1e-13 relative floor, so segments go to the adaptive engine.
+        a, m, N = 2.0, 8, 3
+        rgrid = np.geomspace(1e-7, 1e3, 7)
+        intervals = []
+        engine = radial.adaptive_gauss_kronrod
+
+        def recording(f, lo, hi, *args, **kwargs):
+            intervals.append((lo, hi))
+            return engine(f, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(radial, "adaptive_gauss_kronrod", recording)
+        profile = approx_radial_profile(a, m, N, rgrid)
+        slopes = np.abs(profile.du).tolist()
+        segments = set(zip(slopes[1:], slopes[:-1]))
+        assert segments & set(intervals)
+        oracle = self._adaptive_segments(profile, a, m, N)
+        np.testing.assert_allclose(profile.u, oracle, rtol=1e-13, atol=0)
+
+    def test_central_value_of_a_huge_charge(self):
+        # |a| = 1e100: u0 ~ 6.6e49, so the head piece needs the relative
+        # floor; an absolute 1e-10 is far below its rounding.
+        u0 = [
+            approx_radial_profile(1e100, 4, 3, np.geomspace(1e-7, 1e3, n)).u0
+            for n in (300, 1200, 4000)
+        ]
+        assert math.isfinite(u0[0]) and u0[0] > 1e49
+        assert u0[1] == pytest.approx(u0[0], rel=1e-12)
+        assert u0[2] == pytest.approx(u0[0], rel=1e-12)
 
     @pytest.mark.parametrize("m,N", [(64, 3), (16, 4), (4, 5)])
     def test_sparse_grid_far_from_the_charge(self, m, N):
