@@ -222,7 +222,7 @@ _RESULT_KEYS = {
     "radial": {"profile_csv", "n_samples", "u_fit", "du_fit", "guaranteed",
                "predicted"},
     "solve": {"field_csv", "energy", "grad_norm", "iterations", "cg_iterations",
-              "converged", "extremum", "segments", "gradient_sup"},
+              "converged", "stop_reason", "extremum", "segments", "gradient_sup"},
 }
 
 
@@ -488,6 +488,7 @@ def cmd_solve(args) -> int:
             "iterations": result.iterations,
             "cg_iterations": result.cg_iterations,
             "converged": result.converged,
+            "stop_reason": result.stop_reason,
             "snap_distances": list(problem.snap_distances),
             "extremum": extremum,
             "segments": segments,

@@ -17,7 +17,11 @@ single-charge tails recentered at each charge, which is what the field
 looks like far from a compact charge cluster.  Minimization takes inexact
 Newton steps: conjugate gradients on the exact Hessian action,
 preconditioned by a fast-sine Poisson solve, and a backtracking line
-search on the energy.  The reported residual is the max-norm of the
+search on the energy.  It starts from the same superposition of exact
+fields, centred on the snapped charge nodes (shifted to vanish on a zero
+boundary), since near each charge the minimizer behaves like the
+single-charge field; a strong charge then need not climb to its central
+value through damped steps.  The reported residual is the max-norm of the
 objective gradient over interior nodes.
 
 Grid solves are restricted to three dimensions; the radial module covers
@@ -95,37 +99,52 @@ class DiscreteProblem:
         return np.asarray(self.lo) + self.h * np.asarray(idx, dtype=float)
 
     def initial_guess(self) -> np.ndarray:
-        """Boundary data extended by zero into the interior."""
-        return self.boundary_values.copy()
+        """Starting field: the boundary data, with the superposed exact
+        single-charge fields centred on the snapped charge nodes inside.
+
+        Each charge contributes u_k(min(r, rho_k)) - u_k(rho_k), u_k(0) being
+        its central value u0.  Under the superposition rule rho_k is infinite
+        (the plain field); under the zero rule it is the node's clearance to
+        the nearest face, so the guess meets the zero boundary without a jump.
+        """
+        nodes = [node for node, _ in self.charges]
+        if self.boundary_rule == "zero":
+            reach = [
+                self.h * min(min(i, n - 1 - i) for i, n in zip(node, self.shape))
+                for node in nodes
+            ]
+        else:
+            reach = [math.inf] * len(nodes)
+        U = self.boundary_values.copy()
+        inner = self.interior_mask()
+        U[inner] = _superposed_fields(
+            np.asarray(self.lo) + self.h * np.argwhere(inner),
+            [self.node_position(node) for node in nodes],
+            [a for _, a in self.charges],
+            reach,
+        )
+        return U
 
 
-def _boundary_node_coords(shape, lo, h):
-    """Coordinates of the boundary nodes, with their index arrays."""
-    nx, ny, nz = shape
-    ii, jj, kk = np.meshgrid(
-        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-    )
-    on_bd = (
-        (ii == 0) | (ii == nx - 1) | (jj == 0) | (jj == ny - 1)
-        | (kk == 0) | (kk == nz - 1)
-    )
-    idx = np.argwhere(on_bd)
-    coords = np.asarray(lo) + h * idx
-    return idx, coords
+def _superposed_fields(coords, centres, strengths, reach):
+    """Sum over charges of u_k(min(r_k, reach_k)) - u_k(reach_k) at ``coords``.
 
-
-def _superposition_boundary(shape, lo, h, charges_pos, strengths):
-    """Dirichlet data from exact single-charge tails recentered at charges."""
-    idx, coords = _boundary_node_coords(shape, lo, h)
-    values = np.zeros(len(idx))
-    for pos, a in zip(charges_pos, strengths):
-        dists = np.linalg.norm(coords - np.asarray(pos), axis=1)
-        # exact dedupe: the profile takes strictly increasing radii
-        radii, inverse = np.unique(dists, return_inverse=True)
-        values += exact_radial_profile(a, 3, radii).u[inverse]
-    out = np.zeros(shape)
-    out[idx[:, 0], idx[:, 1], idx[:, 2]] = values
-    return out
+    u_k is the exact single-charge field of strength a_k and r_k the distance
+    to its centre; a point on a centre takes the central value u0.  With an
+    infinite reach the term is the field itself, exactly: u_k(inf) = 0.
+    """
+    values = np.zeros(len(coords))
+    for centre, a, rho in zip(centres, strengths, reach):
+        dists = np.linalg.norm(coords - np.asarray(centre), axis=1)
+        # exact dedupe: the profile takes strictly increasing positive radii
+        radii, inverse = np.unique(
+            np.append(np.minimum(dists, rho), rho), return_inverse=True
+        )
+        start = int(radii[0] == 0.0)
+        profile = exact_radial_profile(a, 3, radii[start:])
+        u = np.concatenate(([profile.u0] * start, profile.u))[inverse]
+        values += u[:-1] - u[-1]
+    return values
 
 
 def assemble_problem(
@@ -239,8 +258,14 @@ def assemble_problem(
     if boundary_rule == "zero" or config is None:
         boundary_values = np.zeros(shape)
     else:
-        boundary_values = _superposition_boundary(
-            shape, lo, h, positions, strengths
+        on_bd = np.ones(shape, dtype=bool)
+        on_bd[1:-1, 1:-1, 1:-1] = False
+        boundary_values = np.zeros(shape)
+        boundary_values[on_bd] = _superposed_fields(
+            np.asarray(lo) + h * np.argwhere(on_bd),
+            positions,
+            strengths,
+            [math.inf] * len(strengths),
         )
         bound = sum(abs(a) ** 0.5 for a in strengths) * shape_constant_A(3)
         max_bd = float(np.max(np.abs(boundary_values)))
@@ -386,7 +411,8 @@ class GridField:
     """A (possibly non-converged) minimizer of the discrete energy.
 
     ``iterations`` counts Newton steps and ``cg_iterations`` the conjugate
-    gradient iterations spent on their linear systems.
+    gradient iterations spent on their linear systems.  ``stop_reason`` is
+    ``converged``, ``max_iter`` or ``line_search_failed``.
     """
 
     problem: DiscreteProblem
@@ -397,6 +423,7 @@ class GridField:
     cg_iterations: int
     converged: bool
     tol: float
+    stop_reason: str
 
     def charge_values(self) -> list[float]:
         return [float(self.values[node]) for node, _ in self.problem.charges]
@@ -463,13 +490,16 @@ def minimize_energy(
     """Minimize the discrete energy over interior nodes, boundary fixed.
 
     The objective is smooth and strictly convex in the cell gradients, so
-    the minimizer is unique and independent of the starting point.  Each
+    the minimizer is unique and independent of the starting point.  The
+    solve starts from ``problem.initial_guess()``; a given ``x0`` (one value
+    per interior node, C order) replaces its interior.  Each
     Newton step runs PCG (``_poisson_inverse``) to an Eisenstat-Walker
     tolerance and backtracks on the energy (Armijo); below the energy's
     rounding a step is kept only if the max-norm residual falls.  On success
     ``grad_norm`` (max-norm of the objective gradient over interior nodes)
     is at most ``tol``.  After ``max_iter`` Newton steps, or when the line
-    search fails, the last iterate is returned with ``converged=False``.
+    search fails, the last iterate is returned with ``converged=False`` and
+    ``stop_reason`` saying which.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -490,6 +520,7 @@ def minimize_energy(
     g_norm = float(np.linalg.norm(g))
     eta = _ETA_MAX
     iterations = cg_iterations = 0
+    stop_reason = "max_iter"
 
     def hessp_inner(p: np.ndarray) -> np.ndarray:
         direction[inner] = p
@@ -517,6 +548,7 @@ def minimize_energy(
                 break
             alpha *= 0.5
         if model is None:
+            stop_reason = "line_search_failed"
             break
         U = trial
         energy, grad, hessp = model
@@ -530,6 +562,7 @@ def minimize_energy(
             eta_new = max(eta_new, 0.9 * eta**2)
         eta = min(_ETA_MAX, eta_new)
 
+    converged = bool(residual <= tol)
     return GridField(
         problem=problem,
         values=U,
@@ -537,8 +570,9 @@ def minimize_energy(
         grad_norm=residual,
         iterations=iterations,
         cg_iterations=cg_iterations,
-        converged=bool(residual <= tol),
+        converged=converged,
         tol=tol,
+        stop_reason="converged" if converged else stop_reason,
     )
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,7 @@ class TestSolveCommand:
         validate_report(report)
         results = report["results"]
         assert results["converged"] is True
+        assert results["stop_reason"] == "converged"
         assert results["energy"] < 0
         (extremum,) = results["extremum"]
         assert extremum["kind"] == "max"
@@ -296,6 +297,7 @@ class TestSolveCommand:
         )
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["results"]["converged"] is False
+        assert report["results"]["stop_reason"] == "max_iter"
         assert report["results"]["grad_norm"] > 0
 
     def test_boundary_data_over_bound_exit_3(self, tmp_path, monkeypatch, capsys):

@@ -97,6 +97,57 @@ class TestAssembly:
             assemble_problem(cfg, -1, 1, 0.25, 2, "zero")
 
 
+@pytest.mark.filterwarnings("ignore:boundary clearance")
+class TestInitialGuess:
+    CONFIG = ChargeConfig(
+        3, [((-0.6, 0.1, 0.05), 2.0), ((0.55, -0.2, 0.3), -0.7)]
+    )
+
+    @pytest.mark.parametrize("rule", ["radial-superposition", "zero"])
+    def test_boundary_is_the_boundary_data(self, rule):
+        problem = assemble_problem(self.CONFIG, -2, 2, 0.125, 4, rule)
+        boundary = ~problem.interior_mask()
+        guess = problem.initial_guess()
+        assert np.array_equal(guess[boundary], problem.boundary_values[boundary])
+        if rule == "zero":
+            assert np.all(guess[boundary] == 0.0)
+
+    def test_charge_nodes_carry_central_value_plus_other_fields(self):
+        problem = assemble_problem(
+            self.CONFIG, -2, 2, 0.125, 4, "radial-superposition"
+        )
+        guess = problem.initial_guess()
+        for node, a in problem.charges:
+            expected = exact_radial_profile(a, 3, [1.0]).u0
+            for other, b in problem.charges:
+                if other != node:
+                    r = np.linalg.norm(
+                        problem.node_position(node) - problem.node_position(other)
+                    )
+                    expected += exact_radial_profile(b, 3, [r]).u[0]
+            assert guess[node] == pytest.approx(expected, rel=1e-14)
+
+    def test_merged_charges_start_from_the_summed_strength(self):
+        cfg = ChargeConfig(3, [((0.0, 0.0, 0.0), 1.0), ((0.05, 0.0, 0.0), 2.0)])
+        with pytest.warns(UserWarning, match="merged"):
+            problem = assemble_problem(cfg, -2, 2, 0.25, 2, "radial-superposition")
+        u0 = exact_radial_profile(3.0, 3, [1.0]).u0
+        assert problem.initial_guess()[8, 8, 8] == pytest.approx(u0, rel=1e-14)
+
+    @pytest.mark.parametrize("rule", ["radial-superposition", "zero"])
+    @pytest.mark.parametrize("m", [2, 16])
+    def test_same_minimizer_as_the_zero_interior_start(self, rule, m):
+        problem = assemble_problem(self.CONFIG, -2, 2, 0.125, m, rule)
+        tol = 1e-9
+        new = minimize_energy(problem, tol=tol)
+        old = minimize_energy(
+            problem, tol=tol, x0=np.zeros(int(problem.interior_mask().sum()))
+        )
+        assert new.converged and old.converged
+        assert new.energy == pytest.approx(old.energy, rel=1e-14)
+        assert np.max(np.abs(new.values - old.values)) <= 10 * tol
+
+
 class TestEnergyAndDerivatives:
     def test_gradient_matches_finite_differences(self):
         problem = small_problem(m=3)
@@ -215,6 +266,7 @@ class TestMinimization:
         problem = small_problem(m=2)
         result = minimize_energy(problem, tol=1e-13, max_iter=1)
         assert not result.converged
+        assert result.stop_reason == "max_iter"
         assert result.grad_norm > 0
 
 
@@ -347,6 +399,7 @@ class TestNewtonSolver:
         assert np.max(np.abs(hv - r)) <= 1e-12 * np.max(np.abs(r))
         result = minimize_energy(problem, tol=1e-12)
         assert result.converged
+        assert result.stop_reason == "converged"
         assert (result.iterations, result.cg_iterations) == (1, 1)
 
     @pytest.mark.parametrize("a, m", [(20.0, 16), (1.0, 64)])
@@ -364,8 +417,30 @@ class TestNewtonSolver:
         problem = small_problem(m=m, rule="radial-superposition")
         result = minimize_energy(problem, tol=1e-18, max_iter=500)
         assert not result.converged
+        assert result.stop_reason == "line_search_failed"
         assert result.iterations < 50
         assert result.grad_norm < 1e-13
+
+    @pytest.mark.parametrize("rule", ["radial-superposition", "zero"])
+    def test_strong_charge_starts_near_its_central_value(self, rule):
+        # From boundary data extended by zero the same solve took 25
+        # (superposition) and 15 (zero) Newton steps.
+        cfg = ChargeConfig(3, [((0.0, 0.0, 0.0), 20.0)])
+        problem = assemble_problem(cfg, -4, 4, 0.25, 16, rule)
+        result = minimize_energy(problem, tol=1e-9)
+        assert result.converged
+        assert result.iterations <= 10
+
+    @pytest.mark.parametrize("rule", ["radial-superposition", "zero"])
+    def test_minimum_boundary_clearance_converges(self, rule):
+        # The charge nodes clear the box by exactly the charge spacing, the
+        # least assembly accepts.
+        cfg = ChargeConfig(3, [((-1.0, 0, 0), 1.5), ((1.0, 0, 0), -1.5)])
+        with pytest.warns(UserWarning, match="boundary clearance"):
+            problem = assemble_problem(cfg, -3, 3, 0.25, 16, rule)
+        result = minimize_energy(problem, tol=1e-9)
+        assert result.converged
+        assert all(r.matches_charge_sign for r in extremum_report(result))
 
     def test_newton_steps_mesh_independent(self, dipole_field):
         problem = dipole_field.problem
