@@ -276,12 +276,21 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _write_field_csv(path: Path, lo, h: float, values: np.ndarray) -> None:
-    """Rows ``x, y, z, u`` over every node, last axis fastest."""
-    axes = [
-        _column(float(lo[d]) + h * np.arange(n)) for d, n in enumerate(values.shape)
-    ]
-    nodes = map(",".join, itertools.product(*axes))
-    _write_csv(path, "x,y,z,u", zip(nodes, _column(values)))
+    """Rows ``x, y, z, u`` over every node, last axis fastest.
+
+    Each x-plane is one ``%`` format of a template that holds the node
+    coordinates and a ``%.17g`` slot per value (the bytes of ``_fmt``), and
+    is written on its own, so the whole file is never one string.
+    """
+    xs, ys, zs = (
+        list(_column(float(lo[d]) + h * np.arange(n))) for d, n in enumerate(values.shape)
+    )
+    rows = [f"{y},{z},%.17g\r\n" for y, z in itertools.product(ys, zs)]
+    with path.open("w", newline="") as handle:
+        handle.write("x,y,z,u\r\n")
+        for x, plane in zip(xs, values):
+            prefix = x + ","
+            handle.write((prefix + prefix.join(rows)) % tuple(plane.ravel().tolist()))
 
 
 def _fields(record, *names: str) -> dict:
@@ -571,7 +580,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AccuracyError as exc:
-        print(f"accuracy failure: {exc}", file=sys.stderr)
+        print(
+            f"accuracy failure: {exc} "
+            f"(estimate {exc.estimate:g}, error bound {exc.error_bound:g})",
+            file=sys.stderr,
+        )
         return 3
 
 

@@ -16,8 +16,9 @@ Boundary data is Dirichlet: either zero or the superposition of exact
 single-charge tails recentered at each charge, which is what the field
 looks like far from a compact charge cluster.  Minimization takes inexact
 Newton steps: conjugate gradients on the exact Hessian action,
-preconditioned by a fast-sine Poisson solve, and a backtracking line
-search on the energy.  It starts from the same superposition of exact
+preconditioned by a sine-transform Poisson solve (one dense DST-I matrix
+per axis, applied by matrix products), and a backtracking line search on
+the energy.  It starts from the same superposition of exact
 fields, centred on the snapped charge nodes (shifted to vanish on a zero
 boundary), since near each charge the minimizer behaves like the
 single-charge field; a strong charge then need not climb to its central
@@ -35,7 +36,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dstn, idstn
 
 from .core import ChargeConfig, density_series, taylor_coefficients
 from .core import InputError, _check_order
@@ -429,6 +429,17 @@ class GridField:
         return [float(self.values[node]) for node, _ in self.problem.charges]
 
 
+def _sine_matrix(n: int) -> np.ndarray:
+    """Orthonormal DST-I matrix sqrt(2/(n+1)) sin(pi j k/(n+1)), j, k = 1..n.
+
+    It is symmetric and its own inverse.  j k is reduced modulo 2(n+1)
+    before scaling, so every sine argument lies in [0, 2 pi).
+    """
+    k = np.arange(1, n + 1)
+    jk = np.outer(k, k) % (2 * (n + 1))
+    return math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * jk / (n + 1))
+
+
 def _poisson_inverse(n_inner: tuple[int, int, int], h: float):
     """Exact inverse of h times the 7-point Dirichlet Laplacian, by DST-I.
 
@@ -437,6 +448,12 @@ def _poisson_inverse(n_inner: tuple[int, int, int], h: float):
     interior edge carries weight h (four cells of h/4), so this is the
     exact inverse Hessian at m = 1; since sigma >= 1 and sigma' >= 0, h times
     the Laplacian bounds the Hessian from below at every order.
+
+    The transform is a dense sine matrix S_d per axis, so the inverse is
+    S (r / (h eig)) S with three matrix products per application, each
+    contracting the last axis and rotating it to the front.  Up to 129^3
+    nodes that beats a DST-I by FFT, by a margin that shrinks as the grid
+    grows: the products cost O(n^4) against the FFT's O(n^3 log n).
     """
     eig = np.zeros(n_inner)
     for d, n in enumerate(n_inner):
@@ -445,9 +462,16 @@ def _poisson_inverse(n_inner: tuple[int, int, int], h: float):
         k = np.arange(1, n + 1)
         eig = eig + (2.0 - 2.0 * np.cos(np.pi * k / (n + 1))).reshape(shape)
     scale = h * eig
+    sines = [_sine_matrix(n) for n in reversed(n_inner)]
+
+    def transform(r: np.ndarray) -> np.ndarray:
+        for s in sines:
+            n = s.shape[0]
+            r = (s @ r.reshape(-1, n).T).reshape(n, *r.shape[:-1])
+        return r
 
     def apply(r: np.ndarray) -> np.ndarray:
-        return idstn(dstn(r, type=1) / scale, type=1)
+        return transform(transform(r) / scale)
 
     return apply
 

@@ -219,8 +219,7 @@ def approx_radial_profile(
         except AccuracyError as exc:
             raise AccuracyError(
                 f"slope segment [{t[i + 1]:g}, {t[i]:g}] of the radii "
-                f"[{r[i]:g}, {r[i + 1]:g}] (estimate {exc.estimate:g}, error "
-                f"bound {exc.error_bound:g}): {exc}",
+                f"[{r[i]:g}, {r[i + 1]:g}]: {exc}",
                 estimate=exc.estimate,
                 error_bound=exc.error_bound,
             ) from exc

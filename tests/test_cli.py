@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from scipy import special
 
 from borninfeld import cli, field, radial
 from borninfeld.cli import main, validate_report
-from borninfeld.quad import AccuracyError
+from borninfeld.quad import AccuracyError, refined_constant_ctilde
 
 
 def run_cli(args):
@@ -58,6 +62,18 @@ class TestConstantsCommand:
     def test_unattainable_tolerance_exit_3(self, tmp_path):
         args = ["constants", "--dim", "3", "--tol", "1e-30", "--out", str(tmp_path)]
         assert run_cli(args) == 3
+
+    def test_exit_3_message_gives_estimate_and_bound(self, tmp_path, capsys):
+        args = ["constants", "--dim", "3", "--tol", "1e-30", "--out", str(tmp_path)]
+        with pytest.raises(AccuracyError) as caught:
+            refined_constant_ctilde(3, abs_tol=1e-30)
+        exc = caught.value
+        assert run_cli(args) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            f"accuracy failure: {exc} "
+            f"(estimate {exc.estimate:g}, error bound {exc.error_bound:g})"
+        )
 
     def test_out_of_range_order_needs_override(self, tmp_path):
         args = ["constants", "--dim", "3", "--orders", "2", "--out", str(tmp_path)]
@@ -232,6 +248,41 @@ def test_field_csv_bytes_match_per_node_writer(tmp_path):
     cli._write_field_csv(tmp_path / "new.csv", lo, h, values)
     _field_csv_by_loop(tmp_path / "old.csv", lo, h, values)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+_IMPORT_PROBE = """
+import json, sys
+from borninfeld.cli import main
+
+out, config, solve_config = sys.argv[1:]
+codes = [
+    main(["constants", "--dim", "3", "--orders", "4", "--out", out]),
+    main(["check", config, "--out", out]),
+    main(["radial", "--a", "1", "--order", "4", "--points", "50", "--out", out]),
+]
+light = sorted(m for m in sys.modules if m.startswith("scipy"))
+codes.append(main(["solve", solve_config, "--out", out]))
+solve = sorted(m for m in sys.modules if m.startswith("scipy"))
+print(json.dumps({"codes": codes, "light": light, "solve": solve}))
+"""
+
+
+def test_scipy_stays_off_the_import_path(tmp_path):
+    # This module imports scipy itself, so the probe runs in a fresh process.
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    config = write_config(tmp_path / "c.json", DIPOLE)
+    solve_config = write_config(tmp_path / "s.json", TestSolveCommand.SOLVE)
+    argv = [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out"), config, solve_config]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe["codes"] == [0, 0, 0, 0]
+    # import borninfeld.cli, constants, check and radial load no scipy module
+    assert probe["light"] == []
+    # solve needs scipy.special for the incomplete Beta, never scipy.fft
+    assert "scipy.special" in probe["solve"]
+    assert not [m for m in probe["solve"] if m.startswith("scipy.fft")]
 
 
 class TestSolveCommand:

@@ -402,6 +402,29 @@ class TestNewtonSolver:
         assert result.stop_reason == "converged"
         assert (result.iterations, result.cg_iterations) == (1, 1)
 
+    @pytest.mark.parametrize("shape", ["box", (31, 31, 31)])
+    def test_poisson_inverse_matches_fft_sine_transform(self, shape):
+        from scipy import fft
+
+        if shape == "box":
+            problem = assemble_problem(
+                SINGLE, (-1.0, -0.75, -0.5), (1.0, 1.0, 0.75), 0.25, 1,
+                "radial-superposition",
+            )
+            shape = tuple(n - 2 for n in problem.shape)
+        h = 0.25
+        eig = sum(
+            (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))).reshape(
+                [n if e == d else 1 for e in range(3)]
+            )
+            for d, n in enumerate(shape)
+        )
+        r = np.random.default_rng(5).normal(0.0, 1.0, shape)
+        expected = fft.idstn(fft.dstn(r, type=1) / (h * eig), type=1)
+        got = _poisson_inverse(shape, h)(r)
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
     @pytest.mark.parametrize("a, m", [(20.0, 16), (1.0, 64)])
     def test_strong_charge_and_high_order_converge(self, a, m):
         cfg = ChargeConfig(3, [((0.0, 0.0, 0.0), a)])
