@@ -268,13 +268,6 @@ def _column(values: np.ndarray):
     return map(_fmt, values.ravel().tolist())
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """``header`` and rows of CSV fields, byte for byte as csv.writer."""
-    with path.open("w", newline="") as handle:
-        for line in itertools.chain([header], map(",".join, rows)):
-            handle.write(line + "\r\n")
-
-
 def _write_field_csv(path: Path, lo, h: float, values: np.ndarray) -> None:
     """Rows ``x, y, z, u`` over every node, last axis fastest.
 
@@ -404,10 +397,12 @@ def cmd_radial(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "profile.csv"
-    _write_csv(
-        csv_path,
-        "r,u,du",
-        zip(_column(profile.r), _column(profile.u), _column(profile.du)),
+    # one ``%`` format of a ``%.17g`` template (the bytes of ``_fmt``), rows
+    # ending in \r\n as csv.writer writes them
+    rows = np.column_stack((profile.r, profile.u, profile.du))
+    template = "%.17g,%.17g,%.17g\r\n" * len(rows)
+    csv_path.write_text(
+        "r,u,du\r\n" + template % tuple(rows.ravel().tolist()), newline=""
     )
     predicted = None
     if 2 * args.order != args.dim:

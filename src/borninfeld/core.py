@@ -237,14 +237,20 @@ def density_series(s, alphas: tuple[float, ...]):
 
     ``s`` is a squared slope t^2, a float or an ndarray.  The radial flux
     function is g(t) = t sigma(t^2), with g'(t) = sigma + 2 t^2 sigma'.
+    The first step makes three new accumulators, which later steps update
+    in place; a float or numpy scalar just rebinds.  ``s`` is never written.
     """
     W = sigma = dsigma = 0.0
     for k in range(len(alphas), 0, -1):
         a = alphas[k - 1]
-        W = W * s + a / (2 * k)
-        dsigma = dsigma * s + sigma
-        sigma = sigma * s + a
-    return W * s, sigma, dsigma
+        W *= s
+        W += a / (2 * k)
+        dsigma *= s
+        dsigma += sigma
+        sigma *= s
+        sigma += a
+    W *= s
+    return W, sigma, dsigma
 
 
 def lagrangian_partial_sum(t: float, m: int) -> float:

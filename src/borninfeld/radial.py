@@ -8,9 +8,11 @@ t = |u'(r)| is pinned by
     g(t) = |a| / (omega_{N-1} r^(N-1)).
 
 g is strictly increasing and convex on t >= 0, so a guarded Newton
-iteration from an explicit upper bound converges monotonically; bisection
-picks up the rare stall.  All sample radii run through one array
-iteration.  The field itself follows by quadrature of the slope with
+iteration from an explicit upper bound converges monotonically; a radius
+stops once its Newton correction is below one ulp of the slope, so the
+rounding of a steep g never holds it in the loop, and bisection only
+guards steps that leave their bracket.  All sample radii run through one
+array iteration.  The field itself follows by quadrature of the slope with
 u -> 0 at infinity, which avoids integrating a stiff ODE through the
 singularity: one batched Gauss-Kronrod panel per segment between
 neighbouring slopes, with the adaptive engine as the fallback for any
@@ -73,8 +75,12 @@ def flux_gradient_magnitude(r, a: float, m: int, N: int):
     bound min(target, (target/alpha_m)^(1/(2m-1))) Newton decreases
     monotonically on the convex g, a step leaving the bracket is replaced by
     its midpoint, and elements still open after 100 steps go on by plain
-    bisection, so termination is unconditional.  Converged elements leave
-    the iteration.
+    bisection, so termination is unconditional.  An element is done, and
+    leaves the iteration, at the first of three tests: its residual
+    |g - target| is at most 4 ulp of the target, its bracket is one ulp
+    wide, or its Newton correction |(g - target)/g'| is at most one ulp of
+    t.  The last one stops the steep radii (t g'/g up to 2m-1), where the
+    rounding of g alone exceeds the 4-ulp residual.
     """
     radii = np.asarray(r, dtype=float)
     if not np.all(radii > 0):
@@ -92,8 +98,11 @@ def flux_gradient_magnitude(r, a: float, m: int, N: int):
     # looser 1e-12 * max(1, target).  A target of 0 (r^(N-1) overflowed)
     # stops at once on its root 0.
     tol = 4.0 * np.spacing(target)
-    # g(t) >= t and g(t) >= alpha_m t^(2m-1) give two upper bounds for the root.
-    hi = np.minimum(target, (target / alphas[-1]) ** (1.0 / (2 * m - 1)))
+    # g(t) >= t and g(t) >= alpha_m t^(2m-1) give two upper bounds for the
+    # root; the second is formed as a product, since target/alpha_m can
+    # overflow where its root does not.
+    p = 1.0 / (2 * m - 1)
+    hi = np.minimum(target, target**p * alphas[-1] ** -p)
     lo = np.zeros_like(hi)
     t = hi
     slope = np.empty(radii.size)
@@ -106,19 +115,26 @@ def flux_gradient_magnitude(r, a: float, m: int, N: int):
             if not newton:
                 t = 0.5 * (lo + hi)
             _, sigma, dsigma = density_series(t * t, alphas)
-            g = t * sigma
-            done = (np.abs(g - target) <= tol) | (hi - lo <= np.spacing(hi))
+            excess = t * sigma - target
+            # the Newton correction; where g and g' overflow it is
+            # inf/inf = nan, which never counts as converged
+            correction = excess / (sigma + 2.0 * t * t * dsigma)
+            done = (
+                (np.abs(excess) <= tol)
+                | (hi - lo <= np.spacing(hi))
+                | (np.abs(correction) <= np.spacing(t))
+            )
             n_done = np.count_nonzero(done)
             if n_done == done.size:  # a scalar only ends here: never indexed
                 slope[idx] = t
                 break
             if n_done:
                 slope[idx[done]] = t[done]
-            above = g > target
+            above = excess > 0
             hi = np.where(above, t, hi)
             lo = np.where(above, lo, t)
             if newton:
-                t_new = t - (g - target) / (sigma + 2.0 * t * t * dsigma)
+                t_new = t - correction
                 t = np.where((lo < t_new) & (t_new < hi), t_new, 0.5 * (lo + hi))
             if n_done:  # converged elements leave the iteration
                 keep = ~done

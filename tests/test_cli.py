@@ -520,6 +520,21 @@ def test_radial_segment_failure_says_where(tmp_path, monkeypatch, capsys):
     assert "estimate 1.25" in err and "error bound 0.5" in err
 
 
+def test_radial_slope_past_alpha_m_times_dbl_max(tmp_path):
+    # the flux target at r_min is 1.5e308, beyond alpha_2 * DBL_MAX: the
+    # root find's upper bound must not overflow, or the first slope segment
+    # ends at inf and the quadrature exits 3
+    argv = [
+        "radial", "--a", "1", "--order", "2", "--rmin", "2.3e-155", "--rmax", "1",
+        "--points", "50", "--fit-window", "1e-36", "1e-6", "--out", str(tmp_path),
+    ]
+    assert run_cli(argv) == 0
+    with (tmp_path / "profile.csv").open() as handle:
+        rows = list(csv.reader(handle))
+    assert float(rows[1][2]) == pytest.approx(-6.700720245173168e102, rel=1e-14)
+    assert all(math.isfinite(float(x)) for row in rows[1:] for x in row)
+
+
 def test_radial_at_dimension_46_exit_2(tmp_path, capsys):
     # omega_45 (1e-7)^45 underflows to 0 at the default r_min
     argv = ["radial", "--a", "1", "--order", "4", "--dim", "46", "--out", str(tmp_path)]

@@ -130,9 +130,12 @@ class TestLagrangianPartialSum:
         alphas = taylor_coefficients(m).alphas
         s = np.linspace(0.0, 4.0, 41)
         W, sigma, dsigma = density_series(s, alphas)
+        # the in-place Horner updates its own accumulators, never the input
+        assert np.array_equal(s, np.linspace(0.0, 4.0, 41))
         rel = 4 * m * 2.0**-53
         for i, x in enumerate(s.tolist()):
             assert density_series(x, alphas) == (W[i], sigma[i], dsigma[i])
+            assert density_series(np.float64(x), alphas) == (W[i], sigma[i], dsigma[i])
             exact = (
                 math.fsum(a / (2 * k) * x**k for k, a in enumerate(alphas, 1)),
                 math.fsum(a * x ** (k - 1) for k, a in enumerate(alphas, 1)),

@@ -84,6 +84,59 @@ class TestFluxRoot:
         with pytest.raises(InputError, match="binary64 cannot hold"):
             flux_gradient_magnitude(1e-300, 1.0, 2, 7)
 
+    @pytest.mark.parametrize("m", [2, 16])
+    def test_upper_bound_past_alpha_m_times_dbl_max(self, m):
+        # target 1.5e308 exceeds alpha_m * DBL_MAX, but its root does not
+        r = 2.3e-155
+        t = flux_gradient_magnitude(r, 1.0, m, 3)
+        assert math.isfinite(t)
+        target = 1.0 / (OMEGA3 * r * r)
+        alphas = taylor_coefficients(m).alphas
+        # t^(2m-1) alone overflows; alpha_h t^(2h-2) times t does not
+        residual = math.fsum(
+            [al * t ** (2 * h - 2) * t for h, al in enumerate(alphas, 1)] + [-target]
+        )
+        assert abs(residual) <= 1e-12 * target
+
+    @pytest.mark.parametrize("N", [3, 4])
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 64])
+    def test_newton_stops_within_an_ulp(self, monkeypatch, m, N):
+        # one density_series call per iteration; where g is steep its
+        # rounding exceeds the 4-ulp residual, and those radii must still
+        # stop once Newton has the root to one ulp
+        calls = []
+        series = radial.density_series
+
+        def counting(*args):
+            calls.append(None)
+            return series(*args)
+
+        monkeypatch.setattr(radial, "density_series", counting)
+        flux_gradient_magnitude(np.geomspace(1e-7, 1e3, 1200), 1.0, m, N)
+        assert len(calls) <= 12
+
+    @pytest.mark.parametrize("N, m", [(3, 16), (3, 64), (4, 8)])
+    def test_slopes_match_40_digit_roots(self, N, m):
+        import mpmath
+
+        r = np.geomspace(1e-7, 1e3, 1200)[::7]
+        slopes = flux_gradient_magnitude(r, 1.0, m, N)
+        with mpmath.workdps(40):
+            # g(t) = sum alpha_h t^(2h-1), highest power first, exact alphas
+            alpha, coeffs = mpmath.mpf(1), []
+            for h in range(1, m + 1):
+                coeffs[:0] = [alpha, 0]
+                alpha *= mpmath.mpf(2 * h - 1) / (2 * h)
+            half = mpmath.mpf(N) / 2
+            omega = 2 * mpmath.pi**half / mpmath.gamma(half)
+            for ri, ti in zip(r.tolist(), slopes.tolist()):
+                target = 1 / (omega * mpmath.mpf(ri) ** (N - 1))
+                root = mpmath.mpf(ti)
+                for _ in range(3):  # quadratic from a binary64 start
+                    g, dg = mpmath.polyval(coeffs, root, derivative=True)
+                    root -= (g - target) / dg
+                assert abs(ti - root) <= 1e-15 * root
+
 
 @settings(max_examples=200)
 @given(
