@@ -116,13 +116,15 @@ def flux_gradient_magnitude(r, a: float, m: int, N: int):
                 t = 0.5 * (lo + hi)
             _, sigma, dsigma = density_series(t * t, alphas)
             excess = t * sigma - target
-            # the Newton correction; where g and g' overflow it is
-            # inf/inf = nan, which never counts as converged
-            correction = excess / (sigma + 2.0 * t * t * dsigma)
+            gprime = sigma + 2.0 * t * t * dsigma
+            # the Newton correction counts only where g' is finite: an
+            # overflowed g' gives excess/inf = 0 wherever t is (and inf/inf
+            # = nan where g overflows too)
+            correction = excess / gprime
             done = (
                 (np.abs(excess) <= tol)
                 | (hi - lo <= np.spacing(hi))
-                | (np.abs(correction) <= np.spacing(t))
+                | ((np.abs(correction) <= np.spacing(t)) & (gprime < np.inf))
             )
             n_done = np.count_nonzero(done)
             if n_done == done.size:  # a scalar only ends here: never indexed

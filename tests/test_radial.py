@@ -84,9 +84,10 @@ class TestFluxRoot:
         with pytest.raises(InputError, match="binary64 cannot hold"):
             flux_gradient_magnitude(1e-300, 1.0, 2, 7)
 
-    @pytest.mark.parametrize("m", [2, 16])
+    @pytest.mark.parametrize("m", [2, 16, 100])
     def test_upper_bound_past_alpha_m_times_dbl_max(self, m):
-        # target 1.5e308 exceeds alpha_m * DBL_MAX, but its root does not
+        # target 1.5e308 exceeds alpha_m * DBL_MAX, but its root does not;
+        # at m = 100 the root is below 2m-1 and g' overflows where g does not
         r = 2.3e-155
         t = flux_gradient_magnitude(r, 1.0, m, 3)
         assert math.isfinite(t)
