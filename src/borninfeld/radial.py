@@ -79,8 +79,8 @@ def flux_gradient_magnitude(r, a: float, m: int, N: int):
     leaves the iteration, at the first of three tests: its residual
     |g - target| is at most 4 ulp of the target, its bracket is one ulp
     wide, or its Newton correction |(g - target)/g'| is at most one ulp of
-    t.  The last one stops the steep radii (t g'/g up to 2m-1), where the
-    rounding of g alone exceeds the 4-ulp residual.
+    t with g' finite.  The last one stops the steep radii (t g'/g up to
+    2m-1), where the rounding of g alone exceeds the 4-ulp residual.
     """
     radii = np.asarray(r, dtype=float)
     if not np.all(radii > 0):
