@@ -23,6 +23,7 @@ serialize as the string "inf".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import enum
 import itertools
 import json
@@ -352,11 +353,9 @@ def cmd_check(args) -> int:
     )
     ctilde = refined_constant_ctilde(config.dim, quad_tol)
     verdicts = [conditions.check_global(config), conditions.check_refined(config, ctilde)]
-    if config.n == 2:
-        a1, a2 = config.strengths
-        if a1 * a2 < 0:
-            verdicts.append(conditions.check_two_charge(config))
-    segments = conditions.classify_segments(config, ctilde)
+    with contextlib.suppress(conditions.NotApplicableError):  # not one +/- pair
+        verdicts.append(conditions.check_two_charge(config))
+    segments = verdicts[1].per_segment or ()
     conclusive = any(v.conclusive for v in verdicts) or (
         bool(segments)
         and all(p.level is not conditions.VerdictLevel.INCONCLUSIVE for p in segments)
@@ -406,9 +405,7 @@ def cmd_radial(args) -> int:
     )
     predicted = None
     if 2 * args.order != args.dim:
-        spec = asymptotics_spec(
-            args.order, args.dim, args.a, override_guarantee=True
-        )
+        spec = asymptotics_spec(args.order, args.dim, args.a, override_guarantee=True)
         predicted = _fields(
             spec, "u_exponent", "grad_exponent", "K", "Kprime", "guaranteed"
         )
@@ -521,16 +518,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
     common.add_argument("--seed", type=int, default=0, help="report label; drives nothing")
-    common.add_argument(
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("constants", parents=[common], help="closed-form and quadrature constants")
+    p.add_argument("--tol", type=float, help="quadrature tolerance override")
+    p.add_argument(
         "--override-guarantee",
         action="store_true",
         help="allow orders outside the guaranteed asymptotic range",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("constants", parents=[common], help="closed-form and quadrature constants")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument(
         "--orders",
@@ -541,6 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("check", parents=[common], help="solvability certificates for a config")
+    p.add_argument("--tol", type=float, help="quadrature tolerance override")
     p.add_argument("config", help="JSON run configuration")
     p.set_defaults(func=cmd_check)
 
@@ -558,6 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_radial)
 
     p = sub.add_parser("solve", parents=[common], help="grid solve for a charge configuration")
+    p.add_argument("--tol", type=float, help="solver tolerance override")
     p.add_argument("config", help="JSON run configuration")
     p.add_argument("--max-iter", type=int, default=5000, help="most Newton steps")
     p.set_defaults(func=cmd_solve)
@@ -568,8 +567,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.tol is not None and not _is_positive_number(args.tol):
-            raise ConfigError(f"--tol must be a positive finite number, got {args.tol}")
+        tol = getattr(args, "tol", None)  # radial has no --tol
+        if tol is not None and not _is_positive_number(tol):
+            raise ConfigError(f"--tol must be a positive finite number, got {tol}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

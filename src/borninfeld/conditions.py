@@ -98,6 +98,18 @@ def _clears_guard(lhs: float, rhs: float) -> bool:
     return rhs - lhs > _GUARD_REL * max(abs(lhs), abs(rhs))
 
 
+def _verdict(level, rule: str, lhs: float, rhs: float, per_segment=None) -> Verdict:
+    """``level`` if rhs clears lhs by the guard band, else INCONCLUSIVE."""
+    if not _clears_guard(lhs, rhs):
+        level = VerdictLevel.INCONCLUSIVE
+    return Verdict(level, rule, lhs, rhs, rhs - lhs, per_segment)
+
+
+def _single_charge(lhs: float) -> Verdict:
+    """A lone charge has no segment for the minimizer to be affine on."""
+    return _verdict(VerdictLevel.GLOBAL_CLASSICAL, "single-charge", lhs, math.inf)
+
+
 def _strength_bracket(config: ChargeConfig) -> float:
     """(sum_+ a_k)^(1/(N-1)) + (sum_- |a_k|)^(1/(N-1)); empty class -> 0."""
     e = 1.0 / (config.dim - 1)
@@ -108,7 +120,7 @@ def check_global(config: ChargeConfig) -> Verdict:
     """Global sum-threshold certificate against the min pairwise distance.
 
     A single charge short-circuits to GLOBAL_CLASSICAL with infinite
-    margin: there are no segments for the minimizer to be affine on.
+    margin.
     """
     N = config.dim
     lhs = (
@@ -117,22 +129,10 @@ def check_global(config: ChargeConfig) -> Verdict:
         / (N - 2)
         * _strength_bracket(config)
     )
-    rhs = config.min_distance()
     if config.n < 2:
-        return Verdict(
-            level=VerdictLevel.GLOBAL_CLASSICAL,
-            rule="single-charge",
-            lhs=lhs,
-            rhs=math.inf,
-            margin=math.inf,
-        )
-    ok = _clears_guard(lhs, rhs)
-    return Verdict(
-        level=VerdictLevel.GLOBAL_CLASSICAL if ok else VerdictLevel.INCONCLUSIVE,
-        rule="global-sum-threshold",
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
+        return _single_charge(lhs)
+    return _verdict(
+        VerdictLevel.GLOBAL_CLASSICAL, "global-sum-threshold", lhs, config.min_distance()
     )
 
 
@@ -150,23 +150,13 @@ def check_refined(config: ChargeConfig, ctilde: float) -> Verdict:
     N = config.dim
     lhs = ctilde ** (-1.0 / (N - 1)) * _strength_bracket(config)
     if config.n < 2:
-        return Verdict(
-            level=VerdictLevel.GLOBAL_CLASSICAL,
-            rule="single-charge",
-            lhs=lhs,
-            rhs=math.inf,
-            margin=math.inf,
-        )
-    per_segment = _pairwise_levels(config, lhs)
-    rhs = config.min_distance()
-    ok = _clears_guard(lhs, rhs)
-    return Verdict(
-        level=VerdictLevel.GLOBAL_CLASSICAL if ok else VerdictLevel.INCONCLUSIVE,
-        rule="refined-energy-threshold",
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        per_segment=per_segment,
+        return _single_charge(lhs)
+    return _verdict(
+        VerdictLevel.GLOBAL_CLASSICAL,
+        "refined-energy-threshold",
+        lhs,
+        config.min_distance(),
+        _pairwise_levels(config, lhs),
     )
 
 
@@ -185,14 +175,8 @@ def check_two_charge(config: ChargeConfig) -> Verdict:
     N = config.dim
     e = 1.0 / (N - 1)
     lhs = (abs(a1) ** e + abs(a2) ** e) * shape_constant_A(N)
-    rhs = config.distance(0, 1)
-    ok = _clears_guard(lhs, rhs)
-    return Verdict(
-        level=VerdictLevel.TWO_CHARGE_CLASSICAL if ok else VerdictLevel.INCONCLUSIVE,
-        rule="two-charge-exact",
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
+    return _verdict(
+        VerdictLevel.TWO_CHARGE_CLASSICAL, "two-charge-exact", lhs, config.distance(0, 1)
     )
 
 
@@ -219,12 +203,9 @@ def classify_segments(
     mixed pairs judged by the refined per-segment rule.
 
     ``ctilde`` defaults to the computed refined constant for the
-    configuration's dimension.  Per-segment conclusions are never merged
-    into a global claim.
+    configuration's dimension.  These are the ``per_segment`` levels of
+    ``check_refined``, never merged into a global claim.
     """
-    if config.n < 2:
-        return []
     if ctilde is None:
         ctilde = refined_constant_ctilde(config.dim)
-    lhs = ctilde ** (-1.0 / (config.dim - 1)) * _strength_bracket(config)
-    return list(_pairwise_levels(config, lhs))
+    return list(check_refined(config, ctilde).per_segment or ())

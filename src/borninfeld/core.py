@@ -208,12 +208,6 @@ class CoefficientTable:
         if self.order < 1 or len(self.alphas) != self.order:
             raise ValueError("coefficient table length must equal its order")
 
-    def alpha(self, h: int) -> float:
-        """alpha_h for 1 <= h <= order."""
-        if not 1 <= h <= self.order:
-            raise ValueError(f"h must be in 1..{self.order}, got {h}")
-        return self.alphas[h - 1]
-
 
 def taylor_coefficients(m: int) -> CoefficientTable:
     """Coefficients alpha_1..alpha_m via the ratio recurrence.
@@ -290,12 +284,16 @@ def best_constant_cbar(N: int) -> float:
     return 2.0 / N * ((N - 2) / (N - 1)) ** (N - 1) * sphere_measure(N)
 
 
+def _is_guaranteed(m: int, N: int) -> bool:
+    """Whether 2m > max(N, 2N/(N-2)), the range the asymptotics cover."""
+    return 2 * m > max(N, 2.0 * N / (N - 2))
+
+
 def min_order_for_guarantee(N: int) -> int:
     """Smallest m with 2m > max(N, 2N/(N-2)), the range the asymptotics cover."""
     _check_dim(N)
-    bound = max(N, 2.0 * N / (N - 2))
-    m = int(bound // 2) + 1
-    while 2 * m <= bound:
+    m = N // 2  # 2N/(N-2) <= N from N = 4 on
+    while not _is_guaranteed(m, N):
         m += 1
     return m
 
@@ -342,7 +340,7 @@ def asymptotics_spec(
     _check_order(m)
     _check_dim(N)
     a = _check_strength(a)
-    guaranteed = 2 * m > max(N, 2.0 * N / (N - 2))
+    guaranteed = _is_guaranteed(m, N)
     if not guaranteed:
         if not override_guarantee:
             raise GuaranteeRangeError(

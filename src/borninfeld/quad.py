@@ -215,37 +215,29 @@ def integrate_decaying(
     r0: float,
     abs_tol: float = 1e-10,
     *,
-    split: float | None = None,
     max_subdivisions: int = 60,
     rel_tol: float = 0.0,
-    with_error: bool = False,
-):
+) -> tuple[float, float]:
     """Integral of f over [r0, inf) for continuous f with O(s^-p), p > 1 decay.
 
-    The finite part [r0, split] uses adaptive Gauss-Kronrod directly; the
-    tail substitutes s = split + tau/(1-tau) and integrates over tau in
-    [0, 1).  Returns the value, or (value, error_bound) with
-    ``with_error=True``; raises AccuracyError if the bound cannot be brought
-    below ``abs_tol``.
+    The finite part [r0, split], split = r0 + max(10, r0), uses adaptive
+    Gauss-Kronrod directly; the tail substitutes s = split + tau/(1-tau) and
+    integrates over tau in [0, 1).  Returns (value, error_bound), as
+    ``adaptive_gauss_kronrod`` does; raises AccuracyError if the bound cannot
+    be brought below ``abs_tol``.
     """
     r0 = float(r0)
     if not math.isfinite(r0):
         raise ValueError(f"lower limit must be finite, got {r0}")
     if abs_tol <= 0:
         raise ValueError("abs_tol must be positive")
-    if split is None:
-        split = r0 + 10.0
-    if split < r0:
-        raise ValueError("split point lies below the lower limit")
+    split = r0 + max(10.0, r0)
 
     def tail(tau: float) -> float:
         onem = 1.0 - tau
         return f(split + tau / onem) / (onem * onem)
 
-    pieces = []
-    if split > r0:
-        pieces.append((f, r0, split))
-    pieces.append((tail, 0.0, 1.0))
+    pieces = ((f, r0, split), (tail, 0.0, 1.0))
     total_value = 0.0
     total_err = 0.0
     try:
@@ -261,9 +253,7 @@ def integrate_decaying(
             estimate=total_value + exc.estimate,
             error_bound=total_err + exc.error_bound,
         ) from exc
-    if with_error:
-        return total_value, total_err
-    return total_value
+    return total_value, total_err
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +330,8 @@ def refined_constant_ctilde(N: int, abs_tol: float = 1e-10) -> float:
     def denominator(s: float) -> float:
         return 1.0 / math.sqrt(s**p + 1.0)
 
-    num = integrate_decaying(numerator, 0.0, abs_tol)
-    den = integrate_decaying(denominator, 0.0, abs_tol)
+    num, _ = integrate_decaying(numerator, 0.0, abs_tol)
+    den, _ = integrate_decaying(denominator, 0.0, abs_tol)
     return sphere_measure(N) * num / den**N
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InputError, _check_dim, _check_order, _check_radii, _check_strength
-from .core import density_series, sphere_measure, taylor_coefficients
+from .core import _is_guaranteed, density_series, sphere_measure, taylor_coefficients
 from .quad import (
     AccuracyError,
     RadialProfile,
@@ -154,10 +154,12 @@ def flux_gradient_magnitude(r, a: float, m: int, N: int):
 # Order-m radial profile
 # ---------------------------------------------------------------------------
 
+# absolute tolerance of the order-m profile's quadratures: the central
+# value's head integral gets all of it, every other piece 1/(n+1)
+_PROFILE_TOL = 1e-10
 
-def approx_radial_profile(
-    a: float, m: int, N: int, rgrid, abs_tol: float = 1e-10
-) -> RadialProfile:
+
+def approx_radial_profile(a: float, m: int, N: int, rgrid) -> RadialProfile:
     """Order-m single-charge radial field sampled on ``rgrid``.
 
     The slope is the flux root at each radius with the sign of -a.  The
@@ -170,14 +172,16 @@ def approx_radial_profile(
     so the root find runs once, on the whole grid.  Each segment
     [t(r_{i+1}), t(r_i)] gets one Gauss-Kronrod 7-15 panel, all in one
     batched pass; a panel that is not finite or whose error bound exceeds
-    max(abs_tol/(n+1), 1e-13 |value|) is redone by the adaptive engine, and
-    an AccuracyError there names the segment.  tau = v^(q/(q-1)) bounds the
+    max(1e-10/(n+1), 1e-13 |value|) is redone by the adaptive engine, and an
+    AccuracyError there names the segment.  tau = v^(q/(q-1)) bounds the
     integrand on [0, t(r_max)].  For 2m > N the central value u(0+) is
     finite and attached as ``u0``; beyond T = max(t(r_min), 1) the
     substitution tau = T x^(-q/(2m-N)), x in (0, 1], bounds it.  For
     2m <= N the field diverges at the charge and ``u0`` is None.  The
     pieces other than the segments run on the adaptive engine, each held to
-    its absolute tolerance or 1e-13 relative, whichever is looser.
+    its absolute tolerance or 1e-13 relative, whichever is looser.  The
+    absolute tolerance is fixed: under the relative floor a tighter one
+    would not bind.
     """
     a = _check_strength(a)
     _check_dim(N)
@@ -212,7 +216,7 @@ def approx_radial_profile(
         return r_tau * (1.0 + 2.0 * tau2 * dsigma / sigma) / q
 
     n = r.size
-    seg_tol = abs_tol / (n + 1)
+    seg_tol = _PROFILE_TOL / (n + 1)
     k = q / (q - 1)
     u_mag = np.empty(n)
     u_mag[-1], _ = adaptive_gauss_kronrod(
@@ -258,7 +262,7 @@ def approx_radial_profile(
             lambda x: integrand(T * x**-j) * j * T * x ** (-j - 1),
             0.0,
             1.0,
-            abs_tol,
+            _PROFILE_TOL,
             200,
             rel_tol=1e-13,
         )
@@ -338,10 +342,11 @@ def fit_singularity(
     if int(np.count_nonzero(mask)) < 8:
         raise InputError("fewer than 8 samples inside the fit window")
 
-    guaranteed = profile.kind == "approximant" and profile.u0 is not None
-    if guaranteed:
-        m, N = profile.order, profile.dim
-        guaranteed = 2 * m > max(N, 2.0 * N / (N - 2))
+    guaranteed = (
+        profile.kind == "approximant"
+        and profile.u0 is not None
+        and _is_guaranteed(profile.order, profile.dim)
+    )
     center = profile.u0 if profile.u0 is not None else 0.0
 
     rw = r[mask]
@@ -376,6 +381,9 @@ def fit_singularity(
 # ---------------------------------------------------------------------------
 # Cone-plus-tail candidates and the spacelike energy ratio
 # ---------------------------------------------------------------------------
+
+# absolute tolerance of each energy quadrature in ``spacelike_ratio``
+_RATIO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -419,28 +427,23 @@ def cone_tail_energy(R: float, N: int) -> float:
     return R**N / N + (N - 2) * R ** (N - 2) * (1.0 - R) ** 2
 
 
-def _ratio_from_slope(
-    slope_mag, kink: float, sup_value: float, N: int, abs_tol: float
-) -> float:
+def _ratio_from_slope(slope_mag, kink: float, sup_value: float, N: int) -> float:
     """omega * int slope^2 r^(N-1) dr / sup^N with a split at ``kink``."""
 
     def integrand(r: float) -> float:
         s = slope_mag(r)
         return s * s * r ** (N - 1)
 
-    head, _ = adaptive_gauss_kronrod(integrand, 0.0, kink, abs_tol, 200, rel_tol=1e-13)
-    tail = integrate_decaying(
-        integrand,
-        kink,
-        abs_tol,
-        split=kink + max(10.0, kink),
-        max_subdivisions=200,
-        rel_tol=1e-13,
+    head, _ = adaptive_gauss_kronrod(
+        integrand, 0.0, kink, _RATIO_TOL, 200, rel_tol=1e-13
+    )
+    tail, _ = integrate_decaying(
+        integrand, kink, _RATIO_TOL, max_subdivisions=200, rel_tol=1e-13
     )
     return sphere_measure(N) * (head + tail) / sup_value**N
 
 
-def spacelike_ratio(profile, scale: float = 1.0, abs_tol: float = 1e-12) -> float:
+def spacelike_ratio(profile, scale: float = 1.0) -> float:
     """Energy/sup-norm ratio  ||grad u||_2^2 / ||u||_inf^N  of a radial field.
 
     Accepts a ConeTailCandidate or an exact-model RadialProfile; both are
@@ -465,7 +468,7 @@ def spacelike_ratio(profile, scale: float = 1.0, abs_tol: float = 1e-12) -> floa
             return coef * rho ** (1 - N)
 
         sup = scale * 1.0
-        return _ratio_from_slope(slope_mag, scale * R, sup, N, abs_tol)
+        return _ratio_from_slope(slope_mag, scale * R, sup, N)
     if isinstance(profile, RadialProfile):
         if profile.kind != "exact-bi":
             raise ValueError(
@@ -485,5 +488,5 @@ def spacelike_ratio(profile, scale: float = 1.0, abs_tol: float = 1e-12) -> floa
             return c / math.hypot(rho**q, c)
 
         kink = scale * max(c ** (1.0 / q), 1e-3)
-        return _ratio_from_slope(slope_mag, kink, sup, N, abs_tol)
+        return _ratio_from_slope(slope_mag, kink, sup, N)
     raise ValueError(f"unsupported profile type {type(profile).__name__}")

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and its file outputs."""
 
+import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -421,6 +423,51 @@ def test_config_tolerance_must_be_positive_and_finite(
     config = write_config(tmp_path / "c.json", payload)
     assert run_cli([command, config, "--out", str(tmp_path / "out")]) == 2
     assert f"tolerances.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["radial", "--a", "1", "--order", "4", "--tol", "1e-3"],
+        ["radial", "--a", "1", "--order", "4", "--override-guarantee"],
+        ["check", "{config}", "--override-guarantee"],
+        ["solve", "{config}", "--override-guarantee"],
+    ],
+    ids=["radial-tol", "radial-override", "check-override", "solve-override"],
+)
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
+    config = write_config(tmp_path / "c.json", TestSolveCommand.SOLVE)
+    argv = [config if a == "{config}" else a for a in argv]
+    with pytest.raises(SystemExit) as caught:
+        run_cli(argv + ["--out", str(tmp_path / "out")])
+    assert caught.value.code == 2
+
+
+def test_every_option_is_read_by_its_command():
+    # an option no command reads parses and then changes nothing; main's
+    # check of --tol does not count, since it runs for every command
+    parser = cli._build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, subparser in sub.choices.items():
+        source = inspect.getsource(subparser.get_default("func"))
+        for action in subparser._actions:
+            if action.dest != "help":
+                assert f"args.{action.dest}" in source, (
+                    f"{name} defines {action.option_strings or action.dest} "
+                    "but never reads it"
+                )
+
+
+def test_charges_cancelling_on_one_node_exit_2(tmp_path, capsys):
+    # every input strength is nonzero; their sum on node (8, 8, 8) is not
+    payload = dict(
+        TestSolveCommand.SOLVE,
+        charges=[{"pos": [0.0, 0.0, 0.0], "a": 1.0}, {"pos": [0.05, 0.0, 0.0], "a": -1.0}],
+    )
+    config = write_config(tmp_path / "c.json", payload)
+    with pytest.warns(UserWarning, match="merged"):
+        assert run_cli(["solve", config, "--out", str(tmp_path / "out")]) == 2
+    assert "charges cancel after snapping to node (8, 8, 8)" in capsys.readouterr().err
 
 
 def test_internal_error_escapes_main(tmp_path, monkeypatch):

@@ -195,6 +195,21 @@ class TestClassifySegments:
         assert levels[(0, 2)] is VerdictLevel.SEGMENT_CLASSICAL
         assert levels[(1, 2)] is VerdictLevel.SEGMENT_CLASSICAL
 
+    def test_equals_the_refined_per_segment_levels(self):
+        # one pair of each level: same sign, cleared, inside the threshold
+        cfg = ChargeConfig(
+            3, [((0, 0, 0), 1.0), ((0.2, 0, 0), 2.0), ((5.0, 0, 0), -1.0),
+                ((0, 1.0, 0), -0.5)]
+        )
+        ctilde = refined_constant_ctilde(3)
+        pairs = classify_segments(cfg, ctilde)
+        assert {p.level for p in pairs} == {
+            VerdictLevel.SAME_SIGN_SEGMENT,
+            VerdictLevel.SEGMENT_CLASSICAL,
+            VerdictLevel.INCONCLUSIVE,
+        }
+        assert pairs == list(check_refined(cfg, ctilde).per_segment)
+
 
 # ---------------------------------------------------------------------------
 # Properties: every certificate compares a strength bracket with distances

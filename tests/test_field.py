@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from borninfeld.core import ChargeConfig
+from borninfeld.core import ChargeConfig, InputError
 from borninfeld.field import (
     _poisson_inverse,
     assemble_problem,
@@ -86,6 +86,15 @@ class TestAssembly:
             problem = assemble_problem(cfg, -4, 4, 0.5, 2, "zero")
         assert problem.charges == (((8, 8, 8), 3.0),)
         assert any("merged" in str(w.message) for w in caught)
+
+    def test_cancelling_snaps_rejected(self):
+        # merged strength 0: the exact start and the boundary data need a
+        # nonzero charge, so the node is named instead
+        cfg = ChargeConfig(3, [((0.0, 0.0, 0.0), 1.0), ((0.05, 0.0, 0.0), -1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(InputError, match=r"cancel .* node \(8, 8, 8\)"):
+                assemble_problem(cfg, -2, 2, 0.25, 2, "radial-superposition")
 
     def test_zero_charge_problem(self):
         problem = assemble_problem(None, -1, 1, 0.25, 2, "zero")

@@ -31,16 +31,18 @@ def quartic_oracle() -> float:
 
 class TestIntegrateDecaying:
     def test_arctan(self):
-        value = integrate_decaying(lambda s: 1.0 / (1.0 + s * s), 0.0, 1e-10)
+        value, _ = integrate_decaying(lambda s: 1.0 / (1.0 + s * s), 0.0, 1e-10)
         assert value == pytest.approx(math.pi / 2, abs=1e-10)
 
     def test_inverse_quartic_root(self):
-        value = integrate_decaying(lambda s: (1.0 + s**4) ** -0.5, 0.0, 1e-8)
+        value, _ = integrate_decaying(lambda s: (1.0 + s**4) ** -0.5, 0.0, 1e-8)
         assert value == pytest.approx(quartic_oracle(), abs=1e-8)
 
     def test_inverse_square_from_one(self):
-        value = integrate_decaying(lambda s: s**-2.0, 1.0, 1e-12)
-        assert value == pytest.approx(1.0, abs=1e-12)
+        # r0 = 100 puts the derived split r0 + max(10, r0) above r0 + 10
+        for r0 in (1.0, 100.0):
+            value, _ = integrate_decaying(lambda s: s**-2.0, r0, 1e-12)
+            assert value == pytest.approx(1.0 / r0, abs=1e-12)
 
     def test_error_estimate_bounds_true_error(self):
         cases = [
@@ -49,7 +51,7 @@ class TestIntegrateDecaying:
             (lambda s: s**-2.0, 1.0, 1.0),
         ]
         for f, r0, truth in cases:
-            value, bound = integrate_decaying(f, r0, 1e-9, with_error=True)
+            value, bound = integrate_decaying(f, r0, 1e-9)
             assert abs(value - truth) <= bound
             assert bound <= 1e-9
 
@@ -121,7 +123,7 @@ class TestShapeConstantA:
     @pytest.mark.parametrize("N", [3, 4, 5, 7])
     def test_consistency_with_generic_path(self, N):
         p = 2 * (N - 1)
-        direct = integrate_decaying(lambda s: (s**p + 1.0) ** -0.5, 0.0, 1e-12)
+        direct, _ = integrate_decaying(lambda s: (s**p + 1.0) ** -0.5, 0.0, 1e-12)
         assert shape_constant_A(N) == pytest.approx(
             direct * sphere_measure(N) ** (-1.0 / (N - 1)), abs=1e-10
         )
@@ -247,7 +249,7 @@ class TestExactRadialProfile:
         rgrid = np.geomspace(1e-3, 1e2, 12)
         profile = exact_radial_profile(a, N, rgrid)
         for r, u in zip(rgrid, profile.u):
-            oracle = integrate_decaying(
+            oracle, _ = integrate_decaying(
                 lambda s: c / math.hypot(s**q, c), float(r), 1e-13,
                 max_subdivisions=200,
             )
