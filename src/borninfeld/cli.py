@@ -310,7 +310,7 @@ def _verdict_dict(v: conditions.Verdict) -> dict:
 
 def cmd_constants(args) -> int:
     N = args.dim
-    orders = args.orders or []
+    orders = args.orders
     quad_tol = args.tol if args.tol is not None else 1e-10
     per_order = [
         _fields(
@@ -385,8 +385,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_radial(args) -> int:
-    if not (0 < args.rmin < args.rmax):
-        raise ConfigError("radial grid needs 0 < rmin < rmax")
+    if not (0 < args.rmin < args.rmax < math.inf):
+        raise ConfigError(
+            f"--rmin and --rmax need 0 < rmin < rmax < inf, got {args.rmin:g} and "
+            f"{args.rmax:g}"
+        )
     if args.points < 2:
         raise ConfigError("radial grid needs at least 2 points")
     rgrid = np.geomspace(args.rmin, args.rmax, args.points)
@@ -442,6 +445,8 @@ def cmd_radial(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.max_iter < 0:
+        raise ConfigError(f"--max-iter must be >= 0, got {args.max_iter}")
     cfg = load_config(Path(args.config), need_box=True)
     config: ChargeConfig = cfg["config"]
     box = cfg["box"]
@@ -510,6 +515,15 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(",") if x)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, e.g. 4,8,16, got {text!r}"
+        ) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="borninfeld",
@@ -531,8 +545,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument(
         "--orders",
-        type=lambda s: [int(x) for x in s.split(",") if x],
-        default=[],
+        type=_int_list,
+        default=(),
         help="comma-separated expansion orders, e.g. 4,8,16",
     )
     p.set_defaults(func=cmd_constants)
@@ -550,7 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=float, default=1e3)
     p.add_argument("--points", type=int, default=1200)
     p.add_argument(
-        "--fit-window", type=float, nargs=2, default=[1e-6, 1e-4],
+        "--fit-window", type=float, nargs=2, default=(1e-6, 1e-4),
         metavar=("RLO", "RHI"),
     )
     p.set_defaults(func=cmd_radial)
@@ -563,14 +577,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first ``main`` call and reused by every later one in the process
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; callable repeatedly."""
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
+    # the command is looked up now, not taken as bound when the parser was
+    # built, so a wrapper or patch on ``cmd_*`` installed since then runs
+    command = globals()[args.func.__name__]
     try:
         tol = getattr(args, "tol", None)  # radial has no --tol
         if tol is not None and not _is_positive_number(tol):
             raise ConfigError(f"--tol must be a positive finite number, got {tol}")
-        return args.func(args)
+        return command(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

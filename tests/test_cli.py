@@ -84,6 +84,15 @@ class TestConstantsCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["results"]["orders"][0]["guaranteed"] is False
 
+    def test_unparsable_orders_exit_2_with_readable_message(self, tmp_path, capsys):
+        argv = ["constants", "--dim", "3", "--orders", "x", "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as caught:
+            run_cli(argv)
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --orders: expected comma-separated integers" in err
+        assert "<lambda>" not in err
+
 
 class TestCheckCommand:
     def test_wide_dipole_exit_0(self, tmp_path):
@@ -211,6 +220,11 @@ class TestRadialCommand:
             == 2
         )
 
+    def test_infinite_rmax_names_the_flags(self, tmp_path, capsys):
+        argv = ["radial", "--a", "1", "--order", "4", "--rmax", "inf", "--out", str(tmp_path)]
+        assert run_cli(argv) == 2
+        assert "--rmin and --rmax need 0 < rmin < rmax < inf" in capsys.readouterr().err
+
 
 def _field_csv_by_loop(path, lo, h, values):
     """Per-node writer the vectorized one replaced; the byte-level reference."""
@@ -269,15 +283,22 @@ print(json.dumps({"codes": codes, "light": light, "solve": solve}))
 """
 
 
+def _fresh_env():
+    """The environment of a fresh process that imports this checkout's package."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return dict(
+        os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    )
+
+
 def test_scipy_stays_off_the_import_path(tmp_path):
     # This module imports scipy itself, so the probe runs in a fresh process.
-    src = Path(cli.__file__).resolve().parents[1]
-    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
     config = write_config(tmp_path / "c.json", DIPOLE)
     solve_config = write_config(tmp_path / "s.json", TestSolveCommand.SOLVE)
     argv = [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out"), config, solve_config]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run(
+        argv, env=_fresh_env(), capture_output=True, text=True, check=True
+    )
     probe = json.loads(done.stdout.splitlines()[-1])
     assert probe["codes"] == [0, 0, 0, 0]
     # import borninfeld.cli, constants, check and radial load no scipy module
@@ -352,6 +373,16 @@ class TestSolveCommand:
         assert report["results"]["converged"] is False
         assert report["results"]["stop_reason"] == "max_iter"
         assert report["results"]["grad_norm"] > 0
+
+    def test_zero_max_iter_takes_no_step_and_negative_exit_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "solve.json", self.SOLVE)
+        out = tmp_path / "out"
+        assert run_cli(["solve", config, "--max-iter", "-3", "--out", str(out)]) == 2
+        assert "--max-iter must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli(["solve", config, "--max-iter", "0", "--out", str(out)]) == 4
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert (results["iterations"], results["stop_reason"]) == (0, "max_iter")
 
     def test_boundary_data_over_bound_exit_3(self, tmp_path, monkeypatch, capsys):
         exact = field.exact_radial_profile
@@ -456,6 +487,64 @@ def test_every_option_is_read_by_its_command():
                     f"{name} defines {action.option_strings or action.dest} "
                     "but never reads it"
                 )
+
+
+def test_repeated_calls_build_one_parser_and_share_no_state(tmp_path, monkeypatch):
+    # main builds its parser once per process; a default handed to one call
+    # must not carry into the next, and commands are looked up per call
+    builds = []
+    build = cli._build_parser
+
+    def counted_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counted_build)
+    monkeypatch.setattr(cli, "_parser", None)
+    calls = [
+        ["radial", "--a", "1", "--order", "4", "--fit-window", "1e-7", "1e-5"],
+        ["radial", "--a", "1", "--order", "4"],
+        ["constants", "--dim", "3", "--orders", "4,8"],
+        ["constants", "--dim", "3"],
+    ]
+    ran = []
+    for i, argv in enumerate(calls):
+        assert main(argv + ["--out", str(tmp_path / "same" / str(i))]) == 0
+        if i == 0:
+            original = cli.cmd_constants
+
+            def patched(args):
+                ran.append(args.orders)
+                return original(args)
+
+            monkeypatch.setattr(cli, "cmd_constants", patched)
+    assert builds == [1]
+    assert ran == [(4, 8), ()]
+    for i, argv in enumerate(calls):
+        fresh = tmp_path / "fresh" / str(i)
+        subprocess.run(
+            [sys.executable, "-m", "borninfeld", *argv, "--out", str(fresh)],
+            env=_fresh_env(), capture_output=True, check=True,
+        )
+        same = tmp_path / "same" / str(i)
+        names = sorted(p.name for p in same.iterdir())
+        assert names == sorted(p.name for p in fresh.iterdir())
+        for name in names:
+            assert (same / name).read_bytes() == (fresh / name).read_bytes(), (argv, name)
+
+
+def test_traced_call_after_the_parser_is_built_records_the_command(tmp_path):
+    from bench import tracing
+
+    assert main(["constants", "--dim", "3", "--out", str(tmp_path)]) == 0
+    assert cli._parser is not None
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["constants", "--dim", "3", "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.aggregate()["cli.cmd_constants"]["calls"] == 1
 
 
 def test_charges_cancelling_on_one_node_exit_2(tmp_path, capsys):
