@@ -175,8 +175,10 @@ def assemble_problem(
     lo = tuple(float(x) for x in np.broadcast_to(box_lo, (3,)))
     hi = tuple(float(x) for x in np.broadcast_to(box_hi, (3,)))
     h = float(h)
-    if h <= 0:
-        raise InputError(f"grid spacing must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise InputError(f"grid spacing must be positive and finite, got {h}")
+    if not all(map(math.isfinite, lo + hi)):
+        raise InputError(f"box corners must be finite, got {lo} and {hi}")
     _check_order(m)
     if boundary_rule not in ("zero", "radial-superposition"):
         raise InputError(f"unknown boundary rule {boundary_rule!r}")
@@ -531,8 +533,8 @@ def minimize_energy(
     search fails, the last iterate is returned with ``converged=False`` and
     ``stop_reason`` saying which.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise InputError(f"tol must be positive and finite, got {tol}")
     inner = (slice(1, -1),) * 3
     n_inner = tuple(n - 2 for n in problem.shape)
     U = problem.initial_guess()

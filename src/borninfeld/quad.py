@@ -1,8 +1,11 @@
 """Adaptive quadrature on half-lines and the exact single-charge field.
 
-Every integral in this package lives on [r0, inf) with algebraic decay, so
-the engine splits the range into a finite part handled by adaptive
-Gauss-Kronrod (7-15 pair) and a tail mapped to [0, 1) through
+Two things in this package still integrate numerically: the order-m
+radial profile (``radial.approx_radial_profile``, finite slope segments
+on the adaptive Gauss-Kronrod 7-15 engine and its batched panels) and the
+refined constant Ctilde below.  Ctilde's integrals live on [0, inf) with
+algebraic decay, so the half-line engine splits the range into a finite
+part handled by adaptive Gauss-Kronrod and a tail mapped to [0, 1) through
 s = split + tau/(1 - tau), after which the transformed integrand is again
 mild enough for the same rule.  The Kronrod nodes are interior, so
 integrable endpoint singularities never get evaluated directly.
@@ -21,7 +24,8 @@ so the central value is u(0+) = sign(a) L B and the central-value scale is
     A(N) = omega_{N-1}^(-1/(N-1)) * int_0^inf ds / sqrt(s^(2(N-1)) + 1)
          = omega_{N-1}^(-1/(N-1)) * B.
 
-The refined energy constant still runs through the engine:
+The energy of that field is a closed form too (``radial.spacelike_ratio``).
+The refined energy constant still runs through the half-line engine:
 
     Ctilde(N) = omega_{N-1} * int r^(N-1) (1 - r^(N-1)/sqrt(r^(2(N-1))+1)) dr
                 / (int (r^(2(N-1))+1)^(-1/2) dr)^N.

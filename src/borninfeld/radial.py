@@ -28,7 +28,9 @@ one-parameter cone-plus-tail family
 
 whose Dirichlet energy E(R) = R^N/N + (N-2) R^(N-2) (1-R)^2 is minimized at
 R = (N-2)/(N-1), where omega_{N-1} E(R) equals the best constant of the
-gradient/sup-norm inequality.
+gradient/sup-norm inequality.  ``spacelike_ratio`` checks that inequality
+on these candidates and on the exact single-charge field, both in closed
+form: only the order-m profile is integrated numerically here.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ from .core import _is_guaranteed, density_series, sphere_measure, taylor_coeffic
 from .quad import (
     AccuracyError,
     RadialProfile,
+    _complete_beta,
     _gk15_panels,
     adaptive_gauss_kronrod,
-    integrate_decaying,
 )
 
 __all__ = [
@@ -81,11 +83,14 @@ def flux_gradient_magnitude(r, a: float, m: int, N: int):
     wide, or its Newton correction |(g - target)/g'| is at most one ulp of
     t with g' finite.  The last one stops the steep radii (t g'/g up to
     2m-1), where the rounding of g alone exceeds the 4-ulp residual.
+    A dimension below 3, a radius that is not positive (or NaN) and a zero
+    or non-finite strength raise InputError.
     """
     radii = np.asarray(r, dtype=float)
-    if not np.all(radii > 0):
-        raise ValueError(f"radius must be positive, got {r}")
+    if not np.all(radii > 0):  # NaN fails this too
+        raise InputError(f"radius must be positive, got {r}")
     a = _check_strength(a)
+    _check_dim(N)
     alphas = taylor_coefficients(m).alphas
     with np.errstate(over="ignore", divide="ignore"):
         target = abs(a) / (sphere_measure(N) * radii ** (N - 1))
@@ -382,10 +387,6 @@ def fit_singularity(
 # Cone-plus-tail candidates and the spacelike energy ratio
 # ---------------------------------------------------------------------------
 
-# absolute tolerance of each energy quadrature in ``spacelike_ratio``
-_RATIO_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class ConeTailCandidate:
     """Unit cone matched to a harmonic tail at radius R.
@@ -427,66 +428,38 @@ def cone_tail_energy(R: float, N: int) -> float:
     return R**N / N + (N - 2) * R ** (N - 2) * (1.0 - R) ** 2
 
 
-def _ratio_from_slope(slope_mag, kink: float, sup_value: float, N: int) -> float:
-    """omega * int slope^2 r^(N-1) dr / sup^N with a split at ``kink``."""
-
-    def integrand(r: float) -> float:
-        s = slope_mag(r)
-        return s * s * r ** (N - 1)
-
-    head, _ = adaptive_gauss_kronrod(
-        integrand, 0.0, kink, _RATIO_TOL, 200, rel_tol=1e-13
-    )
-    tail, _ = integrate_decaying(
-        integrand, kink, _RATIO_TOL, max_subdivisions=200, rel_tol=1e-13
-    )
-    return sphere_measure(N) * (head + tail) / sup_value**N
-
-
-def spacelike_ratio(profile, scale: float = 1.0) -> float:
+def spacelike_ratio(profile) -> float:
     """Energy/sup-norm ratio  ||grad u||_2^2 / ||u||_inf^N  of a radial field.
 
     Accepts a ConeTailCandidate or an exact-model RadialProfile; both are
     1-Lipschitz with finite energy, so the ratio is bounded below by the
-    best constant.  ``scale`` applies the invariance map u -> t u(./t)
-    before integrating, which must leave the ratio unchanged; the quadrature
-    runs on the scaled field so this is an honest numerical check.  Order-m
+    best constant.  Both energies are closed forms.  The candidate has
+    sup-norm 1, so its ratio is omega_{N-1} E(R) (``cone_tail_energy``).
+    The exact slope is c/sqrt(r^(2q) + c^2), c = |a|/omega_{N-1}, q = N-1,
+    and r = c^(1/q) x turns its energy into
+
+        int_0^inf c^2 r^q / (r^(2q) + c^2) dr = c^(N/q) pi / (2q sin(pi N/(2q))),
+
+    while |u0| = c^(1/q) B with B = B(1/2 - 1/p, 1/p)/p, p = 2q, so the
+    ratio omega_{N-1} pi / (2q sin(pi N/(2q)) B^N) depends on N alone: the
+    invariance u -> t u(./t) and the strength scaling hold exactly.  Order-m
     profiles are rejected: their slope leaves the light cone near the
     charge, and the bound does not apply to them.
     """
-    if scale <= 0 or not math.isfinite(scale):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
     if isinstance(profile, ConeTailCandidate):
-        N = profile.dim
-        R, c1 = profile.R, profile.c1
-        coef = (N - 2) * c1
-
-        def slope_mag(r: float) -> float:
-            rho = r / scale
-            if rho < R:
-                return 1.0
-            return coef * rho ** (1 - N)
-
-        sup = scale * 1.0
-        return _ratio_from_slope(slope_mag, scale * R, sup, N)
+        return sphere_measure(profile.dim) * cone_tail_energy(profile.R, profile.dim)
     if isinstance(profile, RadialProfile):
         if profile.kind != "exact-bi":
             raise ValueError(
                 "the energy/sup-norm bound needs a 1-Lipschitz field; "
                 "order-m profiles leave the light cone near the charge"
             )
-        N = profile.dim
-        omega = sphere_measure(N)
-        c = abs(profile.strength) / omega
-        q = N - 1
         if profile.u0 is None or profile.u0 == 0.0:
             raise ValueError("profile has no nonzero central value")
-        sup = scale * abs(profile.u0)
-
-        def slope_mag(r: float) -> float:
-            rho = r / scale
-            return c / math.hypot(rho**q, c)
-
-        kink = scale * max(c ** (1.0 / q), 1e-3)
-        return _ratio_from_slope(slope_mag, kink, sup, N)
+        N = profile.dim
+        q = N - 1
+        p = 2 * q
+        B = _complete_beta(0.5 - 1.0 / p, 1.0 / p) / p
+        unit_energy = math.pi / (2 * q * math.sin(math.pi * N / (2 * q)))  # c = 1
+        return sphere_measure(N) * unit_energy / B**N
     raise ValueError(f"unsupported profile type {type(profile).__name__}")

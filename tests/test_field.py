@@ -96,6 +96,27 @@ class TestAssembly:
             with pytest.raises(InputError, match=r"cancel .* node \(8, 8, 8\)"):
                 assemble_problem(cfg, -2, 2, 0.25, 2, "radial-superposition")
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: assemble_problem(SINGLE, -1, 1, math.nan, 2, "zero"),
+            lambda: assemble_problem(SINGLE, -1, 1, math.inf, 2, "zero"),
+            lambda: assemble_problem(SINGLE, math.nan, 1, 0.25, 2, "zero"),
+            lambda: assemble_problem(SINGLE, -1, math.inf, 0.25, 2, "zero"),
+            lambda: assemble_problem(SINGLE, (-1, -math.inf, -1), 1, 0.25, 2, "zero"),
+            lambda: minimize_energy(small_problem(), tol=math.inf),
+            lambda: minimize_energy(small_problem(), tol=math.nan),
+            lambda: minimize_energy(small_problem(), tol=0.0),
+        ],
+        ids=[
+            "h-nan", "h-inf", "lo-nan", "hi-inf", "lo-axis-inf",
+            "tol-inf", "tol-nan", "tol-zero",
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, call):
+        with pytest.raises(InputError, match="finite"):
+            call()
+
     def test_zero_charge_problem(self):
         problem = assemble_problem(None, -1, 1, 0.25, 2, "zero")
         assert problem.charges == ()

@@ -1,5 +1,6 @@
 """Tests for the order-m radial solver, fits, and cone-plus-tail extremals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -83,6 +84,21 @@ class TestFluxRoot:
         # omega_6 r^6 underflows to 0: the target |a|/0 is not a number
         with pytest.raises(InputError, match="binary64 cannot hold"):
             flux_gradient_magnitude(1e-300, 1.0, 2, 7)
+
+    @pytest.mark.parametrize(
+        "r, N, match",
+        [
+            (1.0, 2, "dimension"),
+            (1.0, 3.0, "dimension"),
+            (0.0, 3, "radius"),
+            (-1.0, 3, "radius"),
+            (math.nan, 3, "radius"),
+            (np.array([1.0, math.nan]), 3, "radius"),
+        ],
+    )
+    def test_rejects_dimension_and_radius(self, r, N, match):
+        with pytest.raises(InputError, match=match):
+            flux_gradient_magnitude(r, 1.0, 2, N)
 
     @pytest.mark.parametrize("m", [2, 16, 100])
     def test_upper_bound_past_alpha_m_times_dbl_max(self, m):
@@ -434,6 +450,57 @@ class TestConeTailFamily:
         assert cand.c1 == pytest.approx(cand.R ** (3 - 1) / (3 - 2), rel=1e-15)
 
 
+def _scaled_ratio_quadrature(profile, t: float) -> float:
+    """omega int |d/dr (t u(r/t))|^2 r^(N-1) dr / (t |u0|)^N by quadrature.
+
+    An oracle for ``spacelike_ratio``: the scaled field's slope is
+    integrated on [0, kink] and [kink, inf), so the invariance of the
+    ratio under u -> t u(./t) is checked numerically.
+    """
+    N = profile.dim
+    q = N - 1
+    if isinstance(profile, ConeTailCandidate):
+        R, coef, sup = profile.R, (N - 2) * profile.c1, t
+
+        def slope_mag(r):
+            rho = r / t
+            return 1.0 if rho < R else coef * rho ** (1 - N)
+
+        kink = t * R
+    else:
+        c = abs(profile.strength) / sphere_measure(N)
+        sup = t * abs(profile.u0)
+
+        def slope_mag(r):
+            return c / math.hypot((r / t) ** q, c)
+
+        kink = t * max(c ** (1.0 / q), 1e-3)
+
+    def integrand(r):
+        s = slope_mag(r)
+        return s * s * r**q
+
+    head, _ = adaptive_gauss_kronrod(integrand, 0.0, kink, 1e-12, 200, rel_tol=1e-13)
+    tail, _ = integrate_decaying(
+        integrand, kink, 1e-12, max_subdivisions=200, rel_tol=1e-13
+    )
+    return sphere_measure(N) * (head + tail) / sup**N
+
+
+def _exact_ratio_mpmath(N: int) -> float:
+    """Exact-model ratio with both integrals at 40 digits (c = 1)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        q = N - 1
+        half = mpmath.mpf(N) / 2
+        omega = 2 * mpmath.pi**half / mpmath.gamma(half)
+        pieces = [0, 1, mpmath.inf]
+        energy = mpmath.quad(lambda r: r**q / (r ** (2 * q) + 1), pieces)
+        u0 = mpmath.quad(lambda s: 1 / mpmath.sqrt(s ** (2 * q) + 1), pieces)
+        return float(omega * energy / u0**N)
+
+
 class TestSpacelikeRatio:
     def test_minimizing_candidate_attains_best_constant(self):
         ratio = spacelike_ratio(ConeTailCandidate(3, 0.5))
@@ -443,9 +510,12 @@ class TestSpacelikeRatio:
         assert spacelike_ratio(ConeTailCandidate(3, 0.8)) > best_constant_cbar(3)
 
     def test_rescaling_invariance(self):
-        base = spacelike_ratio(ConeTailCandidate(3, 0.5))
-        scaled = spacelike_ratio(ConeTailCandidate(3, 0.5), scale=2.0)
-        assert scaled == pytest.approx(base, abs=1e-10)
+        candidate = ConeTailCandidate(3, 0.5)
+        profile = exact_radial_profile(1.0, 3, np.geomspace(1e-4, 1e3, 200))
+        for field in (candidate, profile):
+            for t in (0.5, 2.0):
+                scaled = _scaled_ratio_quadrature(field, t)
+                assert scaled == pytest.approx(spacelike_ratio(field), abs=1e-10)
 
     def test_random_candidates_and_scales_bounded_below(self):
         rng = np.random.default_rng(5)
@@ -454,20 +524,43 @@ class TestSpacelikeRatio:
             lo = (N - 2) / (N - 1)
             R = float(rng.uniform(lo, 1.0))
             scale = float(rng.uniform(0.2, 5.0))
-            ratio = spacelike_ratio(ConeTailCandidate(N, R), scale=scale)
+            candidate = ConeTailCandidate(N, R)
+            ratio = spacelike_ratio(candidate)
             assert ratio >= best_constant_cbar(N) - 1e-6
+            scaled = _scaled_ratio_quadrature(candidate, scale)
+            assert scaled == pytest.approx(ratio, abs=1e-10)
 
     def test_exact_profile_bounded_below(self):
         profile = exact_radial_profile(1.0, 3, np.geomspace(1e-4, 1e3, 200))
         ratio = spacelike_ratio(profile)
         assert ratio >= best_constant_cbar(3) - 1e-6
-        assert spacelike_ratio(profile, scale=2.0) == pytest.approx(ratio, abs=1e-10)
+        assert _scaled_ratio_quadrature(profile, 2.0) == pytest.approx(ratio, abs=1e-10)
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 7, 20, 39, 60])
+    def test_exact_ratio_independent_of_strength(self, N):
+        # a quadrature to an absolute tolerance lost the energy of a weak
+        # charge (3.9e-10 at N = 3, a = 1e-30) and failed on a strong one
+        unit = spacelike_ratio(exact_radial_profile(1.0, N, [1.0]))
+        for a in (1e-30, -1e-30, 1e-9, 0.3, 7.0, 1e30):
+            ratio = spacelike_ratio(exact_radial_profile(a, N, [1.0]))
+            assert ratio >= best_constant_cbar(N)
+            assert ratio == pytest.approx(unit, rel=1e-13)
+
+    @pytest.mark.parametrize("N", [3, 4, 7])
+    def test_exact_ratio_matches_40_digit_quadrature(self, N):
+        ratio = spacelike_ratio(exact_radial_profile(1.0, N, [1.0]))
+        assert ratio == pytest.approx(_exact_ratio_mpmath(N), rel=1e-13)
 
     def test_order_m_profile_rejected(self):
         profile = approx_radial_profile(1.0, 4, 3, np.geomspace(1e-4, 10, 50))
         with pytest.raises(ValueError):
             spacelike_ratio(profile)
 
-    def test_invalid_scale(self):
-        with pytest.raises(ValueError):
-            spacelike_ratio(ConeTailCandidate(3, 0.5), scale=0.0)
+    def test_profile_without_central_value_rejected(self):
+        profile = exact_radial_profile(1.0, 3, [1.0])
+        with pytest.raises(ValueError, match="central value"):
+            spacelike_ratio(dataclasses.replace(profile, u0=None))
+
+    def test_unsupported_type_rejected(self):
+        with pytest.raises(ValueError, match="unsupported"):
+            spacelike_ratio(0.5)
