@@ -223,7 +223,8 @@ _RESULT_KEYS = {
     "radial": {"profile_csv", "n_samples", "u_fit", "du_fit", "guaranteed",
                "predicted"},
     "solve": {"field_csv", "energy", "grad_norm", "iterations", "cg_iterations",
-              "converged", "stop_reason", "extremum", "segments", "gradient_sup"},
+              "cg_per_step", "converged", "stop_reason", "extremum", "segments",
+              "gradient_sup"},
 }
 
 
@@ -493,6 +494,7 @@ def cmd_solve(args) -> int:
             "grad_norm": result.grad_norm,
             "iterations": result.iterations,
             "cg_iterations": result.cg_iterations,
+            "cg_per_step": result.cg_per_step,
             "converged": result.converged,
             "stop_reason": result.stop_reason,
             "snap_distances": list(problem.snap_distances),

@@ -17,8 +17,11 @@ single-charge tails recentered at each charge, which is what the field
 looks like far from a compact charge cluster.  Minimization takes inexact
 Newton steps: conjugate gradients on the exact Hessian action,
 preconditioned by a sine-transform Poisson solve (one dense DST-I matrix
-per axis, applied by matrix products), and a backtracking line search on
-the energy.  It starts from the same superposition of exact
+per axis, applied by matrix products) scaled on both sides by the inverse
+square root of each node's mean sigma, and a backtracking line search on
+the energy.  The scaling follows the growth of sigma towards a strong
+charge, which the constant-coefficient Poisson solve cannot see; at m = 1
+it is the identity.  It starts from the same superposition of exact
 fields, centred on the snapped charge nodes (shifted to vanish on a zero
 boundary), since near each charge the minimizer behaves like the
 single-charge field; a strong charge then need not climb to its central
@@ -349,7 +352,7 @@ def _cell_s(U: np.ndarray, h: float):
 
 
 def _newton_model(problem: DiscreteProblem, U: np.ndarray):
-    """Energy, gradient and Hessian action at U from one pass over the cells.
+    """Energy, gradient, Hessian action and nodal sigma at U from one pass.
 
     The cell quantities s, sigma(s), sigma'(s) and the edge weights
     (h/4) sum_{cells at e} sigma are computed once; the returned ``hessp``
@@ -359,7 +362,10 @@ def _newton_model(problem: DiscreteProblem, U: np.ndarray):
         (H w)_e = (h/4) sigma(s) w_e + (h/(8 h^2)) sigma'(s) (d . w) d_e,
 
     scattered to the edges like the gradient.  The charge term is linear and
-    drops out of the Hessian.
+    drops out of the Hessian.  The last value is the mean of sigma over each
+    interior node's eight cells: every cell reaches the node through three
+    of its edges, so this is the node's sum of edge weights, the diagonal of
+    the sigma-weighted Laplacian, divided by its sigma = 1 value 6h.
     """
     h = problem.h
     s, *diffs = _cell_s(U, h)
@@ -371,6 +377,10 @@ def _newton_model(problem: DiscreteProblem, U: np.ndarray):
     for node, a in problem.charges:
         energy -= a * float(U[node])
         grad[node] -= a
+    node_sigma = sigma
+    for d in range(3):
+        node_sigma = node_sigma[_shifted(d, _LO)] + node_sigma[_shifted(d, _HI)]
+    node_sigma *= 0.125
 
     def hessp(V: np.ndarray) -> np.ndarray:
         vdiffs = [np.diff(V, axis=d) for d in range(3)]
@@ -386,7 +396,7 @@ def _newton_model(problem: DiscreteProblem, U: np.ndarray):
             V.shape,
         )
 
-    return energy, grad, hessp
+    return energy, grad, hessp, node_sigma
 
 
 def discrete_energy_hessp(
@@ -405,8 +415,7 @@ def discrete_energy_gradient(
     problem: DiscreteProblem, U: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Energy and its exact gradient with respect to every nodal value."""
-    energy, grad, _ = _newton_model(problem, U)
-    return energy, grad
+    return _newton_model(problem, U)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +427,11 @@ def discrete_energy_gradient(
 class GridField:
     """A (possibly non-converged) minimizer of the discrete energy.
 
-    ``iterations`` counts Newton steps and ``cg_iterations`` the conjugate
-    gradient iterations spent on their linear systems.  ``stop_reason`` is
-    ``converged``, ``max_iter`` or ``line_search_failed``.
+    ``iterations`` counts Newton steps.  ``cg_per_step`` holds the
+    conjugate gradient iterations of each Newton direction in order: one
+    entry per accepted step, plus one for the rejected last direction when
+    the line search failed.  ``stop_reason`` is ``converged``, ``max_iter``
+    or ``line_search_failed``.
     """
 
     problem: DiscreteProblem
@@ -428,10 +439,15 @@ class GridField:
     energy: float
     grad_norm: float
     iterations: int
-    cg_iterations: int
+    cg_per_step: tuple[int, ...]
     converged: bool
     tol: float
     stop_reason: str
+
+    @property
+    def cg_iterations(self) -> int:
+        """Conjugate gradient iterations over all Newton directions."""
+        return sum(self.cg_per_step)
 
     def charge_values(self) -> list[float]:
         return [float(self.values[node]) for node, _ in self.problem.charges]
@@ -455,7 +471,11 @@ def _poisson_inverse(n_inner: tuple[int, int, int], h: float):
     eigenvalues sum_d (2 - 2 cos(pi k_d / (n_d + 1))).  At sigma = 1 every
     interior edge carries weight h (four cells of h/4), so this is the
     exact inverse Hessian at m = 1; since sigma >= 1 and sigma' >= 0, h times
-    the Laplacian bounds the Hessian from below at every order.
+    the Laplacian bounds the Hessian from below at every order.  The Newton
+    solve applies it as D^(-1/2) P D^(-1/2), D the nodal mean sigma from
+    ``_newton_model``: the inverse of D^(1/2) (h L) D^(1/2), whose diagonal
+    is that of the Hessian's sigma part.  D = 1 at m = 1, so the exact
+    inverse there is untouched.
 
     The transform is a dense sine matrix S_d per axis, so the inverse is
     S (r / (h eig)) S with three matrix products per application, each
@@ -524,14 +544,19 @@ def minimize_energy(
     The objective is smooth and strictly convex in the cell gradients, so
     the minimizer is unique and independent of the starting point.  The
     solve starts from ``problem.initial_guess()``; a given ``x0`` (one value
-    per interior node, C order) replaces its interior.  Each
-    Newton step runs PCG (``_poisson_inverse``) to an Eisenstat-Walker
-    tolerance and backtracks on the energy (Armijo); below the energy's
-    rounding a step is kept only if the max-norm residual falls.  On success
-    ``grad_norm`` (max-norm of the objective gradient over interior nodes)
-    is at most ``tol``.  After ``max_iter`` Newton steps, or when the line
-    search fails, the last iterate is returned with ``converged=False`` and
-    ``stop_reason`` saying which.
+    per interior node, C order) replaces its interior.  Each Newton step
+    runs PCG to an Eisenstat-Walker tolerance and backtracks on the energy
+    (Armijo); below the energy's rounding a step is kept only if the
+    max-norm residual falls.  The preconditioner is the Poisson inverse P
+    (``_poisson_inverse``) scaled by the mean sigma d of each node's eight
+    cells at the current iterate, r -> d^(-1/2) P(d^(-1/2) r), so it sees
+    the growth of sigma towards a strong charge that P alone cannot.  On
+    success ``grad_norm`` (max-norm of the objective gradient over interior
+    nodes) is at most ``tol``.  After ``max_iter`` Newton steps, or when
+    the line search fails, the last iterate is returned with
+    ``converged=False`` and ``stop_reason`` saying which.  A starting
+    energy or gradient 2-norm that binary64 cannot hold raises
+    ``InputError``.
     """
     if not 0 < tol < math.inf:
         raise InputError(f"tol must be positive and finite, got {tol}")
@@ -543,15 +568,22 @@ def minimize_energy(
         if x_start.size != math.prod(n_inner):
             raise ValueError("x0 must have one entry per interior node")
         U[inner] = x_start.reshape(n_inner)
-    precond = _poisson_inverse(n_inner, problem.h)
+    poisson = _poisson_inverse(n_inner, problem.h)
     direction = np.zeros(problem.shape)  # boundary entries stay zero
 
-    energy, grad, hessp = _newton_model(problem, U)
+    energy, grad, hessp, node_sigma = _newton_model(problem, U)
     g = grad[inner]
     residual = float(np.max(np.abs(g)))
-    g_norm = float(np.linalg.norm(g))
+    with np.errstate(over="ignore"):
+        g_norm = float(np.linalg.norm(g))
+    for name, value in (("energy", energy), ("gradient 2-norm", g_norm)):
+        if not math.isfinite(value):
+            raise InputError(
+                f"starting {name} is {value}: the objective leaves binary64"
+            )
     eta = _ETA_MAX
-    iterations = cg_iterations = 0
+    iterations = 0
+    cg_per_step = []
     stop_reason = "max_iter"
 
     def hessp_inner(p: np.ndarray) -> np.ndarray:
@@ -561,8 +593,12 @@ def minimize_energy(
     while residual > tol and iterations < max_iter:
         # Below 0.5 tol / |g| the linear residual is already under tol.
         target = max(eta, 0.5 * tol / g_norm) * g_norm
-        step, n_cg = _pcg(hessp_inner, -g, precond, target, _CG_MAX_ITER)
-        cg_iterations += n_cg
+        scale = 1.0 / np.sqrt(node_sigma)
+        step, n_cg = _pcg(
+            hessp_inner, -g, lambda r: scale * poisson(scale * r), target,
+            _CG_MAX_ITER,
+        )
+        cg_per_step.append(n_cg)
         slope = float(np.vdot(g, step))
         alpha = 1.0
         model = None
@@ -583,7 +619,7 @@ def minimize_energy(
             stop_reason = "line_search_failed"
             break
         U = trial
-        energy, grad, hessp = model
+        energy, grad, hessp, node_sigma = model
         g = grad[inner]
         residual = float(np.max(np.abs(g)))
         g_norm, g_norm_old = float(np.linalg.norm(g)), g_norm
@@ -601,7 +637,7 @@ def minimize_energy(
         energy=float(energy),
         grad_norm=residual,
         iterations=iterations,
-        cg_iterations=cg_iterations,
+        cg_per_step=tuple(cg_per_step),
         converged=converged,
         tol=tol,
         stop_reason="converged" if converged else stop_reason,
@@ -816,22 +852,20 @@ def gradient_sup(field: GridField, exclusion_radius: float = 0.0) -> GradientSup
     """
     problem = field.problem
     s, _, _, _ = _cell_s(field.values, problem.h)
-    mag = np.sqrt(s)
-    nx, ny, nz = s.shape
-    centers = (
-        np.stack(
-            np.meshgrid(
-                np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-            ),
-            axis=-1,
-        ).reshape(-1, 3)
-        + 0.5
-    ) * problem.h + np.asarray(problem.lo)
-    dmin = np.full(len(centers), np.inf)
+    flat = np.sqrt(s).ravel()
+    # cell-centre coordinates per axis, broadcast against each other
+    axes = [
+        ((np.arange(n) + 0.5) * problem.h + lo).reshape(
+            [n if e == d else 1 for e in range(3)]
+        )
+        for d, (n, lo) in enumerate(zip(s.shape, problem.lo))
+    ]
+    dmin = np.full(s.shape, np.inf)
     for node, _ in problem.charges:
-        cpos = problem.node_position(node)
-        dmin = np.minimum(dmin, np.linalg.norm(centers - cpos, axis=1))
-    flat = mag.ravel()
+        dx, dy, dz = (x - c for x, c in zip(axes, problem.node_position(node)))
+        # the summation order of np.linalg.norm over a row
+        dmin = np.minimum(dmin, np.sqrt((dx * dx + dy * dy) + dz * dz))
+    dmin = dmin.ravel()
     mask = dmin > exclusion_radius
     if not mask.any():
         return GradientSupReport(0.0, math.nan, exclusion_radius, 0)

@@ -326,6 +326,8 @@ class TestSolveCommand:
         assert results["converged"] is True
         assert results["stop_reason"] == "converged"
         assert results["energy"] < 0
+        assert len(results["cg_per_step"]) == results["iterations"]
+        assert sum(results["cg_per_step"]) == results["cg_iterations"]
         (extremum,) = results["extremum"]
         assert extremum["kind"] == "max"
         assert extremum["matches_charge_sign"] is True
@@ -398,6 +400,28 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "exceeds the central-value bound" in err
         assert "Traceback" not in err
+
+    def test_objective_beyond_binary64_exit_2(self, tmp_path, capsys):
+        payload = dict(self.SOLVE, charges=[{"pos": [0.0, 0.0, 0.0], "a": 1e300}],
+                       box={"lo": -1.0, "hi": 1.0, "h": 0.25})
+        config = write_config(tmp_path / "solve.json", payload)
+        assert run_cli(["solve", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "starting energy is -inf" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_but_finite_objective_exit_4(self, tmp_path):
+        # a = 1e100 starts finite; every trial along the first Newton
+        # direction overflows the energy series, so the line search fails
+        payload = dict(self.SOLVE, charges=[{"pos": [0.0, 0.0, 0.0], "a": 1e100}],
+                       box={"lo": -1.0, "hi": 1.0, "h": 0.25})
+        config = write_config(tmp_path / "solve.json", payload)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = run_cli(["solve", config, "--out", str(tmp_path)])
+        assert code == 4
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        assert results["stop_reason"] == "line_search_failed"
 
     @pytest.mark.filterwarnings("ignore:boundary clearance")
     def test_dipole_solve_reports_extrema(self, tmp_path):

@@ -11,8 +11,12 @@ import warnings
 import numpy as np
 import pytest
 
-from borninfeld.core import ChargeConfig, InputError
+from borninfeld.core import ChargeConfig, InputError, density_series
+from borninfeld.core import taylor_coefficients
 from borninfeld.field import (
+    GridField,
+    _cell_s,
+    _newton_model,
     _poisson_inverse,
     assemble_problem,
     compare_solutions,
@@ -409,7 +413,122 @@ class TestReports:
         assert sups[1] - sups[0] <= 1e-3
 
 
+def _gradient_sup_by_meshgrid(field, exclusion_radius):
+    """The stacked cell-centre formula ``gradient_sup`` used to evaluate."""
+    problem = field.problem
+    s = _cell_s(field.values, problem.h)[0]
+    nx, ny, nz = s.shape
+    centers = (
+        np.stack(
+            np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"),
+            axis=-1,
+        ).reshape(-1, 3)
+        + 0.5
+    ) * problem.h + np.asarray(problem.lo)
+    dmin = np.full(len(centers), np.inf)
+    for node, _ in problem.charges:
+        dmin = np.minimum(
+            dmin, np.linalg.norm(centers - problem.node_position(node), axis=1)
+        )
+    flat = np.sqrt(s).ravel()
+    mask = dmin > exclusion_radius
+    arg = int(np.argmax(np.where(mask, flat, -np.inf)))
+    return float(flat[arg]), float(dmin[arg]), int(mask.sum())
+
+
+@pytest.mark.filterwarnings("ignore:boundary clearance")
+@pytest.mark.parametrize(
+    "charges",
+    [
+        [((0.1, 0.05, 0.0), 1.0)],
+        [((-1.0, 0.0, 0.0), 1.0), ((1.0, 0.0, 0.0), -1.0)],
+        [((-1.0, -1.0, 0.0), 1.0), ((1.0, -1.0, 0.0), 2.0), ((0.0, 1.0, 0.5), -1.0)],
+    ],
+    ids=["one", "two", "three"],
+)
+def test_gradient_sup_matches_the_meshgrid_formula_exactly(charges):
+    problem = assemble_problem(
+        ChargeConfig(3, charges), (-4.0, -3.0, -3.5), (4.0, 3.5, 3.0), 0.25, 2,
+        "radial-superposition",
+    )
+    U = problem.initial_guess()
+    U[1:-1, 1:-1, 1:-1] += np.random.default_rng(len(charges)).normal(
+        0.0, 0.01, tuple(n - 2 for n in problem.shape)
+    )
+    result = GridField(
+        problem=problem, values=U, energy=0.0, grad_norm=0.0, iterations=0,
+        cg_per_step=(), converged=False, tol=1e-9, stop_reason="max_iter",
+    )
+    for radius in (0.0, 0.5, 0.75):
+        report = gradient_sup(result, exclusion_radius=radius)
+        got = (report.sup, report.argmax_distance, report.cells_considered)
+        assert got == _gradient_sup_by_meshgrid(result, radius)
+
+
 class TestNewtonSolver:
+    NON_CUBIC = ((-1.0, -0.75, -0.5), (1.0, 1.0, 0.75))
+
+    def test_node_sigma_is_the_nodal_edge_weight_sum_over_6h(self):
+        cfg = ChargeConfig(3, [((0.0, 0.25, 0.0), 3.0)])
+        problem = assemble_problem(cfg, *self.NON_CUBIC, 0.25, 16, "zero")
+        h = problem.h
+        U = problem.initial_guess()
+        node_sigma = _newton_model(problem, U)[3]
+        sigma = density_series(
+            _cell_s(U, h)[0], taylor_coefficients(problem.m).alphas
+        )[1]
+        assert sigma.max() > 2.0  # far from the constant sigma of m = 1
+        expected = np.zeros(tuple(n - 2 for n in problem.shape))
+        for node in np.ndindex(*expected.shape):
+            n = np.add(node, 1)
+            weight_sum = 0.0
+            for d in range(3):
+                # the edges ending and starting at n along d, each weighted
+                # by (h/4) times the sigma of its four cells
+                for first in (n[d] - 1, n[d]):
+                    cells = [slice(x - 1, x + 1) for x in n]
+                    cells[d] = first
+                    weight_sum += (h / 4.0) * sigma[tuple(cells)].sum()
+            expected[node] = weight_sum / (6.0 * h)
+        assert node_sigma.shape == expected.shape
+        assert np.max(np.abs(node_sigma / expected - 1.0)) <= 1e-14
+
+    def test_node_sigma_is_one_at_order_one(self):
+        problem = assemble_problem(SINGLE, *self.NON_CUBIC, 0.25, 1, "zero")
+        U = problem.initial_guess()
+        U[1:-1, 1:-1, 1:-1] += np.random.default_rng(6).normal(
+            0.0, 0.3, tuple(n - 2 for n in problem.shape)
+        )
+        assert np.all(_newton_model(problem, U)[3] == 1.0)
+
+    @pytest.mark.parametrize(
+        "rule, max_cg, energy",
+        [
+            ("radial-superposition", 45, -35.34868439372799),
+            ("zero", 50, -28.56527475209062),
+        ],
+    )
+    def test_sigma_scaling_cuts_cg_on_the_strong_charge(self, rule, max_cg, energy):
+        # With the plain Poisson inverse this solve took 68 (superposition)
+        # and 79 (zero) CG iterations, to the same energies.
+        cfg = ChargeConfig(3, [((0.0, 0.0, 0.0), 20.0)])
+        problem = assemble_problem(cfg, -4, 4, 0.25, 16, rule)
+        result = minimize_energy(problem, tol=1e-9)
+        assert result.converged
+        assert result.cg_iterations <= max_cg
+        assert sum(result.cg_per_step) == result.cg_iterations
+        assert len(result.cg_per_step) == result.iterations
+        assert result.energy == pytest.approx(energy, rel=1e-12)
+
+    def test_objective_beyond_binary64_rejected(self):
+        # a = 1e300 makes the starting energy -inf; at a = 1e155 the energy
+        # is finite but the squared gradient norm overflows
+        for a, quantity in ((1e300, "energy"), (1e155, "gradient 2-norm")):
+            cfg = ChargeConfig(3, [((0.0, 0.0, 0.0), a)])
+            problem = assemble_problem(cfg, -1, 1, 0.25, 2, "radial-superposition")
+            with pytest.raises(InputError, match=f"starting {quantity} is"):
+                minimize_energy(problem)
+
     def test_poisson_preconditioner_inverts_hessian_at_order_one(self):
         # sigma = 1 at m = 1, so the Hessian is h times the Dirichlet
         # Laplacian at every U; a non-cubic box exercises every axis.
@@ -472,6 +591,8 @@ class TestNewtonSolver:
         assert not result.converged
         assert result.stop_reason == "line_search_failed"
         assert result.iterations < 50
+        # the rejected last direction keeps its CG count
+        assert len(result.cg_per_step) == result.iterations + 1
         assert result.grad_norm < 1e-13
 
     @pytest.mark.parametrize("rule", ["radial-superposition", "zero"])
