@@ -14,6 +14,10 @@ and an exit-code convention:
 Any other exception is a bug; it is not caught and ends the run with a
 traceback (exit status 1).
 
+Ctilde's quadrature tolerance is a ``quad`` constant, so ``check`` and
+``constants`` report the same Ctilde(N); ``solve`` takes its tolerance
+from the config's ``tolerances.solver`` only (default 1e-9).
+
 Reports are deterministic: identical config and arguments produce
 byte-identical files.  ``--seed`` is a label recorded in every report; the
 package has no randomness, so it drives nothing.  Infinite margins
@@ -57,7 +61,7 @@ class ConfigError(InputError):
 
 _TOP_KEYS = {"dim", "charges", "box", "order_m", "boundary_rule", "tolerances"}
 _BOX_KEYS = {"lo", "hi", "h"}
-_TOL_KEYS = {"solver", "quadrature"}
+_TOL_KEYS = {"solver"}
 
 
 def _fail(path: str, message: str):
@@ -312,7 +316,6 @@ def _verdict_dict(v: conditions.Verdict) -> dict:
 def cmd_constants(args) -> int:
     N = args.dim
     orders = args.orders
-    quad_tol = args.tol if args.tol is not None else 1e-10
     per_order = [
         _fields(
             asymptotics_spec(m, N, 1.0, override_guarantee=args.override_guarantee),
@@ -324,11 +327,11 @@ def cmd_constants(args) -> int:
     # best_constant_cbar rejects N < 3; sphere_measure would accept N = 2
     cbar = best_constant_cbar(N)
     omega = sphere_measure(N)
-    ctilde = refined_constant_ctilde(N, quad_tol)
+    ctilde = refined_constant_ctilde(N)
     report = {
         "command": "constants",
         "seed": args.seed,
-        "inputs": {"dim": N, "orders": orders, "quad_tol": quad_tol},
+        "inputs": {"dim": N, "orders": orders},
         "results": {
             "sphere_measure": omega,
             "best_constant": cbar,
@@ -347,12 +350,7 @@ def cmd_constants(args) -> int:
 def cmd_check(args) -> int:
     cfg = load_config(Path(args.config), need_box=False)
     config: ChargeConfig = cfg["config"]
-    quad_tol = (
-        args.tol
-        if args.tol is not None
-        else cfg["tolerances"].get("quadrature", 1e-10)
-    )
-    ctilde = refined_constant_ctilde(config.dim, quad_tol)
+    ctilde = refined_constant_ctilde(config.dim)
     verdicts = [conditions.check_global(config), conditions.check_refined(config, ctilde)]
     with contextlib.suppress(conditions.NotApplicableError):  # not one +/- pair
         verdicts.append(conditions.check_two_charge(config))
@@ -451,7 +449,7 @@ def cmd_solve(args) -> int:
     cfg = load_config(Path(args.config), need_box=True)
     config: ChargeConfig = cfg["config"]
     box = cfg["box"]
-    tol = args.tol if args.tol is not None else cfg["tolerances"].get("solver", 1e-9)
+    tol = cfg["tolerances"].get("solver", 1e-9)
     problem = field.assemble_problem(
         config, box["lo"], box["hi"], box["h"], cfg["order_m"], cfg["boundary_rule"]
     )
@@ -538,7 +536,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", parents=[common], help="closed-form and quadrature constants")
-    p.add_argument("--tol", type=float, help="quadrature tolerance override")
     p.add_argument(
         "--override-guarantee",
         action="store_true",
@@ -554,7 +551,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("check", parents=[common], help="solvability certificates for a config")
-    p.add_argument("--tol", type=float, help="quadrature tolerance override")
     p.add_argument("config", help="JSON run configuration")
     p.set_defaults(func=cmd_check)
 
@@ -572,7 +568,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_radial)
 
     p = sub.add_parser("solve", parents=[common], help="grid solve for a charge configuration")
-    p.add_argument("--tol", type=float, help="solver tolerance override")
     p.add_argument("config", help="JSON run configuration")
     p.add_argument("--max-iter", type=int, default=5000, help="most Newton steps")
     p.set_defaults(func=cmd_solve)
@@ -593,9 +588,6 @@ def main(argv=None) -> int:
     # built, so a wrapper or patch on ``cmd_*`` installed since then runs
     command = globals()[args.func.__name__]
     try:
-        tol = getattr(args, "tol", None)  # radial has no --tol
-        if tol is not None and not _is_positive_number(tol):
-            raise ConfigError(f"--tol must be a positive finite number, got {tol}")
         return command(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,7 +52,7 @@ class InputError(ValueError):
 
 
 def _check_dim(N) -> None:
-    if not isinstance(N, int) or N < 3:
+    if not isinstance(N, int) or isinstance(N, bool) or N < 3:
         raise InputError(f"dimension must be an integer >= 3, got {N!r}")
 
 
@@ -64,7 +64,7 @@ def _check_strength(a) -> float:
 
 
 def _check_order(m) -> None:
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise InputError(f"order m must be an integer >= 1, got {m!r}")
 
 

@@ -72,7 +72,7 @@ class DiscreteProblem:
     """Discretized multi-charge problem on a box with spacing h.
 
     ``shape`` counts nodes per axis.  ``charges`` holds (node index triple,
-    strength) pairs after snapping (and merging of coincident snaps);
+    strength) pairs after snapping, one per input charge, on distinct nodes;
     ``snap_distances`` records how far each input charge moved.
     ``boundary_values`` is a full-grid array whose boundary entries carry
     the Dirichlet data (interior entries are zero).
@@ -168,10 +168,10 @@ def assemble_problem(
     must resolve at least 8 nodes between the closest snapped pair and the
     box must clear every charge by at least the minimum charge spacing
     (below twice that a truncation warning is issued).  Charges that snap
-    onto the same node merge with summed strengths, which must not cancel
-    to zero.  Superposed boundary data above the central-value bound
-    sum_k |a_k|^(1/2) A(3) cannot come from correct single-charge fields,
-    each bounded by its central value, so it raises ``AccuracyError``.
+    onto one node are 0 apart, so they fail the resolution guard.  Superposed
+    boundary data above the central-value bound sum_k |a_k|^(1/2) A(3) cannot
+    come from correct single-charge fields, each bounded by its central
+    value, so it raises ``AccuracyError``.
     ``config=None`` assembles a chargeless problem (boundary data only,
     zero-rule boundaries give the zero field).
     """
@@ -199,7 +199,7 @@ def assemble_problem(
         counts.append(n_int)
     shape = (counts[0] + 1, counts[1] + 1, counts[2] + 1)
 
-    snapped: dict[tuple[int, int, int], float] = {}
+    nodes: list[tuple[int, int, int]] = []
     snap_distances: list[float] = []
     positions: list[tuple[float, ...]] = []
     strengths: list[float] = []
@@ -217,24 +217,11 @@ def assemble_problem(
                 )
             snap = float(np.linalg.norm(pos - (np.asarray(lo) + h * np.asarray(node))))
             snap_distances.append(snap)
-            if node in snapped:
-                # degenerate input: the continuum model assumes distinct
-                # charge points, so collisions collapse into one source
-                warnings.warn(
-                    f"charges coincide at node {node} after snapping; "
-                    "strengths merged",
-                    stacklevel=2,
-                )
-                snapped[node] += charge.strength
-            else:
-                snapped[node] = charge.strength
+            nodes.append(node)
             positions.append(charge.pos)
             strengths.append(charge.strength)
-        for node, a in snapped.items():
-            if a == 0.0:
-                raise InputError(f"charges cancel after snapping to node {node}")
-        # resolution and clearance guards act on the snapped geometry
-        nodes = list(snapped)
+        # resolution and clearance guards act on the snapped geometry; charges
+        # sharing a node are 0 apart, so no two of them ever merge
         if len(nodes) >= 2:
             min_spacing = h * min(
                 math.dist(a, b)
@@ -295,7 +282,7 @@ def assemble_problem(
         shape=shape,
         boundary_rule=boundary_rule,
         boundary_values=boundary_values,
-        charges=tuple(sorted(snapped.items())),
+        charges=tuple(sorted(zip(nodes, strengths))),
         snap_distances=tuple(snap_distances),
     )
 
@@ -605,7 +592,10 @@ def minimize_energy(
         for _ in range(_BACKTRACKS):
             trial = U.copy()
             trial[inner] += alpha * step
-            candidate = _newton_model(problem, trial)
+            # a trial far outside the light cone may overflow the energy
+            # series; its energy is then inf or nan, which Armijo rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                candidate = _newton_model(problem, trial)
             decrease = -alpha * slope
             if decrease <= _ENERGY_NOISE * abs(energy):
                 if float(np.max(np.abs(candidate[1][inner]))) < residual:

@@ -25,7 +25,9 @@ so the central value is u(0+) = sign(a) L B and the central-value scale is
          = omega_{N-1}^(-1/(N-1)) * B.
 
 The energy of that field is a closed form too (``radial.spacelike_ratio``).
-The refined energy constant still runs through the half-line engine:
+The refined energy constant still runs through the half-line engine, each
+integral to the fixed absolute tolerance ``_CTILDE_TOL``, so Ctilde is a
+function of N alone:
 
     Ctilde(N) = omega_{N-1} * int r^(N-1) (1 - r^(N-1)/sqrt(r^(2(N-1))+1)) dr
                 / (int (r^(2(N-1))+1)^(-1/2) dr)^N.
@@ -314,7 +316,11 @@ def shape_constant_A(N: int) -> float:
     return _single_charge_field(1.0, N, np.empty(0))[0]
 
 
-def refined_constant_ctilde(N: int, abs_tol: float = 1e-10) -> float:
+# absolute tolerance of each of Ctilde's two half-line integrals
+_CTILDE_TOL = 1e-10
+
+
+def refined_constant_ctilde(N: int) -> float:
     """Refined constant of the energy/sup-norm inequality.
 
     Sharper than half the gradient-norm best constant: Ctilde >= Cbar/2,
@@ -334,8 +340,8 @@ def refined_constant_ctilde(N: int, abs_tol: float = 1e-10) -> float:
     def denominator(s: float) -> float:
         return 1.0 / math.sqrt(s**p + 1.0)
 
-    num, _ = integrate_decaying(numerator, 0.0, abs_tol)
-    den, _ = integrate_decaying(denominator, 0.0, abs_tol)
+    num, _ = integrate_decaying(numerator, 0.0, _CTILDE_TOL)
+    den, _ = integrate_decaying(denominator, 0.0, _CTILDE_TOL)
     return sphere_measure(N) * num / den**N
 
 

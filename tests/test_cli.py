@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,14 +62,10 @@ class TestConstantsCommand:
     def test_dimension_guard_exit_2(self, tmp_path):
         assert run_cli(["constants", "--dim", "2", "--out", str(tmp_path)]) == 2
 
-    def test_unattainable_tolerance_exit_3(self, tmp_path):
-        args = ["constants", "--dim", "3", "--tol", "1e-30", "--out", str(tmp_path)]
-        assert run_cli(args) == 3
-
     def test_exit_3_message_gives_estimate_and_bound(self, tmp_path, capsys):
-        args = ["constants", "--dim", "3", "--tol", "1e-30", "--out", str(tmp_path)]
+        args = ["constants", "--dim", "66", "--out", str(tmp_path)]
         with pytest.raises(AccuracyError) as caught:
-            refined_constant_ctilde(3, abs_tol=1e-30)
+            refined_constant_ctilde(66)
         exc = caught.value
         assert run_cli(args) == 3
         (line,) = capsys.readouterr().err.splitlines()
@@ -363,14 +360,9 @@ class TestSolveCommand:
         assert "finite" in err
 
     def test_non_convergence_exit_4(self, tmp_path):
-        config = write_config(tmp_path / "solve.json", self.SOLVE)
-        assert (
-            run_cli(
-                ["solve", config, "--out", str(tmp_path), "--max-iter", "1",
-                 "--tol", "1e-13"]
-            )
-            == 4
-        )
+        payload = dict(self.SOLVE, tolerances={"solver": 1e-13})
+        config = write_config(tmp_path / "solve.json", payload)
+        assert run_cli(["solve", config, "--out", str(tmp_path), "--max-iter", "1"]) == 4
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["results"]["converged"] is False
         assert report["results"]["stop_reason"] == "max_iter"
@@ -413,13 +405,12 @@ class TestSolveCommand:
 
     def test_huge_but_finite_objective_exit_4(self, tmp_path):
         # a = 1e100 starts finite; every trial along the first Newton
-        # direction overflows the energy series, so the line search fails
+        # direction overflows the energy series, so the line search fails,
+        # without an overflow warning (a RuntimeWarning fails the test)
         payload = dict(self.SOLVE, charges=[{"pos": [0.0, 0.0, 0.0], "a": 1e100}],
                        box={"lo": -1.0, "hi": 1.0, "h": 0.25})
         config = write_config(tmp_path / "solve.json", payload)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = run_cli(["solve", config, "--out", str(tmp_path)])
-        assert code == 4
+        assert run_cli(["solve", config, "--out", str(tmp_path)]) == 4
         results = json.loads((tmp_path / "report.json").read_text())["results"]
         assert results["stop_reason"] == "line_search_failed"
 
@@ -455,22 +446,7 @@ BAD_TOLERANCES = pytest.mark.parametrize(
 
 
 @BAD_TOLERANCES
-@pytest.mark.parametrize("command", ["solve", "check", "constants"])
-def test_tol_flag_must_be_positive_and_finite(tmp_path, capsys, command, tol):
-    # --tol inf used to end a solve after 0 steps as converged, and nan as
-    # not converged; check and constants accepted either
-    if command == "constants":
-        argv = ["constants", "--dim", "3"]
-    else:
-        argv = [command, write_config(tmp_path / "c.json", TestSolveCommand.SOLVE)]
-    out = tmp_path / "out"
-    assert run_cli(argv + ["--tol", repr(tol), "--out", str(out)]) == 2
-    assert "--tol" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@BAD_TOLERANCES
-@pytest.mark.parametrize("command,key", [("solve", "solver"), ("check", "quadrature")])
+@pytest.mark.parametrize("command,key", [("solve", "solver")])
 def test_config_tolerance_must_be_positive_and_finite(
     tmp_path, capsys, command, key, tol
 ):
@@ -480,15 +456,30 @@ def test_config_tolerance_must_be_positive_and_finite(
     assert f"tolerances.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_quadrature_tolerance_key_exit_2(tmp_path, capsys, command):
+    # Ctilde's quadrature tolerance is fixed, so the key is unknown
+    payload = dict(TestSolveCommand.SOLVE, tolerances={"quadrature": 1e-4})
+    config = write_config(tmp_path / "c.json", payload)
+    assert run_cli([command, config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'tolerances': unknown keys ['quadrature']" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["radial", "--a", "1", "--order", "4", "--tol", "1e-3"],
+        ["constants", "--dim", "3", "--tol", "1e-3"],
+        ["check", "{config}", "--tol", "1e-3"],
+        ["solve", "{config}", "--tol", "1e-3"],
         ["radial", "--a", "1", "--order", "4", "--override-guarantee"],
         ["check", "{config}", "--override-guarantee"],
         ["solve", "{config}", "--override-guarantee"],
     ],
-    ids=["radial-tol", "radial-override", "check-override", "solve-override"],
+    ids=["radial-tol", "constants-tol", "check-tol", "solve-tol", "radial-override",
+         "check-override", "solve-override"],
 )
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
     config = write_config(tmp_path / "c.json", TestSolveCommand.SOLVE)
@@ -499,8 +490,7 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
 
 
 def test_every_option_is_read_by_its_command():
-    # an option no command reads parses and then changes nothing; main's
-    # check of --tol does not count, since it runs for every command
+    # an option no command reads parses and then changes nothing
     parser = cli._build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for name, subparser in sub.choices.items():
@@ -511,6 +501,20 @@ def test_every_option_is_read_by_its_command():
                     f"{name} defines {action.option_strings or action.dest} "
                     "but never reads it"
                 )
+
+
+def test_every_config_key_is_read_by_a_command():
+    # a key load_config accepts but no command reads validates and then
+    # changes nothing; dim and charges reach the commands as cfg["config"],
+    # the ChargeConfig built from them
+    source = "".join(
+        inspect.getsource(f) for name, f in vars(cli).items() if name.startswith("cmd_")
+    )
+    assert 'cfg["config"]' in source
+    for key in (cli._TOP_KEYS - {"dim", "charges"}) | cli._BOX_KEYS | cli._TOL_KEYS:
+        assert f'["{key}"]' in source or f'.get("{key}"' in source, (
+            f"config key {key!r} is accepted but never read"
+        )
 
 
 def test_repeated_calls_build_one_parser_and_share_no_state(tmp_path, monkeypatch):
@@ -572,15 +576,20 @@ def test_traced_call_after_the_parser_is_built_records_the_command(tmp_path):
 
 
 def test_charges_cancelling_on_one_node_exit_2(tmp_path, capsys):
-    # every input strength is nonzero; their sum on node (8, 8, 8) is not
-    payload = dict(
-        TestSolveCommand.SOLVE,
-        charges=[{"pos": [0.0, 0.0, 0.0], "a": 1.0}, {"pos": [0.05, 0.0, 0.0], "a": -1.0}],
-    )
-    config = write_config(tmp_path / "c.json", payload)
-    with pytest.warns(UserWarning, match="merged"):
-        assert run_cli(["solve", config, "--out", str(tmp_path / "out")]) == 2
-    assert "charges cancel after snapping to node (8, 8, 8)" in capsys.readouterr().err
+    # charges that snap to one node, cancelling or not, are 0 apart: the
+    # resolution guard rejects them, and nothing is merged or warned about
+    for a in (-1.0, 0.5):
+        payload = dict(
+            TestSolveCommand.SOLVE,
+            charges=[{"pos": [0.0, 0.0, 0.0], "a": 1.0}, {"pos": [0.05, 0.0, 0.0], "a": a}],
+        )
+        config = write_config(tmp_path / "c.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["solve", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "spacing 0.25 is too coarse" in err and "(separation 0)" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_internal_error_escapes_main(tmp_path, monkeypatch):
@@ -600,6 +609,18 @@ def ctilde_over_omega(N: int) -> float:
     B = special.beta(0.5 - 1.0 / p, 1.0 / p) / p
     head = -math.gamma(1 + 1 / (2 * q)) * math.gamma(-0.5 - 1 / (2 * q))
     return head / (2 * q * math.sqrt(math.pi)) / B**N
+
+
+@pytest.mark.parametrize("N", range(3, 8))
+def test_check_and_constants_report_the_same_ctilde(tmp_path, N):
+    payload = {"dim": N, "charges": [{"pos": [0.0] * N, "a": 1.0}]}
+    config = write_config(tmp_path / "c.json", payload)
+    assert run_cli(["check", config, "--out", str(tmp_path / "check")]) == 0
+    assert run_cli(["constants", "--dim", str(N), "--out", str(tmp_path / "const")]) == 0
+    check, constants = (
+        json.loads((tmp_path / d / "report.json").read_text()) for d in ("check", "const")
+    )
+    assert check["inputs"]["ctilde"] == constants["results"]["refined_constant"]
 
 
 @pytest.mark.parametrize("N,code", [(65, 0), (66, 3), (100, 3), (343, 3), (344, 2)])
@@ -712,12 +733,12 @@ FUZZ_BASE = {
     "box": {"lo": [-2.0, -2.0, -2.0], "hi": 2.0, "h": 0.25},
     "order_m": 2,
     "boundary_rule": "radial-superposition",
-    "tolerances": {"solver": 1e-9, "quadrature": 1e-10},
+    "tolerances": {"solver": 1e-9},
 }
 NUMBER_SLOTS = [
     ("dim",), ("charges", 0, "a"), ("charges", 0, "pos", 1), ("box", "lo"),
     ("box", "lo", 2), ("box", "hi"), ("box", "h"), ("order_m",),
-    ("tolerances", "solver"), ("tolerances", "quadrature"),
+    ("tolerances", "solver"),
 ]
 CONTAINER_SLOTS = [
     ("charges",), ("charges", 0), ("charges", 0, "pos"), ("box",), ("tolerances",),
@@ -734,7 +755,7 @@ OUT_OF_RANGE = [
     (("charges", 0, "pos"), [0.0, 0.0]),
 ]
 OUT_OF_RANGE_FOR_SOLVE = [(("box", "h"), 0.3), (("box", "hi"), -2.0)]
-KNOWN_KEYS = set(FUZZ_BASE) | {"pos", "a", "lo", "hi", "h", "solver", "quadrature"}
+KNOWN_KEYS = set(FUZZ_BASE) | {"pos", "a", "lo", "hi", "h", "solver"}
 _junk_scalars = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3),
     st.lists(st.text(max_size=2), max_size=2),

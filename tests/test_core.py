@@ -281,7 +281,7 @@ class TestInputError:
             lambda m: field.assemble_problem(None, -1.0, 1.0, 0.25, m),
         ],
     )
-    @pytest.mark.parametrize("m", [0, -2, 4.0])
+    @pytest.mark.parametrize("m", [0, -2, 4.0, True])
     def test_order(self, call, m):
         with pytest.raises(InputError, match=r"^order m must be an integer >= 1, got "):
             call(m)

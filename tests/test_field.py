@@ -81,23 +81,20 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_problem(cfg, -1.5, 1.5, 0.125, 2, "zero")
 
-    def test_coincident_snaps_merge_with_warning(self):
-        cfg = ChargeConfig(
-            3, [((0.0, 0.0, 0.0), 1.0), ((0.05, 0.0, 0.0), 2.0)]
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            problem = assemble_problem(cfg, -4, 4, 0.5, 2, "zero")
-        assert problem.charges == (((8, 8, 8), 3.0),)
-        assert any("merged" in str(w.message) for w in caught)
+    def test_coincident_snaps_rejected(self):
+        # a shared node is separation 0: rejected, nothing merged or warned
+        cfg = ChargeConfig(3, [((0.0, 0.0, 0.0), 1.0), ((0.05, 0.0, 0.0), 0.5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=r"too coarse.*\(separation 0\)$"):
+                assemble_problem(cfg, -2, 2, 0.25, 2, "zero")
 
     def test_cancelling_snaps_rejected(self):
-        # merged strength 0: the exact start and the boundary data need a
-        # nonzero charge, so the node is named instead
+        # opposite strengths that would sum to 0 on node (8, 8, 8)
         cfg = ChargeConfig(3, [((0.0, 0.0, 0.0), 1.0), ((0.05, 0.0, 0.0), -1.0)])
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(InputError, match=r"cancel .* node \(8, 8, 8\)"):
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=r"too coarse.*\(separation 0\)$"):
                 assemble_problem(cfg, -2, 2, 0.25, 2, "radial-superposition")
 
     @pytest.mark.parametrize(
@@ -160,13 +157,6 @@ class TestInitialGuess:
                     )
                     expected += exact_radial_profile(b, 3, [r]).u[0]
             assert guess[node] == pytest.approx(expected, rel=1e-14)
-
-    def test_merged_charges_start_from_the_summed_strength(self):
-        cfg = ChargeConfig(3, [((0.0, 0.0, 0.0), 1.0), ((0.05, 0.0, 0.0), 2.0)])
-        with pytest.warns(UserWarning, match="merged"):
-            problem = assemble_problem(cfg, -2, 2, 0.25, 2, "radial-superposition")
-        u0 = exact_radial_profile(3.0, 3, [1.0]).u0
-        assert problem.initial_guess()[8, 8, 8] == pytest.approx(u0, rel=1e-14)
 
     @pytest.mark.parametrize("rule", ["radial-superposition", "zero"])
     @pytest.mark.parametrize("m", [2, 16])
