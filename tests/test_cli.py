@@ -17,7 +17,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from borninfeld import cli, field, radial
+from borninfeld import cli, field, quad, radial
 from borninfeld.cli import main, validate_report
 from borninfeld.quad import AccuracyError, refined_constant_ctilde
 
@@ -300,9 +300,9 @@ def test_scipy_stays_off_the_import_path(tmp_path):
     assert probe["codes"] == [0, 0, 0, 0]
     # import borninfeld.cli, constants, check and radial load no scipy module
     assert probe["light"] == []
-    # solve needs scipy.special for the incomplete Beta, never scipy.fft
-    assert "scipy.special" in probe["solve"]
-    assert not [m for m in probe["solve"] if m.startswith("scipy.fft")]
+    # nor does solve: the incomplete Beta of its boundary data and starting
+    # guess is evaluated with numpy alone, so all four commands load none
+    assert probe["solve"] == []
 
 
 class TestSolveCommand:
@@ -391,6 +391,14 @@ class TestSolveCommand:
         assert run_cli(["solve", config, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "exceeds the central-value bound" in err
+        assert "Traceback" not in err
+
+    def test_incomplete_beta_non_convergence_exit_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(quad, "_BETA_MAX_TERMS", 2)
+        config = write_config(tmp_path / "solve.json", self.SOLVE)
+        assert run_cli(["solve", config, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "not converged after 2 terms" in err
         assert "Traceback" not in err
 
     def test_objective_beyond_binary64_exit_2(self, tmp_path, capsys):
@@ -503,10 +511,12 @@ def test_every_option_is_read_by_its_command():
                 )
 
 
-def test_every_config_key_is_read_by_a_command():
+def test_every_config_key_is_read_by_a_command(tmp_path):
     # a key load_config accepts but no command reads validates and then
-    # changes nothing; dim and charges reach the commands as cfg["config"],
-    # the ChargeConfig built from them
+    # changes nothing; dim and charges reach the commands only as
+    # cfg["config"], the ChargeConfig built from them, never as a second copy
+    cfg = cli.load_config(Path(write_config(tmp_path / "c.json", DIPOLE)), need_box=False)
+    assert "dim" not in cfg and "charges" not in cfg
     source = "".join(
         inspect.getsource(f) for name, f in vars(cli).items() if name.startswith("cmd_")
     )

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
+from borninfeld import quad
 from borninfeld.core import sphere_measure
 from borninfeld.quad import (
     AccuracyError,
     _complete_beta,
     _gk15_panel,
     _gk15_panels,
+    _incomplete_beta,
+    _single_charge_field,
     adaptive_gauss_kronrod,
     exact_radial_profile,
     flux_identity_residual,
@@ -262,6 +266,91 @@ class TestExactRadialProfile:
             exact_radial_profile(1.0, 3, np.array([1.0, 0.5]))
         with pytest.raises(ValueError):
             exact_radial_profile(1.0, 3, np.array([-1.0, 0.5]))
+
+
+def _beta_pair(N):
+    p = 2 * (N - 1)
+    return 0.5 - 1.0 / p, 1.0 / p
+
+
+def _charge_length(N):
+    return (1.0 / sphere_measure(N)) ** (1.0 / (N - 1))
+
+
+def _beta_accuracy(N):
+    """Relative accuracy of u/u0 = I_w against scipy.special, by dimension."""
+    return 4e-15 if N == 3 else 2e-14 if N <= 20 else 6e-14
+
+
+class TestIncompleteBeta:
+    """The numpy I_w of the exact field against scipy.special as oracle.
+
+    The suite turns every RuntimeWarning into an error, so each case also
+    shows that no overflow, underflow or division warning escapes.
+    """
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 7, 20, 65])
+    def test_field_matches_scipy(self, N):
+        # (r/L)^p over [1e-290, 1e290], denser where w = 1/(1 + (r/L)^p) is
+        # near 1/2 and the reflected branch subtracts from 1
+        alpha, beta = _beta_pair(N)
+        length = _charge_length(N)
+        xs = np.concatenate([np.logspace(-290, 290, 20001), np.linspace(0.25, 4.0, 20001)])
+        r = np.unique(length * xs ** (1.0 / (2 * (N - 1))))
+        u0, u = _single_charge_field(1.0, N, r)
+        with np.errstate(over="ignore", divide="ignore"):
+            x = (r / length) ** (2 * (N - 1))
+            w, w_comp = 1.0 / (1.0 + x), 1.0 / (1.0 + 1.0 / x)
+        oracle = np.where(
+            w <= 0.5, special.betainc(alpha, beta, w), special.betaincc(beta, alpha, w_comp)
+        )
+        assert np.max(np.abs(u / u0 - oracle) / oracle) <= _beta_accuracy(N)
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 7, 20, 65])
+    def test_branches_agree_at_one_half(self, N):
+        alpha, beta = _beta_pair(N)
+        half = np.array([0.5])
+        lower = _incomplete_beta(half, half, alpha, beta)[0]
+        upper = 1.0 - _incomplete_beta(half, half, beta, alpha)[0]
+        assert abs(lower - upper) <= 4 * math.ulp(1.0)
+        assert lower == pytest.approx(special.betainc(alpha, beta, 0.5), abs=4 * math.ulp(1.0))
+
+    @pytest.mark.parametrize("N", [3, 4, 7, 65])
+    def test_end_points_are_exact(self, N):
+        alpha, beta = _beta_pair(N)
+        for a, b in ((alpha, beta), (beta, alpha)):
+            assert _incomplete_beta(np.array([0.0]), np.array([1.0]), a, b)[0] == 0.0
+        # a radius so far that (r/L)^p overflows gives w = 0, and one so
+        # close that it underflows gives w_comp = 0: u = 0 and u = u0 exactly
+        u0, u = _single_charge_field(1.0, N, np.array([1e-300, 1e300]))
+        assert u[0] == u0
+        assert u[1] == 0.0
+
+    def test_non_convergence_is_an_accuracy_error(self, monkeypatch):
+        # two terms settle no x > 0 to one ulp; the cap must raise, not
+        # return the partial fraction
+        monkeypatch.setattr(quad, "_BETA_MAX_TERMS", 2)
+        with pytest.raises(AccuracyError, match="not converged after 2 terms"):
+            exact_radial_profile(1.0, 3, np.array([0.5, 1.0, 2.0]))
+
+
+@settings(max_examples=60)
+@given(
+    N=st.integers(3, 65),
+    x=st.lists(st.floats(1e-12, 1e12), min_size=1, max_size=12),
+)
+def test_incomplete_beta_is_monotone_in_w(N, x):
+    # u/u0 = I_w with w = 1/(1 + (r/L)^p), so I_w nondecreasing in w is u
+    # nonincreasing in r.  Radii one ulp apart, here either side of r = L
+    # where the reflected branch takes over at w = 1/2, can differ by less
+    # than the rounding of I_w, so a step up is allowed up to twice its
+    # accuracy; a wrong branch or reflection would step by far more.
+    length = _charge_length(N)
+    near = [np.nextafter(length, 0.0), length, np.nextafter(length, np.inf)]
+    r = np.unique(np.concatenate([length * np.asarray(x) ** (1.0 / (2 * (N - 1))), near]))
+    u0, u = _single_charge_field(1.0, N, r)
+    assert np.all(np.diff(u) <= 2 * _beta_accuracy(N) * u[1:])
+    assert np.all((0.0 <= u) & (u <= u0))
 
 
 @settings(max_examples=40)
