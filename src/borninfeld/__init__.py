@@ -1,6 +1,6 @@
 """Numerics for electrostatic point-charge fields under the Born-Infeld model.
 
-Subpackages by role: ``core`` (types, expansion coefficients, closed-form
+Modules by role: ``core`` (types, expansion coefficients, closed-form
 constants), ``quad`` (half-line quadrature, exact single-charge field),
 ``conditions`` (solvability certificates), ``radial`` (order-m radial
 solver, singularity fits, cone-plus-tail extremals), ``field`` (grid solver
@@ -11,12 +11,10 @@ from .core import (
     AsymptoticsSpec,
     Charge,
     ChargeConfig,
-    CoefficientTable,
     GuaranteeRangeError,
     InputError,
     asymptotics_spec,
     best_constant_cbar,
-    lagrangian_partial_sum,
     sphere_measure,
     taylor_coefficients,
 )
@@ -35,7 +33,6 @@ from .conditions import (
     check_global,
     check_refined,
     check_two_charge,
-    classify_segments,
 )
 from .radial import (
     ConeTailCandidate,

@@ -222,13 +222,14 @@ def _is_number_or_sentinel(value) -> bool:
 
 _RESULT_KEYS = {
     "constants": {"sphere_measure", "best_constant", "central_value_scale",
-                  "refined_constant", "refined_over_sphere", "orders"},
+                  "refined_constant", "refined_over_sphere", "min_guaranteed_order",
+                  "orders"},
     "check": {"verdicts", "per_segment", "conclusive"},
-    "radial": {"profile_csv", "n_samples", "u_fit", "du_fit", "guaranteed",
-               "predicted"},
+    "radial": {"profile_csv", "n_samples", "central_value", "u_fit", "du_fit",
+               "guaranteed", "predicted"},
     "solve": {"field_csv", "energy", "grad_norm", "iterations", "cg_iterations",
-              "cg_per_step", "converged", "stop_reason", "extremum", "segments",
-              "gradient_sup"},
+              "cg_per_step", "converged", "stop_reason", "snap_distances",
+              "extremum", "segments", "gradient_sup"},
 }
 
 

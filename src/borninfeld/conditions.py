@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .core import ChargeConfig, sphere_measure
-from .quad import refined_constant_ctilde, shape_constant_A
+from .quad import shape_constant_A
 
 __all__ = [
     "VerdictLevel",
@@ -43,7 +43,6 @@ __all__ = [
     "check_global",
     "check_refined",
     "check_two_charge",
-    "classify_segments",
 ]
 
 _GUARD_REL = 1e-12
@@ -194,18 +193,3 @@ def _pairwise_levels(config: ChargeConfig, lhs: float) -> tuple[PairVerdict, ...
             level = VerdictLevel.INCONCLUSIVE
         out.append(PairVerdict(j=j, l=l, level=level, separation=sep))
     return tuple(out)
-
-
-def classify_segments(
-    config: ChargeConfig, ctilde: float | None = None
-) -> list[PairVerdict]:
-    """Per-pair classification: same-sign pairs unconditionally classical,
-    mixed pairs judged by the refined per-segment rule.
-
-    ``ctilde`` defaults to the computed refined constant for the
-    configuration's dimension.  These are the ``per_segment`` levels of
-    ``check_refined``, never merged into a global claim.
-    """
-    if ctilde is None:
-        ctilde = refined_constant_ctilde(config.dim)
-    return list(check_refined(config, ctilde).per_segment or ())

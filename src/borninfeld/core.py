@@ -28,13 +28,11 @@ import numpy as np
 __all__ = [
     "Charge",
     "ChargeConfig",
-    "CoefficientTable",
     "AsymptoticsSpec",
     "InputError",
     "GuaranteeRangeError",
     "taylor_coefficients",
     "density_series",
-    "lagrangian_partial_sum",
     "sphere_measure",
     "best_constant_cbar",
     "asymptotics_spec",
@@ -151,14 +149,6 @@ class ChargeConfig:
     def strengths(self) -> tuple[float, ...]:
         return tuple(c.strength for c in self.charges)
 
-    @property
-    def positive_indices(self) -> tuple[int, ...]:
-        return tuple(k for k, c in enumerate(self.charges) if c.strength > 0)
-
-    @property
-    def negative_indices(self) -> tuple[int, ...]:
-        return tuple(k for k, c in enumerate(self.charges) if c.strength < 0)
-
     def sum_positive(self) -> float:
         return _strength_sum(
             "positive strengths", (c.strength for c in self.charges if c.strength > 0)
@@ -182,35 +172,14 @@ class ChargeConfig:
             return math.inf
         return min(self.distance(j, l) for j, l in self.pairs())
 
-    def scaled(self, factor: float) -> "ChargeConfig":
-        """Same strengths with all positions scaled by ``factor`` > 0."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return ChargeConfig(
-            self.dim,
-            [(tuple(factor * x for x in c.pos), c.strength) for c in self.charges],
-        )
-
 
 # ---------------------------------------------------------------------------
 # Taylor coefficients of the energy density
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Coefficients alpha_1..alpha_m of the energy-density expansion."""
-
-    order: int
-    alphas: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.order < 1 or len(self.alphas) != self.order:
-            raise ValueError("coefficient table length must equal its order")
-
-
-def taylor_coefficients(m: int) -> CoefficientTable:
-    """Coefficients alpha_1..alpha_m via the ratio recurrence.
+def taylor_coefficients(m: int) -> tuple[float, ...]:
+    """The tuple (alpha_1, ..., alpha_m), of length m, by the ratio recurrence.
 
     alpha_1 = 1 and alpha_{h+1} = alpha_h * (2h-1)/(2h).  The recurrence
     avoids double-factorial overflow entirely (each alpha_h is a ratio of
@@ -223,7 +192,7 @@ def taylor_coefficients(m: int) -> CoefficientTable:
     for h in range(1, m):
         a *= (2 * h - 1) / (2 * h)
         alphas.append(a)
-    return CoefficientTable(m, tuple(alphas))
+    return tuple(alphas)
 
 
 def density_series(s, alphas: tuple[float, ...]):
@@ -245,17 +214,6 @@ def density_series(s, alphas: tuple[float, ...]):
         sigma += a
     W *= s
     return W, sigma, dsigma
-
-
-def lagrangian_partial_sum(t: float, m: int) -> float:
-    """Order-m truncation sum_{h<=m} (alpha_h/2h) t^(2h) of 1 - sqrt(1-t^2).
-
-    Monotone non-decreasing in m and bounded by the closed form for t < 1.
-    """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    return density_series(t * t, taylor_coefficients(m).alphas)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +309,7 @@ def asymptotics_spec(
         if 2 * m == N:
             raise InputError(f"constants are undefined at 2m == N (m={m}, N={N})")
     omega = sphere_measure(N)
-    alpha_m = taylor_coefficients(m).alphas[-1]
+    alpha_m = taylor_coefficients(m)[-1]
     p = 2 * m - 1
     kappa = -((2 * m - 1) / (2 * m - N)) * omega ** (-1.0 / p)
     gamma = math.copysign(abs(a / alpha_m) ** (1.0 / p), a)

@@ -78,7 +78,6 @@ class DiscreteProblem:
     the Dirichlet data (interior entries are zero).
     """
 
-    config: ChargeConfig | None
     lo: tuple[float, float, float]
     hi: tuple[float, float, float]
     h: float
@@ -274,7 +273,6 @@ def assemble_problem(
                 error_bound=bound,
             )
     return DiscreteProblem(
-        config=config,
         lo=lo,
         hi=hi,
         h=h,
@@ -356,7 +354,7 @@ def _newton_model(problem: DiscreteProblem, U: np.ndarray):
     """
     h = problem.h
     s, *diffs = _cell_s(U, h)
-    W, sigma, dsigma = density_series(s, taylor_coefficients(problem.m).alphas)
+    W, sigma, dsigma = density_series(s, taylor_coefficients(problem.m))
     weights = [(h / 4.0) * _scatter(sigma, d) for d in range(3)]
     couple = dsigma / (8.0 * h)
     energy = h**3 * float(np.sum(W))
@@ -384,13 +382,6 @@ def _newton_model(problem: DiscreteProblem, U: np.ndarray):
         )
 
     return energy, grad, hessp, node_sigma
-
-
-def discrete_energy_hessp(
-    problem: DiscreteProblem, U: np.ndarray, V: np.ndarray
-) -> np.ndarray:
-    """Action of the energy Hessian at U on a full-grid direction V."""
-    return _newton_model(problem, U)[2](V)
 
 
 def discrete_energy(problem: DiscreteProblem, U: np.ndarray) -> float:
@@ -435,9 +426,6 @@ class GridField:
     def cg_iterations(self) -> int:
         """Conjugate gradient iterations over all Newton directions."""
         return sum(self.cg_per_step)
-
-    def charge_values(self) -> list[float]:
-        return [float(self.values[node]) for node, _ in self.problem.charges]
 
 
 def _sine_matrix(n: int) -> np.ndarray:

@@ -91,7 +91,7 @@ def flux_gradient_magnitude(r, a: float, m: int, N: int):
         raise InputError(f"radius must be positive, got {r}")
     a = _check_strength(a)
     _check_dim(N)
-    alphas = taylor_coefficients(m).alphas
+    alphas = taylor_coefficients(m)
     with np.errstate(over="ignore", divide="ignore"):
         target = abs(a) / (sphere_measure(N) * radii ** (N - 1))
     if not np.all(np.isfinite(target)):
@@ -210,7 +210,7 @@ def approx_radial_profile(a: float, m: int, N: int, rgrid) -> RadialProfile:
     sign = math.copysign(1.0, a)
     slopes = flux_gradient_magnitude(r, a, m, N)
     t = slopes.tolist()  # the adaptive pieces run on floats
-    alphas = taylor_coefficients(m).alphas
+    alphas = taylor_coefficients(m)
     c = abs(a) / omega
 
     def integrand(tau):
@@ -406,10 +406,6 @@ class ConeTailCandidate:
             raise ValueError(
                 f"matching radius must lie in [{lo:.6g}, 1], got {self.R}"
             )
-
-    @property
-    def c1(self) -> float:
-        return self.R ** (self.dim - 2) * (1.0 - self.R)
 
 
 def cone_tail_energy(R: float, N: int) -> float:

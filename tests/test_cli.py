@@ -527,6 +527,21 @@ def test_every_config_key_is_read_by_a_command(tmp_path):
         )
 
 
+@pytest.mark.parametrize("command", ["constants", "check", "radial", "solve"])
+def test_report_schema_is_every_results_key_a_command_writes(tmp_path, command):
+    # validate_report requires _RESULT_KEYS[command], so a key missing from
+    # the schema is one a report could drop unnoticed
+    argv = {
+        "constants": ["constants", "--dim", "3", "--orders", "4"],
+        "check": ["check", write_config(tmp_path / "c.json", DIPOLE)],
+        "radial": ["radial", "--a", "1", "--order", "4"],
+        "solve": ["solve", write_config(tmp_path / "s.json", TestSolveCommand.SOLVE)],
+    }[command]
+    assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 0
+    results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+    assert set(results) == cli._RESULT_KEYS[command]
+
+
 def test_repeated_calls_build_one_parser_and_share_no_state(tmp_path, monkeypatch):
     # main builds its parser once per process; a default handed to one call
     # must not carry into the next, and commands are looked up per call

@@ -13,7 +13,6 @@ from borninfeld.conditions import (
     check_global,
     check_refined,
     check_two_charge,
-    classify_segments,
 )
 from borninfeld.core import ChargeConfig, best_constant_cbar, sphere_measure
 from borninfeld.quad import refined_constant_ctilde, shape_constant_A
@@ -21,6 +20,14 @@ from borninfeld.quad import refined_constant_ctilde, shape_constant_A
 
 def dipole(distance: float, a1: float = 1.0, a2: float = -1.0) -> ChargeConfig:
     return ChargeConfig(3, [((0.0, 0.0, 0.0), a1), ((distance, 0.0, 0.0), a2)])
+
+
+def _scaled(config: ChargeConfig, factor: float) -> ChargeConfig:
+    """Same strengths with every position scaled by ``factor`` > 0."""
+    return ChargeConfig(
+        config.dim,
+        [(tuple(factor * x for x in c.pos), c.strength) for c in config.charges],
+    )
 
 
 # Thresholds re-derived from scratch for the unit dipole in N = 3:
@@ -144,7 +151,7 @@ class TestOrderingAndInvariance:
         base = dipole(2.0)
         v0 = check_global(base)
         for lam in (1.0, 1.5, 4.0, 100.0):
-            v = check_global(base.scaled(lam))
+            v = check_global(_scaled(base, lam))
             assert v.lhs == pytest.approx(v0.lhs, rel=1e-12)
             assert v.rhs == pytest.approx(lam * v0.rhs, rel=1e-12)
             assert v.level is VerdictLevel.GLOBAL_CLASSICAL
@@ -174,22 +181,23 @@ class TestOrderingAndInvariance:
 class TestClassifySegments:
     def test_same_sign_always_classical(self):
         cfg = ChargeConfig(3, [((0, 0, 0), 1.0), ((0.05, 0, 0), 2.0)])
-        pairs = classify_segments(cfg, ctilde=0.097 * sphere_measure(3))
+        pairs = check_refined(cfg, 0.097 * sphere_measure(3)).per_segment
         assert len(pairs) == 1
         assert pairs[0].level is VerdictLevel.SAME_SIGN_SEGMENT
 
     def test_mixed_pair_far_apart(self):
-        pairs = classify_segments(dipole(50.0), ctilde=0.097 * sphere_measure(3))
+        pairs = check_refined(dipole(50.0), 0.097 * sphere_measure(3)).per_segment
         assert pairs[0].level is VerdictLevel.SEGMENT_CLASSICAL
 
     def test_single_charge_empty(self):
-        assert classify_segments(ChargeConfig(3, [((0, 0, 0), 1.0)])) == []
+        single = ChargeConfig(3, [((0, 0, 0), 1.0)])
+        assert check_refined(single, refined_constant_ctilde(3)).per_segment is None
 
     def test_triple_mixed(self):
         cfg = ChargeConfig(
             3, [((0, 0, 0), 1.0), ((0.2, 0, 0), 2.0), ((5.0, 0, 0), -1.0)]
         )
-        pairs = classify_segments(cfg, ctilde=0.097 * sphere_measure(3))
+        pairs = check_refined(cfg, 0.097 * sphere_measure(3)).per_segment
         levels = {(p.j, p.l): p.level for p in pairs}
         assert levels[(0, 1)] is VerdictLevel.SAME_SIGN_SEGMENT
         assert levels[(0, 2)] is VerdictLevel.SEGMENT_CLASSICAL
@@ -202,13 +210,12 @@ class TestClassifySegments:
                 ((0, 1.0, 0), -0.5)]
         )
         ctilde = refined_constant_ctilde(3)
-        pairs = classify_segments(cfg, ctilde)
+        pairs = check_refined(cfg, ctilde).per_segment
         assert {p.level for p in pairs} == {
             VerdictLevel.SAME_SIGN_SEGMENT,
             VerdictLevel.SEGMENT_CLASSICAL,
             VerdictLevel.INCONCLUSIVE,
         }
-        assert pairs == list(check_refined(cfg, ctilde).per_segment)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +270,7 @@ def with_strengths(config: ChargeConfig, factor: float) -> ChargeConfig:
 @settings(max_examples=50)
 @given(config=charge_configs(), lam=st.floats(1.01, 10.0))
 def test_spreading_charges_never_hurts(config, lam):
-    before, after = certificates(config), certificates(config.scaled(lam))
+    before, after = certificates(config), certificates(_scaled(config, lam))
     for rule, v in before.items():
         assert after[rule].margin >= v.margin, rule
         if v.conclusive:
@@ -275,9 +282,9 @@ def test_spreading_charges_never_hurts(config, lam):
     for p in after["refined"].per_segment:
         if (p.j, p.l) in kept:
             assert p.level is VerdictLevel.SEGMENT_CLASSICAL
-    segments = classify_segments(config.scaled(lam), CTILDE[config.dim])
     assert kept <= {
-        (p.j, p.l) for p in segments if p.level is VerdictLevel.SEGMENT_CLASSICAL
+        (p.j, p.l) for p in after["refined"].per_segment
+        if p.level is VerdictLevel.SEGMENT_CLASSICAL
     }
 
 

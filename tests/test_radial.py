@@ -48,13 +48,13 @@ class TestFluxRoot:
         assert t == pytest.approx(newtonian, rel=1e-3)
 
     def test_near_field_dominated_by_top_term(self):
-        alpha_m = taylor_coefficients(4).alphas[-1]
+        alpha_m = taylor_coefficients(4)[-1]
         t = flux_gradient_magnitude(1e-3, 1.0, 4, 3)
         predicted = (1.0 / (alpha_m * OMEGA3 * 1e-6)) ** (1.0 / 7.0)
         assert t == pytest.approx(predicted, rel=0.02)
 
     def test_residual_tolerance(self):
-        alphas = taylor_coefficients(6).alphas
+        alphas = taylor_coefficients(6)
         for r in np.geomspace(1e-6, 1e3, 40):
             t = flux_gradient_magnitude(r, -2.5, 6, 4)
             g = math.fsum(a * t ** (2 * h - 1) for h, a in enumerate(alphas, 1))
@@ -108,7 +108,7 @@ class TestFluxRoot:
         t = flux_gradient_magnitude(r, 1.0, m, 3)
         assert math.isfinite(t)
         target = 1.0 / (OMEGA3 * r * r)
-        alphas = taylor_coefficients(m).alphas
+        alphas = taylor_coefficients(m)
         # t^(2m-1) alone overflows; alpha_h t^(2h-2) times t does not
         residual = math.fsum(
             [al * t ** (2 * h - 2) * t for h, al in enumerate(alphas, 1)] + [-target]
@@ -169,7 +169,7 @@ def test_flux_root_residual_property(m, N, log_r, a, negative):
     t = flux_gradient_magnitude(r, strength, m, N)
     assert isinstance(t, float)
     target = a / (sphere_measure(N) * r ** (N - 1))
-    alphas = taylor_coefficients(m).alphas
+    alphas = taylor_coefficients(m)
     residual = math.fsum(
         [al * t ** (2 * h - 1) for h, al in enumerate(alphas, 1)] + [-target]
     )
@@ -215,7 +215,7 @@ class TestApproxProfile:
         rgrid = np.geomspace(1e-5, 50, 120)
         m, a = 5, -1.7
         profile = approx_radial_profile(a, m, 3, rgrid)
-        alphas = taylor_coefficients(m).alphas
+        alphas = taylor_coefficients(m)
         for r, du in zip(profile.r, profile.du):
             t = abs(du)
             g = math.fsum(al * t ** (2 * h - 1) for h, al in enumerate(alphas, 1))
@@ -249,7 +249,7 @@ class TestApproxProfile:
         """
         q = N - 1
         c = abs(a) / sphere_measure(N)
-        alphas = taylor_coefficients(m).alphas
+        alphas = taylor_coefficients(m)
 
         def integrand(tau):
             tau2 = tau * tau
@@ -443,12 +443,6 @@ class TestConeTailFamily:
         with pytest.raises(ValueError):
             cone_tail_energy(1.1, 3)
 
-    def test_candidate_c1_constraint(self):
-        cand = ConeTailCandidate(3, 0.5)
-        assert cand.c1 == pytest.approx(0.25, rel=1e-15)
-        # equality case of the 1-Lipschitz tail constraint at R = (N-2)/(N-1)
-        assert cand.c1 == pytest.approx(cand.R ** (3 - 1) / (3 - 2), rel=1e-15)
-
 
 def _scaled_ratio_quadrature(profile, t: float) -> float:
     """omega int |d/dr (t u(r/t))|^2 r^(N-1) dr / (t |u0|)^N by quadrature.
@@ -460,7 +454,8 @@ def _scaled_ratio_quadrature(profile, t: float) -> float:
     N = profile.dim
     q = N - 1
     if isinstance(profile, ConeTailCandidate):
-        R, coef, sup = profile.R, (N - 2) * profile.c1, t
+        R, sup = profile.R, t
+        coef = (N - 2) * R ** (N - 2) * (1 - R)
 
         def slope_mag(r):
             rho = r / t
