@@ -32,6 +32,7 @@ import enum
 import itertools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -525,8 +526,20 @@ def _int_list(text: str) -> tuple[int, ...]:
         ) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that takes any dash-led number, -1e-2 and -inf too, as a value.
+
+    Plain argparse reads only the likes of -2 and -0.5 as numbers, so
+    ``--a -1e-2`` failed while ``--a=-1e-2`` worked.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="borninfeld",
         description="Constants, solvability certificates, radial solutions, "
         "and grid solves for point-charge Born-Infeld electrostatics.",

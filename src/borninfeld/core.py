@@ -202,18 +202,31 @@ def density_series(s, alphas: tuple[float, ...]):
     function is g(t) = t sigma(t^2), with g'(t) = sigma + 2 t^2 sigma'.
     The first step makes three new accumulators, which later steps update
     in place; a float or numpy scalar just rebinds.  ``s`` is never written.
+    The grid solver evaluates the two halves below apart, so a line-search
+    trial can stop at the energy; each accumulator sees the same operations.
     """
-    W = sigma = dsigma = 0.0
+    return (_energy_series(s, alphas), *_sigma_series(s, alphas))
+
+
+def _energy_series(s, alphas: tuple[float, ...]):
+    """W(s) of ``density_series`` alone."""
+    W = 0.0
     for k in range(len(alphas), 0, -1):
-        a = alphas[k - 1]
         W *= s
-        W += a / (2 * k)
+        W += alphas[k - 1] / (2 * k)
+    W *= s
+    return W
+
+
+def _sigma_series(s, alphas: tuple[float, ...]):
+    """sigma(s) and sigma'(s) of ``density_series`` alone."""
+    sigma = dsigma = 0.0
+    for a in reversed(alphas):
         dsigma *= s
         dsigma += sigma
         sigma *= s
         sigma += a
-    W *= s
-    return W, sigma, dsigma
+    return sigma, dsigma
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,15 @@ single-charge field; a strong charge then need not climb to its central
 value through damped steps.  The reported residual is the max-norm of the
 objective gradient over interior nodes.
 
+The kernels work on the C-order ravel of the node grid.  A cell or an edge
+sits at the flat index of its lowest node, so a step along axis d is the
+offset stride_d and every stencil is a contiguous slice.  "Junk" cells, whose
+lowest node lies on the last row or column, wrap into the next row or plane;
+they touch only boundary nodes and are zeroed before the energy series.  The
+sums keep the order of the 3-d stencils they replaced (first other axis
+before second, divergence over axes 0, 1, 2, energy summed over a contiguous
+copy), so reports and CSVs stay byte-identical.
+
 Grid solves are restricted to three dimensions; the radial module covers
 general N for single charges.
 """
@@ -40,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChargeConfig, density_series, taylor_coefficients
-from .core import InputError, _check_order
+from .core import ChargeConfig, InputError, taylor_coefficients
+from .core import _check_order, _energy_series, _sigma_series
 from .quad import AccuracyError, exact_radial_profile, shape_constant_A
 
 __all__ = [
@@ -290,98 +299,119 @@ def assemble_problem(
 # ---------------------------------------------------------------------------
 
 
-def _shifted(axis: int, part: slice) -> tuple[slice, ...]:
-    index = [slice(None)] * 3
-    index[axis] = part
-    return tuple(index)
+def _cell_grid(cells: np.ndarray, shape) -> np.ndarray:
+    """A flat cell array as (n0 - 1, n1, n2), its junk cells set to zero in
+    place; [:, :-1, :-1] are the real cells."""
+    grid = cells.reshape(shape[0] - 1, shape[1], shape[2])
+    grid[:, -1] = grid[:, :, -1] = 0.0
+    return grid
 
 
-_LO, _HI = slice(None, -1), slice(1, None)
+def _widen(a: np.ndarray, step: int) -> np.ndarray:
+    """out[p] = a[p] + a[p - step], with a read as zero outside its range."""
+    out = np.empty(len(a) + step)
+    out[:step], out[-step:] = a[:step], a[-step:]
+    np.add(a[step:], a[:-step], out=out[step:-step])
+    return out
 
 
-def _gather(edges: np.ndarray, axis: int) -> np.ndarray:
+def _to_cells(edges: np.ndarray, axis: int, strides) -> np.ndarray:
     """Per cell, the sum of its four edge values along ``axis``."""
-    for d in range(3):
-        if d != axis:
-            edges = edges[_shifted(d, _LO)] + edges[_shifted(d, _HI)]
-    return edges
+    first, second = (step for d, step in enumerate(strides) if d != axis)
+    pairs = edges[:-first] + edges[first:]
+    return pairs[:-second] + pairs[second:]
 
 
-def _scatter(cells: np.ndarray, axis: int) -> np.ndarray:
-    """Adjoint of ``_gather``: per edge along ``axis``, the sum over its cells."""
-    for d in range(3):
-        if d != axis:
-            shape = list(cells.shape)
-            shape[d] += 1
-            out = np.zeros(shape)
-            out[_shifted(d, _LO)] = cells
-            out[_shifted(d, _HI)] += cells
-            cells = out
-    return cells
+def _to_edges(cells: np.ndarray, strides) -> list[np.ndarray]:
+    """Adjoint of ``_to_cells`` for all three axes, from two partial sums."""
+    pairs0, pairs1 = _widen(cells, strides[0]), _widen(cells, strides[1])
+    return [_widen(pairs1, 1), _widen(pairs0, 1), _widen(pairs0, strides[1])]
 
 
-def _divergence(fluxes: list[np.ndarray], shape) -> np.ndarray:
+def _to_nodes(fluxes: list[np.ndarray], strides) -> np.ndarray:
     """Adjoint of the edge differences: nodal sums of signed edge fluxes."""
-    out = np.zeros(shape)
-    for d, f in enumerate(fluxes):
-        out[_shifted(d, _HI)] += f
-        out[_shifted(d, _LO)] -= f
+    out = np.zeros(len(fluxes[0]) + strides[0])
+    for f, step in zip(fluxes, strides):
+        out[step:] += f
+        out[:-step] -= f
     return out
 
 
 def _cell_s(U: np.ndarray, h: float):
-    """Per-cell squared gradient magnitude and the raw edge differences."""
-    diffs = [np.diff(U, axis=d) for d in range(3)]
-    s = sum(_gather(e * e, d) for d, e in enumerate(diffs)) * (0.25 / (h * h))
+    """Per-cell squared gradient magnitude (junk cells zero) and the edge
+    differences u[p + stride_d] - u[p], all flat."""
+    strides = (U.shape[1] * U.shape[2], U.shape[2], 1)
+    u = U.ravel()
+    diffs = [u[step:] - u[:-step] for step in strides]
+    s = np.zeros(len(diffs[0]))
+    live = s[: len(s) - strides[1] - 1]
+    for d, e in enumerate(diffs):
+        live += _to_cells(e * e, d, strides)
+    _cell_grid(s, U.shape)  # zeroes the junk cells
+    s *= 0.25 / (h * h)
     return (s, *diffs)
 
 
 def _newton_model(problem: DiscreteProblem, U: np.ndarray):
-    """Energy, gradient, Hessian action and nodal sigma at U from one pass.
+    """Energy at U from each cell's s and W alone, and a function whose call
+    completes the Newton model: gradient, Hessian action and nodal sigma.
 
-    The cell quantities s, sigma(s), sigma'(s) and the edge weights
-    (h/4) sum_{cells at e} sigma are computed once; the returned ``hessp``
-    closure reuses them for every full-grid direction V.  Per cell, with d
-    the edge differences of U and w those of V,
+    A line-search trial that Armijo rejects needs only the energy.  The
+    completion forms sigma(s), sigma'(s) and the edge weights (h/4)
+    sum_{cells at e} sigma once; ``hessp`` reuses them for every full-grid
+    direction V.  Per cell, with d the edge differences of U and w those of V,
 
         (H w)_e = (h/4) sigma(s) w_e + (h/(8 h^2)) sigma'(s) (d . w) d_e,
 
-    scattered to the edges like the gradient.  The charge term is linear and
-    drops out of the Hessian.  The last value is the mean of sigma over each
-    interior node's eight cells: every cell reaches the node through three
-    of its edges, so this is the node's sum of edge weights, the diagonal of
-    the sigma-weighted Laplacian, divided by its sigma = 1 value 6h.
+    scattered to the edges like the gradient; the linear charge term drops
+    out.  The nodal sigma is the mean sigma of each interior node's eight
+    cells: each reaches the node through three edges, so this is the node's
+    sum of edge weights (the sigma-weighted Laplacian's diagonal) over 6h.
     """
-    h = problem.h
+    h, shape = problem.h, U.shape
+    strides = (shape[1] * shape[2], shape[2], 1)
+    alphas = taylor_coefficients(problem.m)
     s, *diffs = _cell_s(U, h)
-    W, sigma, dsigma = density_series(s, taylor_coefficients(problem.m))
-    weights = [(h / 4.0) * _scatter(sigma, d) for d in range(3)]
-    couple = dsigma / (8.0 * h)
-    energy = h**3 * float(np.sum(W))
-    grad = _divergence([w * e for w, e in zip(weights, diffs)], U.shape)
+    live = len(s) - strides[1] - 1
+    W = _energy_series(s, alphas)
+    # a contiguous copy sums in the pairwise order of a 3-d cell array
+    energy = h**3 * float(np.sum(_cell_grid(W, shape)[:, :-1, :-1].copy()))
     for node, a in problem.charges:
         energy -= a * float(U[node])
-        grad[node] -= a
-    node_sigma = sigma
-    for d in range(3):
-        node_sigma = node_sigma[_shifted(d, _LO)] + node_sigma[_shifted(d, _HI)]
-    node_sigma *= 0.125
 
-    def hessp(V: np.ndarray) -> np.ndarray:
-        vdiffs = [np.diff(V, axis=d) for d in range(3)]
-        # sum over the cell's 12 edges of d_e * w_e, times sigma'/(8h)
-        P = couple * sum(
-            _gather(e * v, d) for d, (e, v) in enumerate(zip(diffs, vdiffs))
-        )
-        return _divergence(
-            [
-                w * v + _scatter(P, d) * e
-                for d, (w, e, v) in enumerate(zip(weights, diffs, vdiffs))
-            ],
-            V.shape,
-        )
+    def finish():
+        sigma, couple = _sigma_series(s, alphas)
+        couple /= 8.0 * h
+        for cells in (sigma, couple):
+            _cell_grid(cells, shape)  # zeroes the junk cells
+        weights = _to_edges(sigma[:live], strides)
+        # a node's eight cells are those of its two edges along the last axis
+        node_sigma = np.empty(U.size)
+        np.add(weights[2][1:], weights[2][:-1], out=node_sigma[1:-1])
+        node_sigma = 0.125 * node_sigma.reshape(shape)[1:-1, 1:-1, 1:-1]
+        for w in weights:
+            w *= h / 4.0
+        grad = _to_nodes([w * e for w, e in zip(weights, diffs)], strides).reshape(shape)
+        for node, a in problem.charges:
+            grad[node] -= a
 
-    return energy, grad, hessp, node_sigma
+        def hessp(V: np.ndarray) -> np.ndarray:
+            v = V.ravel()
+            vdiffs = [v[step:] - v[:-step] for step in strides]
+            # sum over the cell's 12 edges of d_e * w_e, times sigma'/(8h)
+            P = _to_cells(diffs[0] * vdiffs[0], 0, strides)
+            for d in (1, 2):
+                P += _to_cells(diffs[d] * vdiffs[d], d, strides)
+            P *= couple[:live]
+            for w, e, f, p in zip(weights, diffs, vdiffs, _to_edges(P, strides)):
+                f *= w
+                p *= e
+                f += p
+            return _to_nodes(vdiffs, strides).reshape(V.shape)
+
+        return grad, hessp, node_sigma
+
+    return energy, finish
 
 
 def discrete_energy(problem: DiscreteProblem, U: np.ndarray) -> float:
@@ -393,7 +423,8 @@ def discrete_energy_gradient(
     problem: DiscreteProblem, U: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Energy and its exact gradient with respect to every nodal value."""
-    return _newton_model(problem, U)[:2]
+    energy, finish = _newton_model(problem, U)
+    return energy, finish()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +577,8 @@ def minimize_energy(
     poisson = _poisson_inverse(n_inner, problem.h)
     direction = np.zeros(problem.shape)  # boundary entries stay zero
 
-    energy, grad, hessp, node_sigma = _newton_model(problem, U)
+    energy, finish = _newton_model(problem, U)
+    grad, hessp, node_sigma = finish()
     g = grad[inner]
     residual = float(np.max(np.abs(g)))
     with np.errstate(over="ignore"):
@@ -580,18 +612,19 @@ def minimize_energy(
         for _ in range(_BACKTRACKS):
             trial = U.copy()
             trial[inner] += alpha * step
+            decrease = -alpha * slope
             # a trial far outside the light cone may overflow the energy
             # series; its energy is then inf or nan, which Armijo rejects
             with np.errstate(over="ignore", invalid="ignore"):
-                candidate = _newton_model(problem, trial)
-            decrease = -alpha * slope
-            if decrease <= _ENERGY_NOISE * abs(energy):
-                if float(np.max(np.abs(candidate[1][inner]))) < residual:
-                    model = candidate
-                break
-            if candidate[0] <= energy - _ARMIJO * decrease:
-                model = candidate
-                break
+                trial_energy, finish = _newton_model(problem, trial)
+                if decrease <= _ENERGY_NOISE * abs(energy):
+                    candidate = finish()
+                    if float(np.max(np.abs(candidate[0][inner]))) < residual:
+                        model = (trial_energy, *candidate)
+                    break
+                if trial_energy <= energy - _ARMIJO * decrease:
+                    model = (trial_energy, *finish())
+                    break
             alpha *= 0.5
         if model is None:
             stop_reason = "line_search_failed"
@@ -701,15 +734,7 @@ def extremum_report(field: GridField) -> list[ExtremumRecord]:
         i, j, k = node
         block = U[i - 1 : i + 2, j - 1 : j + 2, k - 1 : k + 2]
         center = U[i, j, k]
-        neighbors = np.array(
-            [
-                block[di, dj, dk]
-                for di in range(3)
-                for dj in range(3)
-                for dk in range(3)
-                if (di, dj, dk) != (1, 1, 1)
-            ]
-        )
+        neighbors = np.delete(block.ravel(), 13)  # all but the centre
         if np.all(neighbors < center):
             kind = "max"
             margin = float(center - np.max(neighbors))
@@ -829,7 +854,7 @@ def gradient_sup(field: GridField, exclusion_radius: float = 0.0) -> GradientSup
     with the distance (cell center to nearest charge) where it is attained.
     """
     problem = field.problem
-    s, _, _, _ = _cell_s(field.values, problem.h)
+    s = _cell_grid(_cell_s(field.values, problem.h)[0], problem.shape)[:, :-1, :-1]
     flat = np.sqrt(s).ravel()
     # cell-centre coordinates per axis, broadcast against each other
     axes = [

@@ -217,6 +217,24 @@ class TestRadialCommand:
             == 2
         )
 
+    @pytest.mark.parametrize("a", ["-1e-2", "-1E+1", "-.5e0"])
+    def test_negative_strength_parses_space_separated(self, tmp_path, a):
+        # argparse reads a dash-led number in scientific notation as a flag
+        # unless the parser is told otherwise
+        args = ["radial", "--order", "4", "--points", "200"]
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        assert run_cli(args + ["--a", a, "--out", str(spaced)]) == 0
+        assert run_cli(args + [f"--a={a}", "--out", str(joined)]) == 0
+        for name in ("report.json", "profile.csv"):
+            assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+
+    def test_negative_infinite_strength_exit_2_names_the_strength(self, tmp_path, capsys):
+        argv = ["radial", "--a", "-inf", "--order", "4", "--out", str(tmp_path)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "charge strength must be finite and nonzero, got -inf" in err
+        assert "usage" not in err
+
     def test_infinite_rmax_names_the_flags(self, tmp_path, capsys):
         argv = ["radial", "--a", "1", "--order", "4", "--rmax", "inf", "--out", str(tmp_path)]
         assert run_cli(argv) == 2
@@ -332,6 +350,29 @@ class TestSolveCommand:
             rows = list(csv.reader(handle))
         assert rows[0] == ["x", "y", "z", "u"]
         assert len(rows) == 17**3 + 1
+
+    def test_non_cubic_box_solve(self, tmp_path):
+        # 9 x 17 x 25 nodes: a swapped stride would pass every cubic test
+        payload = dict(self.SOLVE)
+        payload["box"] = {"lo": [-1.0, -2.0, -3.0], "hi": [1.0, 2.0, 3.0], "h": 0.25}
+        config = write_config(tmp_path / "solve.json", payload)
+        assert run_cli(["solve", config, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["results"]["converged"] is True
+        (extremum,) = report["results"]["extremum"]
+        assert extremum["node"] == [4, 8, 12]
+        assert extremum["kind"] == "max"
+        data = np.loadtxt(tmp_path / "field.csv", delimiter=",", skiprows=1)
+        grid = data[:, :3].reshape(9, 17, 25, 3)
+        for d, (lo, n) in enumerate(zip((-1.0, -2.0, -3.0), (9, 17, 25))):
+            index = [0, 0, 0]
+            index[d] = slice(None)
+            assert np.array_equal(grid[tuple(index)][:, d], lo + 0.25 * np.arange(n))
+        u = data[:, 3].reshape(9, 17, 25)
+        assert u[4, 8, 12] == u.max()
+        # the box and the charge are mirror symmetric in each axis
+        for flipped in (u[::-1], u[:, ::-1], u[:, :, ::-1]):
+            assert np.max(np.abs(flipped - u)) <= 1e-8
 
     @pytest.mark.filterwarnings("ignore:boundary clearance")
     def test_box_too_small_exit_2(self, tmp_path):

@@ -37,6 +37,90 @@ def small_problem(m=2, rule="zero", h=0.25, half=1.0, config=SINGLE):
     return assemble_problem(config, -half, half, h, m, rule)
 
 
+def full_model(problem, U):
+    """Energy, gradient, Hessian action and nodal sigma at U."""
+    energy, finish = _newton_model(problem, U)
+    return (energy, *finish())
+
+
+# The 3-d stencils that the flat kernels of ``field`` replaced, kept as their
+# oracle: the flat kernels must reproduce them bit for bit.
+
+
+def _shifted(axis, part):
+    index = [slice(None)] * 3
+    index[axis] = part
+    return tuple(index)
+
+
+_LO, _HI = slice(None, -1), slice(1, None)
+
+
+def _gather(edges, axis):
+    for d in range(3):
+        if d != axis:
+            edges = edges[_shifted(d, _LO)] + edges[_shifted(d, _HI)]
+    return edges
+
+
+def _scatter(cells, axis):
+    for d in range(3):
+        if d != axis:
+            shape = list(cells.shape)
+            shape[d] += 1
+            out = np.zeros(shape)
+            out[_shifted(d, _LO)] = cells
+            out[_shifted(d, _HI)] += cells
+            cells = out
+    return cells
+
+
+def _divergence(fluxes, shape):
+    out = np.zeros(shape)
+    for d, f in enumerate(fluxes):
+        out[_shifted(d, _HI)] += f
+        out[_shifted(d, _LO)] -= f
+    return out
+
+
+def cell_s_3d(U, h):
+    diffs = [np.diff(U, axis=d) for d in range(3)]
+    s = sum(_gather(e * e, d) for d, e in enumerate(diffs)) * (0.25 / (h * h))
+    return (s, *diffs)
+
+
+def newton_model_3d(problem, U):
+    h = problem.h
+    s, *diffs = cell_s_3d(U, h)
+    W, sigma, dsigma = density_series(s, taylor_coefficients(problem.m))
+    weights = [(h / 4.0) * _scatter(sigma, d) for d in range(3)]
+    couple = dsigma / (8.0 * h)
+    energy = h**3 * float(np.sum(W))
+    grad = _divergence([w * e for w, e in zip(weights, diffs)], U.shape)
+    for node, a in problem.charges:
+        energy -= a * float(U[node])
+        grad[node] -= a
+    node_sigma = sigma
+    for d in range(3):
+        node_sigma = node_sigma[_shifted(d, _LO)] + node_sigma[_shifted(d, _HI)]
+    node_sigma *= 0.125
+
+    def hessp(V):
+        vdiffs = [np.diff(V, axis=d) for d in range(3)]
+        P = couple * sum(
+            _gather(e * v, d) for d, (e, v) in enumerate(zip(diffs, vdiffs))
+        )
+        return _divergence(
+            [
+                w * v + _scatter(P, d) * e
+                for d, (w, e, v) in enumerate(zip(weights, diffs, vdiffs))
+            ],
+            V.shape,
+        )
+
+    return energy, grad, hessp, node_sigma
+
+
 class TestAssembly:
     def test_node_counts_and_snap(self):
         problem = assemble_problem(SINGLE, -4, 4, 0.125, 2, "zero")
@@ -173,8 +257,13 @@ class TestInitialGuess:
 
 
 class TestEnergyAndDerivatives:
-    def test_gradient_matches_finite_differences(self):
-        problem = small_problem(m=3)
+    # each on a cube and on a box of three different node counts per axis
+    @pytest.mark.parametrize(
+        "lo, hi", [(-1.0, 1.0), ((-1.0, -0.75, -0.5), (1.0, 1.0, 0.75))],
+        ids=["cube", "box"],
+    )
+    def test_gradient_matches_finite_differences(self, lo, hi):
+        problem = assemble_problem(SINGLE, lo, hi, 0.25, 3, "zero")
         rng = np.random.default_rng(0)
         U = problem.initial_guess()
         interior = problem.interior_mask()
@@ -193,8 +282,12 @@ class TestEnergyAndDerivatives:
                 best = min(best, abs(fd - grad[idx]) / max(1e-12, abs(grad[idx])))
             assert best < 1e-5
 
-    def test_hessian_action_matches_gradient_differences(self):
-        problem = small_problem(m=3, h=0.5)
+    @pytest.mark.parametrize(
+        "lo, hi", [(-1.0, 1.0), ((-1.0, -1.5, -2.0), (1.0, 1.5, 2.0))],
+        ids=["cube", "box"],
+    )
+    def test_hessian_action_matches_gradient_differences(self, lo, hi):
+        problem = assemble_problem(SINGLE, lo, hi, 0.5, 3, "zero")
         rng = np.random.default_rng(1)
         interior = problem.interior_mask()
         U = problem.initial_guess()
@@ -205,7 +298,7 @@ class TestEnergyAndDerivatives:
         _, gp = discrete_energy_gradient(problem, U + eps * V)
         _, gm = discrete_energy_gradient(problem, U - eps * V)
         fd = (gp - gm) / (2 * eps)
-        hv = _newton_model(problem, U)[2](V)
+        hv = full_model(problem, U)[2](V)
         assert np.max(np.abs(hv - fd)) < 1e-7 * max(1.0, np.max(np.abs(hv)))
 
     def test_energy_strictly_convex_in_cell_gradients(self):
@@ -402,10 +495,45 @@ class TestReports:
         assert sups[1] - sups[0] <= 1e-3
 
 
+@pytest.mark.parametrize("rule", ["radial-superposition", "zero"])
+@pytest.mark.parametrize("m", [1, 2, 16])
+@pytest.mark.parametrize(
+    "lo, hi, h",
+    [(-4.0, 4.0, 0.25), ((-1.0, -1.5, -2.0), (1.0, 1.5, 2.0), 0.25), (-1.0, 1.0, 1.0)],
+    ids=["33-cube", "9x13x17", "3-cube"],
+)
+def test_flat_model_equals_the_3d_stencils(lo, hi, h, m, rule):
+    config = ChargeConfig(3, [((0.0, 0.0, 0.0), 1.3)])
+    problem = assemble_problem(config, lo, hi, h, m, rule)
+    rng = np.random.default_rng(m)
+    U = problem.initial_guess()
+    U += rng.normal(0.0, 0.05, U.shape) * problem.interior_mask()
+    V = rng.normal(0.0, 1.0, U.shape)
+    U_before, V_before = U.copy(), V.copy()
+    energy, grad, hessp, node_sigma = full_model(problem, U)
+    old_energy, old_grad, old_hessp, old_node_sigma = newton_model_3d(problem, U)
+    assert energy == old_energy
+    assert np.array_equal(grad, old_grad)
+    assert np.array_equal(node_sigma, old_node_sigma)
+    assert np.array_equal(hessp(V), old_hessp(V))
+    s, *diffs = _cell_s(U, h)
+    old_s, *old_diffs = cell_s_3d(U, h)
+    cells = s.reshape(U.shape[0] - 1, *U.shape[1:])
+    assert np.array_equal(cells[:, :-1, :-1], old_s)
+    # junk cells, whose stencil wraps into the next row or plane, read zero
+    assert not cells[:, -1].any() and not cells[:, :, -1].any()
+    for d, (e, old_e) in enumerate(zip(diffs, old_diffs)):
+        padded = np.append(e, np.zeros(U.size - e.size)).reshape(U.shape)
+        assert np.array_equal(padded[_shifted(d, _LO)], old_e)
+    # U.ravel() is a view, so a stray in-place operation would show here
+    assert np.array_equal(U, U_before)
+    assert np.array_equal(V, V_before)
+
+
 def _gradient_sup_by_meshgrid(field, exclusion_radius):
     """The stacked cell-centre formula ``gradient_sup`` used to evaluate."""
     problem = field.problem
-    s = _cell_s(field.values, problem.h)[0]
+    s = cell_s_3d(field.values, problem.h)[0]
     nx, ny, nz = s.shape
     centers = (
         np.stack(
@@ -462,9 +590,9 @@ class TestNewtonSolver:
         problem = assemble_problem(cfg, *self.NON_CUBIC, 0.25, 16, "zero")
         h = problem.h
         U = problem.initial_guess()
-        node_sigma = _newton_model(problem, U)[3]
+        node_sigma = full_model(problem, U)[3]
         sigma = density_series(
-            _cell_s(U, h)[0], taylor_coefficients(problem.m)
+            cell_s_3d(U, h)[0], taylor_coefficients(problem.m)
         )[1]
         assert sigma.max() > 2.0  # far from the constant sigma of m = 1
         expected = np.zeros(tuple(n - 2 for n in problem.shape))
@@ -488,7 +616,7 @@ class TestNewtonSolver:
         U[1:-1, 1:-1, 1:-1] += np.random.default_rng(6).normal(
             0.0, 0.3, tuple(n - 2 for n in problem.shape)
         )
-        assert np.all(_newton_model(problem, U)[3] == 1.0)
+        assert np.all(full_model(problem, U)[3] == 1.0)
 
     @pytest.mark.parametrize(
         "rule, max_cg, energy",
@@ -508,6 +636,29 @@ class TestNewtonSolver:
         assert sum(result.cg_per_step) == result.cg_iterations
         assert len(result.cg_per_step) == result.iterations
         assert result.energy == pytest.approx(energy, rel=1e-12)
+
+    def test_rejected_trials_compute_only_the_energy(self, monkeypatch):
+        calls = {"energy": 0, "finish": 0}
+
+        def counting(problem, U):
+            calls["energy"] += 1
+            energy, finish = _newton_model(problem, U)
+
+            def counted():
+                calls["finish"] += 1
+                return finish()
+
+            return energy, counted
+
+        monkeypatch.setattr("borninfeld.field._newton_model", counting)
+        cfg = ChargeConfig(3, [((0.0, 0.0, 0.0), 20.0)])
+        problem = assemble_problem(cfg, -4, 4, 0.25, 16, "radial-superposition")
+        result = minimize_energy(problem, tol=1e-9)
+        assert result.converged
+        # the start and each accepted step complete their model; the line
+        # search rejects three trials, which stop at the energy
+        assert calls["finish"] == result.iterations + 1
+        assert calls["energy"] == calls["finish"] + 3
 
     def test_objective_beyond_binary64_rejected(self):
         # a = 1e300 makes the starting energy -inf; at a = 1e155 the energy
@@ -533,7 +684,7 @@ class TestNewtonSolver:
         r = rng.normal(0.0, 1.0, n_inner)
         V = np.zeros(problem.shape)
         V[inner] = _poisson_inverse(n_inner, problem.h)(r)
-        hv = _newton_model(problem, U)[2](V)[inner]
+        hv = full_model(problem, U)[2](V)[inner]
         assert np.max(np.abs(hv - r)) <= 1e-12 * np.max(np.abs(r))
         result = minimize_energy(problem, tol=1e-12)
         assert result.converged
