@@ -229,8 +229,8 @@ _RESULT_KEYS = {
     "radial": {"profile_csv", "n_samples", "central_value", "u_fit", "du_fit",
                "guaranteed", "predicted"},
     "solve": {"field_csv", "energy", "grad_norm", "iterations", "cg_iterations",
-              "cg_per_step", "converged", "stop_reason", "snap_distances",
-              "extremum", "segments", "gradient_sup"},
+              "cg_per_step", "charge_blocks", "converged", "stop_reason",
+              "snap_distances", "extremum", "segments", "gradient_sup"},
 }
 
 
@@ -495,6 +495,7 @@ def cmd_solve(args) -> int:
             "iterations": result.iterations,
             "cg_iterations": result.cg_iterations,
             "cg_per_step": result.cg_per_step,
+            "charge_blocks": result.charge_blocks,
             "converged": result.converged,
             "stop_reason": result.stop_reason,
             "snap_distances": list(problem.snap_distances),

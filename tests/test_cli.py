@@ -374,6 +374,17 @@ class TestSolveCommand:
         for flipped in (u[::-1], u[:, ::-1], u[:, :, ::-1]):
             assert np.max(np.abs(flipped - u)) <= 1e-8
 
+    def test_report_lists_each_charge_block(self, tmp_path):
+        # one node from the x = -2 face the 3^3 block loses its outer layer
+        payload = dict(self.SOLVE, charges=[{"pos": [-1.75, 0.0, 0.0], "a": 1.0}])
+        config = write_config(tmp_path / "solve.json", payload)
+        reports = []
+        for out in ("a", "b"):
+            assert run_cli(["solve", config, "--out", str(tmp_path / out)]) == 0
+            reports.append((tmp_path / out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["results"]["charge_blocks"] == [18]
+
     @pytest.mark.filterwarnings("ignore:boundary clearance")
     def test_box_too_small_exit_2(self, tmp_path):
         payload = dict(self.SOLVE)
