@@ -622,14 +622,37 @@ class TestNewtonSolver:
     @pytest.mark.parametrize(
         "rule, max_cg, energy",
         [
+            ("radial-superposition", 45, -35.34868439372799),
+            ("zero", 50, -28.56527475209062),
+        ],
+    )
+    def test_sigma_scaling_cuts_cg_on_the_strong_charge(
+        self, monkeypatch, rule, max_cg, energy
+    ):
+        # The sigma-scaled Poisson inverse alone, without charge blocks,
+        # takes 38 and 43 CG iterations; with the plain Poisson inverse this
+        # solve took 68 (superposition) and 79 (zero), to the same energies.
+        monkeypatch.setattr("borninfeld.field._charge_blocks", lambda problem: ())
+        cfg = ChargeConfig(3, [((0.0, 0.0, 0.0), 20.0)])
+        problem = assemble_problem(cfg, -4, 4, 0.25, 16, rule)
+        result = minimize_energy(problem, tol=1e-9)
+        assert result.converged
+        assert result.charge_blocks == ()
+        assert result.cg_iterations <= max_cg
+        assert sum(result.cg_per_step) == result.cg_iterations
+        assert len(result.cg_per_step) == result.iterations
+        assert result.energy == pytest.approx(energy, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "rule, max_cg, energy",
+        [
             ("radial-superposition", 22, -35.34868439372799),
             ("zero", 27, -28.56527475209062),
         ],
     )
-    def test_sigma_scaling_cuts_cg_on_the_strong_charge(self, rule, max_cg, energy):
-        # With the plain Poisson inverse this solve took 68 (superposition)
-        # and 79 (zero) CG iterations, with the sigma-scaled one alone 38 and
-        # 43, to the same energies.
+    def test_charge_blocks_cut_cg_on_the_strong_charge(self, rule, max_cg, energy):
+        # Block, global, block: down from 38 and 43 CG iterations with the
+        # sigma-scaled Poisson inverse alone, to the same energies.
         cfg = ChargeConfig(3, [((0.0, 0.0, 0.0), 20.0)])
         problem = assemble_problem(cfg, -4, 4, 0.25, 16, rule)
         result = minimize_energy(problem, tol=1e-9)
