@@ -1,7 +1,7 @@
 """Numerics for electrostatic point-charge fields under the Born-Infeld model.
 
 Modules by role: ``core`` (types, expansion coefficients, closed-form
-constants), ``quad`` (half-line quadrature, exact single-charge field),
+constants), ``quad`` (batched quadrature, exact single-charge field),
 ``conditions`` (solvability certificates), ``radial`` (order-m radial
 solver, singularity fits, cone-plus-tail extremals), ``field`` (grid solver
 and property reports), ``cli`` (command-line front end).

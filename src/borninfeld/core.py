@@ -32,7 +32,6 @@ __all__ = [
     "InputError",
     "GuaranteeRangeError",
     "taylor_coefficients",
-    "density_series",
     "sphere_measure",
     "best_constant_cbar",
     "asymptotics_spec",
@@ -105,8 +104,9 @@ class Charge:
 class ChargeConfig:
     """A finite superposition of point charges in dimension N >= 3.
 
-    Invariants enforced at construction: the dimension is at least three,
-    the charge list is non-empty, every strength is nonzero, every position
+    ``charges`` is an iterable of (position, strength) pairs.  Invariants
+    enforced at construction: the dimension is at least three, the charge
+    list is non-empty, every strength is nonzero, every position
     has length N, and the positions are pairwise distinct.
     """
 
@@ -116,11 +116,7 @@ class ChargeConfig:
     def __init__(self, dim: int, charges) -> None:
         _check_dim(dim)
         normalized = []
-        for entry in charges:
-            if isinstance(entry, Charge):
-                pos, a = entry.pos, entry.strength
-            else:
-                pos, a = entry
+        for pos, a in charges:
             pos = tuple(float(x) for x in pos)
             if len(pos) != dim:
                 raise InputError(
@@ -195,21 +191,12 @@ def taylor_coefficients(m: int) -> tuple[float, ...]:
     return tuple(alphas)
 
 
-def density_series(s, alphas: tuple[float, ...]):
-    """W(s) = sum (alpha_k/2k) s^k, sigma(s) = 2 W'(s) and sigma'(s) by Horner.
-
-    ``s`` is a squared slope t^2, a float or an ndarray.  The radial flux
-    function is g(t) = t sigma(t^2), with g'(t) = sigma + 2 t^2 sigma'.
-    The first step makes three new accumulators, which later steps update
-    in place; a float or numpy scalar just rebinds.  ``s`` is never written.
-    The grid solver evaluates the two halves below apart, so a line-search
-    trial can stop at the energy; each accumulator sees the same operations.
-    """
-    return (_energy_series(s, alphas), *_sigma_series(s, alphas))
-
-
 def _energy_series(s, alphas: tuple[float, ...]):
-    """W(s) of ``density_series`` alone."""
+    """W(s) = sum_k (alpha_k/2k) s^k by Horner, for a squared slope s = t^2.
+
+    ``s``, a float or an ndarray, is never written: the first step makes a
+    new accumulator, which later steps update in place.
+    """
     W = 0.0
     for k in range(len(alphas), 0, -1):
         W *= s
@@ -219,7 +206,10 @@ def _energy_series(s, alphas: tuple[float, ...]):
 
 
 def _sigma_series(s, alphas: tuple[float, ...]):
-    """sigma(s) and sigma'(s) of ``density_series`` alone."""
+    """sigma(s) = 2 W'(s) and sigma'(s) by Horner, as ``_energy_series``.
+
+    The radial flux is g(t) = t sigma(t^2), with g'(t) = sigma + 2 t^2 sigma'.
+    """
     sigma = dsigma = 0.0
     for a in reversed(alphas):
         dsigma *= s

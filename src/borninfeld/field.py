@@ -471,9 +471,10 @@ def _newton_model(problem: DiscreteProblem, U: np.ndarray):
     out.  The nodal sigma is the mean sigma of each interior node's eight
     cells: each reaches the node through three edges, so this is the node's
     sum of edge weights (the sigma-weighted Laplacian's diagonal) over 6h.
-    ``hessp.blocks`` holds, per charge block (``_charge_blocks``), the exact
-    Hessian rows E and columns B, H[E, B], scattered from the cells with a
-    corner in B by one ``np.bincount``.
+    ``hessp.blocks()`` assembles, per charge block (``_charge_blocks``), the
+    exact Hessian rows E and columns B, H[E, B], scattered from the cells
+    with a corner in B by one ``np.bincount``; only a preconditioner needs
+    them, so a gradient alone never builds them.
     """
     h, shape = problem.h, U.shape
     strides = (shape[1] * shape[2], shape[2], 1)
@@ -516,18 +517,19 @@ def _newton_model(problem: DiscreteProblem, U: np.ndarray):
                 f += p
             return _to_nodes(vdiffs, strides).reshape(V.shape)
 
-        # H[E, B] of each charge block from the cells with a corner in B, each
-        # adding (h/4) sigma L_cell + (sigma'/(8h)) g g^T, g = sum_e d_e (e_hi - e_lo)
-        hessp.blocks = []
-        for block in problem._blocks:
+        def block_matrix(block: _Block) -> np.ndarray:
+            # H[E, B] from the cells with a corner in B, each adding
+            # (h/4) sigma L_cell + (sigma'/(8h)) g g^T, g = sum_e d_e (e_hi - e_lo)
             g = np.concatenate([e[i] for e, i in zip(diffs, block.edges)], axis=1)
             g = g @ _INCIDENCE
             cells = (h / 4.0) * sigma[block.cells, None, None] * _CELL_LAPLACIAN
             cells += couple[block.cells, None, None] * (g[:, :, None] * g[:, None, :])
             n_b, n_e = len(block.rows), math.prod(_box_shape(block.reach))
-            hessp.blocks.append(np.bincount(
+            return np.bincount(
                 block.targets, cells.ravel()[block.entries], n_e * n_b
-            ).reshape(n_e, n_b))
+            ).reshape(n_e, n_b)
+
+        hessp.blocks = lambda: [block_matrix(block) for block in problem._blocks]
         return grad, hessp, node_sigma
 
     return energy, finish
@@ -780,7 +782,7 @@ def minimize_energy(
     while residual > tol and iterations < max_iter:
         # Below 0.5 tol / |g| the linear residual is already under tol.
         target = max(eta, 0.5 * tol / g_norm) * g_norm
-        precond = _preconditioner(poisson, node_sigma, problem._blocks, hessp.blocks)
+        precond = _preconditioner(poisson, node_sigma, problem._blocks, hessp.blocks())
         step, n_cg = _pcg(hessp_inner, -g, precond, target, _CG_MAX_ITER)
         cg_per_step.append(n_cg)
         slope = float(np.vdot(g, step))

@@ -1,14 +1,14 @@
-"""Adaptive quadrature on half-lines and the exact single-charge field.
+"""Batched adaptive quadrature and the exact single-charge field.
 
 Two things in this package still integrate numerically: the order-m
-radial profile (``radial.approx_radial_profile``, finite slope segments
-on the adaptive Gauss-Kronrod 7-15 engine and its batched panels) and the
-refined constant Ctilde below.  Ctilde's integrals live on [0, inf) with
-algebraic decay, so the half-line engine splits the range into a finite
-part handled by adaptive Gauss-Kronrod and a tail mapped to [0, 1) through
-s = split + tau/(1 - tau), after which the transformed integrand is again
-mild enough for the same rule.  The Kronrod nodes are interior, so
-integrable endpoint singularities never get evaluated directly.
+radial profile (``radial.approx_radial_profile``) and the refined constant
+Ctilde below.  Both run on one engine, ``adaptive_gauss_kronrod``, which
+takes arrays of intervals and evaluates all new Gauss-Kronrod 7-15 panels
+of a pass in one vectorized call.  Ctilde's integrals live on [0, inf)
+with algebraic decay; ``integrate_decaying`` maps them to [0, 1) through
+s = r0 + t/(1 - t), after which the integrand is mild enough for the same
+rule.  The Kronrod nodes are interior, so integrable endpoint
+singularities never get evaluated directly.
 
 The exact single-charge field needs no quadrature.  Its slope is pinned at
 every radius by the flux identity r^(N-1) u' / sqrt(1 - u'^2) =
@@ -32,7 +32,7 @@ betainc/betaincc to 1.4e-15 relative at N = 3, 4.1e-15 up to N = 7,
 where the reflected branch subtracts from 1.
 
 The energy of that field is a closed form too (``radial.spacelike_ratio``).
-The refined energy constant still runs through the half-line engine, each
+The refined energy constant still integrates on the half-line, each
 integral to the fixed absolute tolerance ``_CTILDE_TOL``, so Ctilde is a
 function of N alone:
 
@@ -42,7 +42,6 @@ function of N alone:
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -89,48 +88,17 @@ class AccuracyError(RuntimeError):
     """Quadrature failed to meet the requested tolerance.
 
     Carries the best available estimate and its error bound so callers can
-    decide whether the partial answer is still useful.
+    decide whether the partial answer is still useful.  ``interval`` is the
+    flat index of the interval that failed when ``adaptive_gauss_kronrod``
+    raised it, else None.
     """
+
+    interval: int | None = None
 
     def __init__(self, message: str, estimate: float, error_bound: float):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-def _gk15_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7-15 panel on [a, b]: (estimate, error bound)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    resk = 0.0
-    resg = 0.0
-    resabs = 0.0
-    values = []
-    for x, wg, wk in _GK15:
-        try:
-            fx = f(mid + half * x)
-        except (OverflowError, ZeroDivisionError):
-            fx = math.nan  # the integrand left binary64
-        values.append((fx, wk))
-        resk += wk * fx
-        resg += wg * fx
-        resabs += wk * abs(fx)
-    reskh = 0.5 * resk
-    resasc = sum(wk * abs(fx - reskh) for fx, wk in values)
-    value = resk * half
-    err = abs((resk - resg) * half)
-    asc = resasc * abs(half)
-    if asc != 0.0 and err != 0.0:
-        err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs * abs(half))
-    if not (math.isfinite(value) and math.isfinite(err)):
-        # a NaN bound would end the adaptive loop as if it had converged
-        raise AccuracyError(
-            f"integrand is not a finite binary64 number on [{a:g}, {b:g}]",
-            estimate=value,
-            error_bound=err,
-        )
-    return value, err
 
 
 _GK15_NODES, _GK15_GAUSS, _GK15_KRONROD = (np.array(col) for col in zip(*_GK15))
@@ -139,26 +107,23 @@ _GK15_NODES, _GK15_GAUSS, _GK15_KRONROD = (np.array(col) for col in zip(*_GK15))
 def _gk15_panels(
     f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_gk15_panel`` on every [a_i, b_i] at once: (estimates, error bounds).
+    """One Gauss-Kronrod 7-15 panel on every [a_i, b_i]: (estimates, error bounds).
 
-    ``f`` maps an array of nodes to an array of values; it is called once,
-    on the (n, 15) node matrix.  The sums run over the nodes in the order of
-    ``_GK15``, so each panel equals the scalar one on the same values.  An
-    overflowing integrand gives a non-finite estimate or bound, which the
+    The error bound is QUADPACK's QK15 estimate (Piessens, de
+    Doncker-Kapenga, Ueberhuber & Kahaner, 1983).  ``f`` maps an array of
+    nodes to an array of values; it is called once, on the (n, 15) node
+    matrix, and each sum over the nodes is a product with a weight vector.
+    An overflowing integrand gives a non-finite estimate or bound, which the
     caller must reject.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     with np.errstate(all="ignore"):
         fx = f(mid[:, None] + half[:, None] * _GK15_NODES)
-        resk = resg = resabs = resasc = 0.0
-        for j in range(len(_GK15)):
-            resk = resk + _GK15_KRONROD[j] * fx[:, j]
-            resg = resg + _GK15_GAUSS[j] * fx[:, j]
-            resabs = resabs + _GK15_KRONROD[j] * np.abs(fx[:, j])
-        reskh = 0.5 * resk
-        for j in range(len(_GK15)):
-            resasc = resasc + _GK15_KRONROD[j] * np.abs(fx[:, j] - reskh)
+        resk = fx @ _GK15_KRONROD
+        resg = fx @ _GK15_GAUSS
+        resabs = np.abs(fx) @ _GK15_KRONROD
+        resasc = np.abs(fx - 0.5 * resk[:, None]) @ _GK15_KRONROD
         value = resk * half
         err = np.abs((resk - resg) * half)
         asc = resasc * np.abs(half)
@@ -168,63 +133,74 @@ def _gk15_panels(
     return value, err
 
 
+def _failure(message: str, value, bound, interval) -> AccuracyError:
+    exc = AccuracyError(message, estimate=float(value), error_bound=float(bound))
+    exc.interval = int(interval)
+    return exc
+
+
 def adaptive_gauss_kronrod(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
+    f: Callable[[np.ndarray], np.ndarray],
+    a,
+    b,
     abs_tol: float = 1e-10,
     max_subdivisions: int = 60,
     rel_tol: float = 0.0,
-) -> tuple[float, float]:
-    """Adaptive bisection driven by per-panel Kronrod error estimates.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of f over every interval [a_i, b_i] by adaptive bisection.
 
-    Returns (value, error_bound).  Accepts once the bound drops below
-    max(abs_tol, rel_tol * |value|); raises AccuracyError when that still
-    fails after ``max_subdivisions`` splits of the worst panel.  A nonzero
-    ``rel_tol`` keeps large-magnitude integrals from chasing an absolute
-    target below the binary64 roundoff floor.
+    ``f`` maps an array of nodes to an array of values.  Returns (values,
+    error bounds) in the shape of ``a`` and ``b``.  An interval is done once
+    its panels' bounds sum to at most max(abs_tol, rel_tol * |value|); a
+    nonzero ``rel_tol`` keeps large integrals from chasing an absolute
+    target below their roundoff.  Each pass halves the panels of unfinished
+    intervals whose bound exceeds an equal share of the target, all in one
+    ``_gk15_panels`` call.  Raises AccuracyError, ``interval`` its flat
+    index, for the first interval with a non-finite panel or in need of
+    more than ``max_subdivisions`` splits.
     """
-    if not b > a:
-        if b == a:
-            return 0.0, 0.0
-        raise ValueError(f"inverted interval [{a}, {b}]")
-    value, err = _gk15_panel(f, a, b)
-    # heap entries: (-err, tiebreak, a, b, value, err)
-    counter = 0
-    heap = [(-err, counter, a, b, value, err)]
-    total_value, total_err = value, err
-    splits = 0
-    while total_err > max(abs_tol, rel_tol * abs(total_value)):
-        if splits >= max_subdivisions:
-            raise AccuracyError(
-                f"tolerance {abs_tol:g} not reached after {splits} subdivisions "
-                f"(error bound {total_err:g})",
-                estimate=total_value,
-                error_bound=total_err,
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if not np.all(b >= a):
+        raise ValueError(f"inverted interval in [{a}, {b}]")
+    n = a.size
+    lo, hi = a.ravel(), b.ravel()
+    owner = np.arange(n)  # the interval of each panel
+    value, err = _gk15_panels(f, lo, hi)
+    splits = np.zeros(n, dtype=int)
+    while True:
+        bad = ~(np.isfinite(value) & np.isfinite(err))
+        if bad.any():
+            i = np.flatnonzero(bad)[np.argmin(owner[bad])]
+            raise _failure(
+                f"integrand is not a finite binary64 number on [{lo[i]:g}, {hi[i]:g}]",
+                value[i], err[i], owner[i],
             )
-        neg_err, _, pa, pb, pv, pe = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        if pm <= pa or pm >= pb:
-            raise AccuracyError(
-                "interval too small to subdivide further "
-                f"(error bound {total_err:g})",
-                estimate=total_value,
-                error_bound=total_err,
+        total, bound = np.bincount(owner, value, n), np.bincount(owner, err, n)
+        target = np.maximum(abs_tol, rel_tol * np.abs(total))
+        share = target[owner] / np.bincount(owner)[owner]
+        split = (bound > target)[owner] & (err > share)
+        if not split.any():
+            return total.reshape(a.shape), bound.reshape(a.shape)
+        splits += np.bincount(owner[split], minlength=n)
+        if np.any(splits > max_subdivisions):
+            i = np.argmax(splits > max_subdivisions)
+            raise _failure(
+                f"tolerance {abs_tol:g} not reached on [{a.flat[i]:g}, {b.flat[i]:g}] "
+                f"within {max_subdivisions} subdivisions (error bound {bound[i]:g})",
+                total[i], bound[i], i,
             )
-        lv, le = _gk15_panel(f, pa, pm)
-        rv, re = _gk15_panel(f, pm, pb)
-        total_value += lv + rv - pv
-        total_err += le + re - pe
-        counter += 1
-        heapq.heappush(heap, (-le, counter, pa, pm, lv, le))
-        counter += 1
-        heapq.heappush(heap, (-re, counter, pm, pb, rv, re))
-        splits += 1
-    return total_value, total_err
+        mid = 0.5 * (lo[split] + hi[split])
+        halves = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+        new_value, new_err = _gk15_panels(f, *halves)
+        kept = ~split
+        lo, hi = np.concatenate((lo[kept], halves[0])), np.concatenate((hi[kept], halves[1]))
+        owner = np.concatenate((owner[kept], owner[split], owner[split]))
+        value = np.concatenate((value[kept], new_value))
+        err = np.concatenate((err[kept], new_err))
 
 
 def integrate_decaying(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     r0: float,
     abs_tol: float = 1e-10,
     *,
@@ -233,40 +209,31 @@ def integrate_decaying(
 ) -> tuple[float, float]:
     """Integral of f over [r0, inf) for continuous f with O(s^-p), p > 1 decay.
 
-    The finite part [r0, split], split = r0 + max(10, r0), uses adaptive
-    Gauss-Kronrod directly; the tail substitutes s = split + tau/(1-tau) and
-    integrates over tau in [0, 1).  Returns (value, error_bound), as
-    ``adaptive_gauss_kronrod`` does; raises AccuracyError if the bound cannot
-    be brought below ``abs_tol``.
+    ``f`` maps an array of nodes to an array of values.  The substitution
+    s = r0 + t/(1-t) maps the half-line to t in [0, 1), which starts as 16
+    equal intervals of ``adaptive_gauss_kronrod``, each held to abs_tol/16
+    or ``rel_tol`` of its own value.  Returns (value, error_bound); raises
+    AccuracyError if some interval misses its target.
     """
     r0 = float(r0)
     if not math.isfinite(r0):
         raise ValueError(f"lower limit must be finite, got {r0}")
     if abs_tol <= 0:
         raise ValueError("abs_tol must be positive")
-    split = r0 + max(10.0, r0)
 
-    def tail(tau: float) -> float:
-        onem = 1.0 - tau
-        return f(split + tau / onem) / (onem * onem)
+    def mapped(t: np.ndarray) -> np.ndarray:
+        onem = 1.0 - t
+        return f(r0 + t / onem) / (onem * onem)
 
-    pieces = ((f, r0, split), (tail, 0.0, 1.0))
-    total_value = 0.0
-    total_err = 0.0
+    t = np.linspace(0.0, 1.0, 17)
     try:
-        for pf, pa, pb in pieces:
-            v, e = adaptive_gauss_kronrod(
-                pf, pa, pb, abs_tol / len(pieces), max_subdivisions, rel_tol
-            )
-            total_value += v
-            total_err += e
+        values, bounds = adaptive_gauss_kronrod(
+            mapped, t[:-1], t[1:], abs_tol / 16, max_subdivisions, rel_tol
+        )
     except AccuracyError as exc:
-        raise AccuracyError(
-            f"half-line quadrature from {r0:g} failed: {exc}",
-            estimate=total_value + exc.estimate,
-            error_bound=total_err + exc.error_bound,
-        ) from exc
-    return total_value, total_err
+        message = f"half-line quadrature from {r0:g} failed: {exc}"
+        raise AccuracyError(message, exc.estimate, exc.error_bound) from exc
+    return float(values.sum()), float(bounds.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +354,21 @@ def refined_constant_ctilde(N: int) -> float:
     """Refined constant of the energy/sup-norm inequality.
 
     Sharper than half the gradient-norm best constant: Ctilde >= Cbar/2,
-    with Ctilde(3)/omega_2 ~= 0.097.  Both integrals run through the
-    half-line engine; the numerator is evaluated in the cancellation-free
+    with Ctilde(3)/omega_2 ~= 0.097.  Both integrals run through
+    ``integrate_decaying``; the numerator is evaluated in the cancellation-free
     form r^(N-1) / (sqrt(R+1) (sqrt(R+1) + r^(N-1))) with R = r^(2(N-1)).
     """
     _check_dim(N)
     q = N - 1
     p = 2 * q
 
-    def numerator(r: float) -> float:
+    def numerator(r: np.ndarray) -> np.ndarray:
         x = r**q
-        root = math.sqrt(x * x + 1.0)
+        root = np.sqrt(x * x + 1.0)
         return x / (root * (root + x))
 
-    def denominator(s: float) -> float:
-        return 1.0 / math.sqrt(s**p + 1.0)
+    def denominator(s: np.ndarray) -> np.ndarray:
+        return 1.0 / np.sqrt(s**p + 1.0)
 
     num, _ = integrate_decaying(numerator, 0.0, _CTILDE_TOL)
     den, _ = integrate_decaying(denominator, 0.0, _CTILDE_TOL)

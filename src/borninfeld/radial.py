@@ -14,9 +14,8 @@ rounding of a steep g never holds it in the loop, and bisection only
 guards steps that leave their bracket.  All sample radii run through one
 array iteration.  The field itself follows by quadrature of the slope with
 u -> 0 at infinity, which avoids integrating a stiff ODE through the
-singularity: one batched Gauss-Kronrod panel per segment between
-neighbouring slopes, with the adaptive engine as the fallback for any
-segment whose panel misses the tolerance.
+singularity: the segments between neighbouring slopes go through the
+batched adaptive Gauss-Kronrod engine together, most of them in one panel.
 
 The same module hosts the measurement side: log-log fits of the field and
 slope against radius inside the charge-dominated window (recovering the
@@ -41,14 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InputError, _check_dim, _check_order, _check_radii, _check_strength
-from .core import _is_guaranteed, density_series, sphere_measure, taylor_coefficients
-from .quad import (
-    AccuracyError,
-    RadialProfile,
-    _complete_beta,
-    _gk15_panels,
-    adaptive_gauss_kronrod,
-)
+from .core import _is_guaranteed, _sigma_series, sphere_measure, taylor_coefficients
+from .quad import AccuracyError, RadialProfile, _complete_beta, adaptive_gauss_kronrod
 
 __all__ = [
     "ConeTailCandidate",
@@ -119,7 +112,7 @@ def flux_gradient_magnitude(r, a: float, m: int, N: int):
             newton = step < 100  # then plain bisection on the kept bracket
             if not newton:
                 t = 0.5 * (lo + hi)
-            _, sigma, dsigma = density_series(t * t, alphas)
+            sigma, dsigma = _sigma_series(t * t, alphas)
             excess = t * sigma - target
             gprime = sigma + 2.0 * t * t * dsigma
             # the Newton correction counts only where g' is finite: an
@@ -174,19 +167,16 @@ def approx_radial_profile(a: float, m: int, N: int, rgrid) -> RadialProfile:
 
         u(r) = (1/q) int_0^{t(r)} tau r(tau) g'(tau)/g(tau) dtau,
 
-    so the root find runs once, on the whole grid.  Each segment
-    [t(r_{i+1}), t(r_i)] gets one Gauss-Kronrod 7-15 panel, all in one
-    batched pass; a panel that is not finite or whose error bound exceeds
-    max(1e-10/(n+1), 1e-13 |value|) is redone by the adaptive engine, and an
-    AccuracyError there names the segment.  tau = v^(q/(q-1)) bounds the
-    integrand on [0, t(r_max)].  For 2m > N the central value u(0+) is
-    finite and attached as ``u0``; beyond T = max(t(r_min), 1) the
-    substitution tau = T x^(-q/(2m-N)), x in (0, 1], bounds it.  For
-    2m <= N the field diverges at the charge and ``u0`` is None.  The
-    pieces other than the segments run on the adaptive engine, each held to
-    its absolute tolerance or 1e-13 relative, whichever is looser.  The
-    absolute tolerance is fixed: under the relative floor a tighter one
-    would not bind.
+    so the root find runs once, on the whole grid.  Every piece runs on
+    the batched engine, held to its absolute tolerance or 1e-13 relative,
+    whichever is looser: [0, t(r_max)] after tau = v^(q/(q-1)), which
+    bounds the integrand; all segments [t(r_{i+1}), t(r_i)] in one call,
+    each to 1e-10/(n+1), where an AccuracyError names the segment; and, for
+    2m > N, the central value u(0+), attached as ``u0``, whose head beyond
+    T = max(t(r_min), 1) takes tau = T x^(-q/(2m-N)) on intervals of
+    x in (0, 1] graded toward 0, to 1e-10 in all.  For 2m <= N the field
+    diverges at the charge and ``u0`` is None.  The absolute tolerance is
+    fixed: under the relative floor a tighter one would not bind.
     """
     a = _check_strength(a)
     _check_dim(N)
@@ -209,69 +199,56 @@ def approx_radial_profile(a: float, m: int, N: int, rgrid) -> RadialProfile:
         )
     sign = math.copysign(1.0, a)
     slopes = flux_gradient_magnitude(r, a, m, N)
-    t = slopes.tolist()  # the adaptive pieces run on floats
     alphas = taylor_coefficients(m)
     c = abs(a) / omega
 
     def integrand(tau):
         # tau g'/g = 1 + 2 tau^2 sigma'/sigma with g(tau) = tau sigma(tau^2)
         tau2 = tau * tau
-        _, sigma, dsigma = density_series(tau2, alphas)
+        sigma, dsigma = _sigma_series(tau2, alphas)
         r_tau = (c / (tau * sigma)) ** (1.0 / q)
         return r_tau * (1.0 + 2.0 * tau2 * dsigma / sigma) / q
 
     n = r.size
     seg_tol = _PROFILE_TOL / (n + 1)
     k = q / (q - 1)
-    u_mag = np.empty(n)
-    u_mag[-1], _ = adaptive_gauss_kronrod(
+    (first,), _ = adaptive_gauss_kronrod(
         lambda v: integrand(v**k) * k * v ** (k - 1),
-        0.0,
-        t[-1] ** (1.0 / k),
-        seg_tol,
-        200,
-        rel_tol=1e-13,
+        0.0, slopes[-1:] ** (1.0 / k), seg_tol, 200, rel_tol=1e-13,
     )
-    # One GK15 panel per segment [t(r_{i+1}), t(r_i)]; the relative floor
-    # keeps diverging profiles (2m <= N) integrable per segment without
-    # chasing sub-roundoff absolute targets.  A panel that misses it goes to
-    # the adaptive engine.
-    seg, err = _gk15_panels(integrand, slopes[1:], slopes[:-1])
-    accepted = np.isfinite(seg) & (err <= np.maximum(seg_tol, 1e-13 * np.abs(seg)))
-    for i in np.flatnonzero(~accepted).tolist():
-        try:
-            seg[i], _ = adaptive_gauss_kronrod(
-                integrand, t[i + 1], t[i], seg_tol, 200, rel_tol=1e-13
-            )
-        except AccuracyError as exc:
-            raise AccuracyError(
-                f"slope segment [{t[i + 1]:g}, {t[i]:g}] of the radii "
-                f"[{r[i]:g}, {r[i + 1]:g}]: {exc}",
-                estimate=exc.estimate,
-                error_bound=exc.error_bound,
-            ) from exc
+    # The segments [t(r_{i+1}), t(r_i)] and, for 2m > N, `mid` = [t(r_min), T]
+    # with T = max(t(r_min), 1): below tau = 1 the top term of g does not
+    # dominate, and the range of the head's substituted integrand would grow
+    # like T^(-(2m-2)/q).  For 2m <= N `mid` is empty.
+    T = max(slopes[0], 1.0) if 2 * m > N else slopes[0]
+    try:
+        seg, _ = adaptive_gauss_kronrod(
+            integrand, np.append(slopes[1:], slopes[0]), np.append(slopes[:-1], T),
+            seg_tol, 200, rel_tol=1e-13,
+        )
+    except AccuracyError as exc:
+        i = exc.interval
+        if i == n - 1:  # `mid`
+            raise
+        raise AccuracyError(
+            f"slope segment [{slopes[i + 1]:g}, {slopes[i]:g}] of the radii "
+            f"[{r[i]:g}, {r[i + 1]:g}]: {exc}",
+            estimate=exc.estimate,
+            error_bound=exc.error_bound,
+        ) from exc
     # summed from the outer radius inward, as u vanishes at infinity
-    u_mag[:-1] = np.cumsum(np.concatenate((u_mag[-1:], seg[::-1])))[:0:-1]
+    u_mag = np.cumsum(np.concatenate(([first], seg[-2::-1])))[::-1]
 
     u0 = None
     if 2 * m > N:
-        # Below tau = 1 the top term of g does not dominate, and the range of
-        # the substituted integrand would grow like T^(-(2m-2)/q); a slope
-        # t(r_min) < 1 is first integrated up to 1 as a plain segment.
+        # tau = T x^(-j), x in (0, 1], on intervals graded toward x -> 0
         j = q / (2 * m - N)
-        T = max(t[0], 1.0)
-        mid, _ = adaptive_gauss_kronrod(
-            integrand, t[0], T, seg_tol, 200, rel_tol=1e-13
-        )
+        x = np.concatenate(([0.0], np.geomspace(1e-4, 1.0, 8)))
         head, _ = adaptive_gauss_kronrod(
             lambda x: integrand(T * x**-j) * j * T * x ** (-j - 1),
-            0.0,
-            1.0,
-            _PROFILE_TOL,
-            200,
-            rel_tol=1e-13,
+            x[:-1], x[1:], _PROFILE_TOL / 8, 200, rel_tol=1e-13,
         )
-        u0 = sign * (u_mag[0] + mid + head)
+        u0 = sign * (u_mag[0] + seg[-1] + head.sum())
     return RadialProfile(
         dim=N,
         strength=a,

@@ -63,9 +63,9 @@ class TestConstantsCommand:
         assert run_cli(["constants", "--dim", "2", "--out", str(tmp_path)]) == 2
 
     def test_exit_3_message_gives_estimate_and_bound(self, tmp_path, capsys):
-        args = ["constants", "--dim", "66", "--out", str(tmp_path)]
+        args = ["constants", "--dim", "88", "--out", str(tmp_path)]
         with pytest.raises(AccuracyError) as caught:
-            refined_constant_ctilde(66)
+            refined_constant_ctilde(88)
         exc = caught.value
         assert run_cli(args) == 3
         (line,) = capsys.readouterr().err.splitlines()
@@ -700,9 +700,11 @@ def test_check_and_constants_report_the_same_ctilde(tmp_path, N):
     assert check["inputs"]["ctilde"] == constants["results"]["refined_constant"]
 
 
-@pytest.mark.parametrize("N,code", [(65, 0), (66, 3), (100, 3), (343, 3), (344, 2)])
+@pytest.mark.parametrize(
+    "N,code", [(65, 0), (66, 0), (87, 0), (88, 3), (100, 3), (343, 3), (344, 2)]
+)
 def test_constants_at_high_dimension(tmp_path, capsys, N, code):
-    # From N = 66 the Ctilde integrands overflow inside the quadrature, and
+    # From N = 88 the Ctilde integrands overflow inside the quadrature, and
     # from N = 344 Gamma(N/2) does; both used to escape as OverflowError.
     assert run_cli(["constants", "--dim", str(N), "--out", str(tmp_path)]) == code
     if code == 0:
@@ -713,15 +715,23 @@ def test_constants_at_high_dimension(tmp_path, capsys, N, code):
         assert "binary64" in capsys.readouterr().err
 
 
-def test_check_at_dimension_66_exit_3(tmp_path, capsys):
-    origin = [0.0] * 66
+@pytest.mark.parametrize("N,code", [(66, 1), (88, 3)])
+def test_check_at_high_dimension(tmp_path, capsys, N, code):
+    # at N = 66 no certificate applies to this dipole (exit 1), but the
+    # report carries Ctilde; from N = 88 its quadrature leaves binary64
+    origin = [0.0] * N
     payload = {
-        "dim": 66,
+        "dim": N,
         "charges": [{"pos": origin, "a": 1.0}, {"pos": [3.0] + origin[1:], "a": -1.0}],
     }
     config = write_config(tmp_path / "c.json", payload)
-    assert run_cli(["check", config, "--out", str(tmp_path)]) == 3
-    assert "binary64" in capsys.readouterr().err
+    assert run_cli(["check", config, "--out", str(tmp_path)]) == code
+    if code == 1:
+        report = json.loads((tmp_path / "report.json").read_text())
+        ratio = report["inputs"]["ctilde"] / quad.sphere_measure(N)
+        assert ratio == pytest.approx(ctilde_over_omega(N), rel=1e-9)
+    else:
+        assert "binary64" in capsys.readouterr().err
 
 
 def test_radial_central_value_of_a_huge_charge(tmp_path, capsys):
@@ -759,13 +769,16 @@ def test_check_with_overflowing_strength_sum_exit_2(tmp_path, capsys, sign):
 
 
 def test_radial_segment_failure_says_where(tmp_path, monkeypatch, capsys):
-    # A coarse grid sends slope segments to the adaptive engine; make it fail
-    # on them and check the exit-3 message locates the segment.
+    # Make the engine fail on the second slope segment of its segment call
+    # (the one whose intervals start above 0) and check the exit-3 message
+    # locates the segment.
     engine = radial.adaptive_gauss_kronrod
 
     def failing(f, lo, hi, *args, **kwargs):
-        if lo > 0.0 and hi > lo:
-            raise AccuracyError("tolerance not reached", estimate=1.25, error_bound=0.5)
+        if np.all(np.asarray(lo) > 0.0):
+            exc = AccuracyError("tolerance not reached", estimate=1.25, error_bound=0.5)
+            exc.interval = 1
+            raise exc
         return engine(f, lo, hi, *args, **kwargs)
 
     monkeypatch.setattr(radial, "adaptive_gauss_kronrod", failing)

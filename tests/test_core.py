@@ -12,9 +12,10 @@ from borninfeld.core import (
     ChargeConfig,
     GuaranteeRangeError,
     InputError,
+    _energy_series,
+    _sigma_series,
     asymptotics_spec,
     best_constant_cbar,
-    density_series,
     min_order_for_guarantee,
     sphere_measure,
     taylor_coefficients,
@@ -91,7 +92,7 @@ class TestTaylorCoefficients:
 
 def _partial_sum(t: float, m: int) -> float:
     """Order-m truncation sum_{h<=m} (alpha_h/2h) t^(2h) of 1 - sqrt(1-t^2)."""
-    return density_series(t * t, taylor_coefficients(m))[0]
+    return _energy_series(t * t, taylor_coefficients(m))
 
 
 class TestLagrangianPartialSum:
@@ -125,13 +126,15 @@ class TestLagrangianPartialSum:
         # plus the roundoff of the powers in the fsum reference.
         alphas = taylor_coefficients(m)
         s = np.linspace(0.0, 4.0, 41)
-        W, sigma, dsigma = density_series(s, alphas)
+        W = _energy_series(s, alphas)
+        sigma, dsigma = _sigma_series(s, alphas)
         # the in-place Horner updates its own accumulators, never the input
         assert np.array_equal(s, np.linspace(0.0, 4.0, 41))
         rel = 4 * m * 2.0**-53
         for i, x in enumerate(s.tolist()):
-            assert density_series(x, alphas) == (W[i], sigma[i], dsigma[i])
-            assert density_series(np.float64(x), alphas) == (W[i], sigma[i], dsigma[i])
+            for y in (x, np.float64(x)):
+                assert _energy_series(y, alphas) == W[i]
+                assert _sigma_series(y, alphas) == (sigma[i], dsigma[i])
             exact = (
                 math.fsum(a / (2 * k) * x**k for k, a in enumerate(alphas, 1)),
                 math.fsum(a * x ** (k - 1) for k, a in enumerate(alphas, 1)),

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from borninfeld.core import ChargeConfig, InputError, density_series
+from borninfeld.core import ChargeConfig, InputError, _energy_series, _sigma_series
 from borninfeld.core import taylor_coefficients
 from borninfeld.field import (
     GridField,
@@ -93,7 +93,9 @@ def cell_s_3d(U, h):
 def newton_model_3d(problem, U):
     h = problem.h
     s, *diffs = cell_s_3d(U, h)
-    W, sigma, dsigma = density_series(s, taylor_coefficients(problem.m))
+    alphas = taylor_coefficients(problem.m)
+    W = _energy_series(s, alphas)
+    sigma, dsigma = _sigma_series(s, alphas)
     weights = [(h / 4.0) * _scatter(sigma, d) for d in range(3)]
     couple = dsigma / (8.0 * h)
     energy = h**3 * float(np.sum(W))
@@ -592,9 +594,7 @@ class TestNewtonSolver:
         h = problem.h
         U = problem.initial_guess()
         node_sigma = full_model(problem, U)[3]
-        sigma = density_series(
-            cell_s_3d(U, h)[0], taylor_coefficients(problem.m)
-        )[1]
+        sigma = _sigma_series(cell_s_3d(U, h)[0], taylor_coefficients(problem.m))[0]
         assert sigma.max() > 2.0  # far from the constant sigma of m = 1
         expected = np.zeros(tuple(n - 2 for n in problem.shape))
         for node in np.ndindex(*expected.shape):
@@ -661,6 +661,35 @@ class TestNewtonSolver:
         assert sum(result.cg_per_step) == result.cg_iterations
         assert len(result.cg_per_step) == result.iterations
         assert result.energy == pytest.approx(energy, rel=1e-12)
+
+    def test_charge_blocks_are_built_only_for_cg_solves(self, monkeypatch):
+        # neither the gradient alone nor the converged iterate assembles H[E, B]
+        built = []
+
+        def counting(problem, U):
+            energy, finish = _newton_model(problem, U)
+
+            def counted():
+                grad, hessp, node_sigma = finish()
+                blocks = hessp.blocks
+
+                def counted_blocks():
+                    built.append(None)
+                    return blocks()
+
+                hessp.blocks = counted_blocks
+                return grad, hessp, node_sigma
+
+            return energy, counted
+
+        monkeypatch.setattr("borninfeld.field._newton_model", counting)
+        cfg = ChargeConfig(3, [((0.0, 0.0, 0.0), 20.0)])
+        problem = assemble_problem(cfg, -4, 4, 0.25, 16, "radial-superposition")
+        discrete_energy_gradient(problem, problem.initial_guess())
+        assert built == []
+        result = minimize_energy(problem, tol=1e-9)
+        assert result.converged
+        assert len(built) == len(result.cg_per_step)
 
     def test_rejected_trials_compute_only_the_energy(self, monkeypatch):
         calls = {"energy": 0, "finish": 0}
@@ -735,7 +764,7 @@ class TestNewtonSolver:
         U = problem.initial_guess()
         U[inner] += np.random.default_rng(m).normal(0.0, 0.05, n_inner)
         hessp = full_model(problem, U)[2]
-        (block,), (H,) = problem._blocks, hessp.blocks
+        (block,), (H,) = problem._blocks, hessp.blocks()
         numbers = np.arange(math.prod(n_inner)).reshape(n_inner)
         nodes, reach = numbers[block.nodes].ravel(), numbers[block.reach].ravel()
         assert len(nodes) == size
@@ -776,7 +805,7 @@ class TestNewtonSolver:
         _, hessp, node_sigma = full_model(problem, problem.initial_guess())[1:]
         assert [len(block.rows) for block in problem._blocks] == sizes
         precond = _preconditioner(
-            _poisson_inverse(n_inner, h), node_sigma, problem._blocks, hessp.blocks
+            _poisson_inverse(n_inner, h), node_sigma, problem._blocks, hessp.blocks()
         )
         rng = np.random.default_rng(7)
         xs = rng.normal(0.0, 1.0, (4, *n_inner))

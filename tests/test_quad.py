@@ -1,4 +1,4 @@
-"""Tests for the half-line quadrature engine and the exact radial field."""
+"""Tests for the batched quadrature engine and the exact radial field."""
 
 import math
 
@@ -13,7 +13,6 @@ from borninfeld.core import sphere_measure
 from borninfeld.quad import (
     AccuracyError,
     _complete_beta,
-    _gk15_panel,
     _gk15_panels,
     _incomplete_beta,
     _single_charge_field,
@@ -25,6 +24,8 @@ from borninfeld.quad import (
     shape_constant_A,
 )
 from borninfeld.core import best_constant_cbar
+from gk15_oracle import adaptive_gauss_kronrod as oracle_engine
+from gk15_oracle import gk15_panel
 
 
 def quartic_oracle() -> float:
@@ -63,19 +64,20 @@ class TestIntegrateDecaying:
         # an oscillatory-ish integrand and an absurd tolerance
         with pytest.raises(AccuracyError) as excinfo:
             adaptive_gauss_kronrod(
-                lambda s: math.sin(40.0 * s) / (1.0 + s * s), 0.0, 50.0,
+                lambda s: np.sin(40.0 * s) / (1.0 + s * s), 0.0, 50.0,
                 abs_tol=1e-16, max_subdivisions=3,
             )
         err = excinfo.value
         assert math.isfinite(err.estimate)
         assert err.error_bound > 1e-16
+        assert err.interval == 0
 
     @pytest.mark.parametrize(
         "f",
         [
-            lambda s: math.nan,
-            lambda s: math.inf if s > 0.5 else 1.0,
-            lambda s: 1.0 / (s - s) if s > 0.5 else 1.0,
+            lambda s: np.full_like(s, np.nan),
+            lambda s: np.where(s > 0.5, np.inf, 1.0),
+            lambda s: np.where(s > 0.5, 1.0 / (s - s), 1.0),
             lambda s: 10.0 ** (1000.0 * s),
         ],
         ids=["nan", "inf", "zero-division", "overflow"],
@@ -86,8 +88,13 @@ class TestIntegrateDecaying:
             adaptive_gauss_kronrod(f, 0.0, 1.0)
 
     def test_batched_panels_equal_the_scalar_panel(self):
-        # same nodes, same summation order: equal estimates; the bound's
-        # power may round differently in numpy, so it is held to 4 ulp
+        # same nodes and weights; the batched sums are matrix products, whose
+        # rounding differs from the scalar running sums by a few ulp.  The
+        # bound scales |Kronrod - Gauss| by (200 |K - G|/asc)^1.5, whose slope
+        # reaches 300, so it moves by up to 300 times a few ulp of the panel's
+        # integral of |f| (measured: values 1.3 ulp apart, bounds 121 ulp of
+        # that integral)
+        eps = np.finfo(float).eps
         rng = np.random.default_rng(11)
         a = rng.uniform(-3.0, 3.0, 40)
         b = a + rng.uniform(1e-6, 5.0, 40)
@@ -97,9 +104,46 @@ class TestIntegrateDecaying:
 
         values, bounds = _gk15_panels(f, a, b)
         for i in range(a.size):
-            value, bound = _gk15_panel(f, float(a[i]), float(b[i]))
-            assert values[i] == value
-            assert bounds[i] == pytest.approx(bound, rel=4 * np.finfo(float).eps)
+            value, bound = gk15_panel(f, float(a[i]), float(b[i]))
+            l1, _ = gk15_panel(lambda x: abs(f(x)), float(a[i]), float(b[i]))
+            assert values[i] == pytest.approx(value, rel=4 * eps)
+            assert bounds[i] == pytest.approx(bound, abs=512 * eps * l1)
+
+    def test_failure_names_its_interval(self):
+        # the first interval whose panel leaves binary64, in flat order
+        with pytest.raises(AccuracyError, match=r"on \[2, 3\]") as excinfo:
+            adaptive_gauss_kronrod(
+                lambda s: np.where(s > 2.5, np.inf, 1.0), [0.0, 1.0, 2.0, 3.0],
+                [1.0, 2.0, 3.0, 4.0],
+            )
+        assert excinfo.value.interval == 2
+
+    def test_split_budget_is_per_interval(self):
+        # 15 nodes per panel: the first pass and at most 2 panels per split
+        nodes = []
+
+        def f(x):
+            nodes.append(x.size)
+            return np.sin(40.0 * x) / (1.0 + x * x)
+
+        with pytest.raises(AccuracyError, match="within 3 subdivisions"):
+            adaptive_gauss_kronrod(f, [0.0, 0.0], [1e-3, 50.0], 1e-16, 3)
+        assert sum(nodes) <= 15 * (2 + 2 * 3)
+
+    def test_intervals_match_the_scalar_engine(self):
+        # each interval is its own integral, held to its own target
+        lo = np.array([0.0, 0.5, 2.0, 7.0, 7.0])
+        hi = np.array([0.5, 2.0, 7.0, 7.0, 30.0])
+
+        def f(x):
+            return np.sin(3.0 * x) / (1.0 + x * x) + np.sqrt(x)
+
+        values, bounds = adaptive_gauss_kronrod(f, lo, hi, 1e-12, 200, 1e-13)
+        assert values[3] == 0.0 and bounds[3] == 0.0
+        for i in range(lo.size):
+            value, _ = oracle_engine(f, lo[i], hi[i], 1e-12, 200, 1e-13)
+            assert bounds[i] <= max(1e-12, 1e-13 * abs(values[i]))
+            assert values[i] == pytest.approx(value, abs=2e-12)
 
     def test_batched_panel_overflow_is_not_finite(self):
         values, bounds = _gk15_panels(
@@ -164,6 +208,24 @@ class TestRefinedConstant:
     @pytest.mark.parametrize("N", [3, 4, 5, 6])
     def test_positive(self, N):
         assert refined_constant_ctilde(N) > 0
+
+    def test_every_dimension_is_right_or_raises(self):
+        # Ctilde(N) = omega [-Gamma(1 + 1/(2q)) Gamma(-1/2 - 1/(2q)) / (2q sqrt(pi))]
+        # / B^N, q = N - 1; the numerator quadrature once returned 2.6e-11 at
+        # N = 92, against 0.011, with no error raised
+        for N in range(3, 344):
+            q = N - 1
+            B = _complete_beta(0.5 - 1.0 / (2 * q), 1.0 / (2 * q)) / (2 * q)
+            gamma_form = (
+                sphere_measure(N)
+                * -math.gamma(1 + 1 / (2 * q)) * math.gamma(-0.5 - 1 / (2 * q))
+                / (2 * q * math.sqrt(math.pi)) / B**N
+            )
+            try:
+                value = refined_constant_ctilde(N)
+            except AccuracyError:
+                continue  # an integrand that leaves binary64 must raise
+            assert value == pytest.approx(gamma_form, rel=1e-9), N
 
 
 class TestExactRadialProfile:
@@ -254,7 +316,7 @@ class TestExactRadialProfile:
         profile = exact_radial_profile(a, N, rgrid)
         for r, u in zip(rgrid, profile.u):
             oracle, _ = integrate_decaying(
-                lambda s: c / math.hypot(s**q, c), float(r), 1e-13,
+                lambda s: c / np.hypot(s**q, c), float(r), 1e-13,
                 max_subdivisions=200,
             )
             assert u == pytest.approx(oracle, abs=1e-12)

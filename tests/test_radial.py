@@ -8,20 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borninfeld import radial
+from borninfeld import quad, radial
 from borninfeld.core import (
     InputError,
+    _sigma_series,
     asymptotics_spec,
     best_constant_cbar,
-    density_series,
     sphere_measure,
     taylor_coefficients,
 )
-from borninfeld.quad import (
-    adaptive_gauss_kronrod,
-    exact_radial_profile,
-    integrate_decaying,
-)
+from borninfeld.quad import exact_radial_profile, integrate_decaying
+from gk15_oracle import adaptive_gauss_kronrod as oracle_engine
+from gk15_oracle import integrate_decaying as oracle_half_line
 from borninfeld.radial import (
     ConeTailCandidate,
     approx_radial_profile,
@@ -118,17 +116,17 @@ class TestFluxRoot:
     @pytest.mark.parametrize("N", [3, 4])
     @pytest.mark.parametrize("m", [2, 4, 8, 16, 64])
     def test_newton_stops_within_an_ulp(self, monkeypatch, m, N):
-        # one density_series call per iteration; where g is steep its
+        # one _sigma_series call per iteration; where g is steep its
         # rounding exceeds the 4-ulp residual, and those radii must still
         # stop once Newton has the root to one ulp
         calls = []
-        series = radial.density_series
+        series = radial._sigma_series
 
         def counting(*args):
             calls.append(None)
             return series(*args)
 
-        monkeypatch.setattr(radial, "density_series", counting)
+        monkeypatch.setattr(radial, "_sigma_series", counting)
         flux_gradient_magnitude(np.geomspace(1e-7, 1e3, 1200), 1.0, m, N)
         assert len(calls) <= 12
 
@@ -253,7 +251,7 @@ class TestApproxProfile:
 
         def integrand(tau):
             tau2 = tau * tau
-            _, sigma, dsigma = density_series(tau2, alphas)
+            sigma, dsigma = _sigma_series(tau2, alphas)
             r_tau = (c / (tau * sigma)) ** (1.0 / q)
             return r_tau * (1.0 + 2.0 * tau2 * dsigma / sigma) / q
 
@@ -262,7 +260,7 @@ class TestApproxProfile:
         seg_tol = 1e-10 / (n + 1)
         u_mag = [abs(profile.u[-1])]
         for i in range(n - 2, -1, -1):
-            seg, _ = adaptive_gauss_kronrod(
+            seg, _ = oracle_engine(
                 integrand, slopes[i + 1], slopes[i], seg_tol, 200, rel_tol=1e-13
             )
             u_mag.append(u_mag[-1] + seg)
@@ -279,21 +277,26 @@ class TestApproxProfile:
 
     def test_coarse_grid_segments_fall_back_to_adaptive(self, monkeypatch):
         # 7 radii over ten decades: one GK15 panel per segment cannot reach
-        # the 1e-13 relative floor, so segments go to the adaptive engine.
+        # the 1e-13 relative floor, so the engine bisects segments.
         a, m, N = 2.0, 8, 3
         rgrid = np.geomspace(1e-7, 1e3, 7)
-        intervals = []
-        engine = radial.adaptive_gauss_kronrod
+        panels = []
+        batched = quad._gk15_panels
 
-        def recording(f, lo, hi, *args, **kwargs):
-            intervals.append((lo, hi))
-            return engine(f, lo, hi, *args, **kwargs)
+        def recording(f, lo, hi):
+            panels.append((lo, hi))
+            return batched(f, lo, hi)
 
-        monkeypatch.setattr(radial, "adaptive_gauss_kronrod", recording)
+        monkeypatch.setattr(quad, "_gk15_panels", recording)
         profile = approx_radial_profile(a, m, N, rgrid)
-        slopes = np.abs(profile.du).tolist()
-        segments = set(zip(slopes[1:], slopes[:-1]))
-        assert segments & set(intervals)
+        slopes = np.abs(profile.du)
+        # the segment pass: its first call gets the 6 segments and `mid`
+        (start,) = [k for k, (lo, _) in enumerate(panels) if lo.size == 7]
+        assert np.array_equal(panels[start][0][:-1], slopes[1:])
+        halves = set(zip(*panels[start + 1]))
+        assert any(
+            (lo, 0.5 * (lo + hi)) in halves for lo, hi in zip(slopes[1:], slopes[:-1])
+        )
         oracle = self._adaptive_segments(profile, a, m, N)
         np.testing.assert_allclose(profile.u, oracle, rtol=1e-13, atol=0)
 
@@ -358,7 +361,7 @@ class TestApproxProfile:
             return
         p = (N - 1) / (2 * m - 1)
         back = 1.0 / (1.0 - p)
-        head, _ = adaptive_gauss_kronrod(
+        head, _ = oracle_engine(
             lambda v: slope(v**back) * back * v ** (p * back),
             0.0, rgrid[0] ** (1.0 - p), 1e-15, 400, rel_tol=1e-13,
         )
@@ -475,10 +478,8 @@ def _scaled_ratio_quadrature(profile, t: float) -> float:
         s = slope_mag(r)
         return s * s * r**q
 
-    head, _ = adaptive_gauss_kronrod(integrand, 0.0, kink, 1e-12, 200, rel_tol=1e-13)
-    tail, _ = integrate_decaying(
-        integrand, kink, 1e-12, max_subdivisions=200, rel_tol=1e-13
-    )
+    head, _ = oracle_engine(integrand, 0.0, kink, 1e-12, 200, rel_tol=1e-13)
+    tail, _ = oracle_half_line(integrand, kink, 1e-12, 200, rel_tol=1e-13)
     return sphere_measure(N) * (head + tail) / sup**N
 
 
