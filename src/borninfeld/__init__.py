@@ -22,7 +22,6 @@ from .quad import (
     AccuracyError,
     RadialProfile,
     exact_radial_profile,
-    integrate_decaying,
     refined_constant_ctilde,
     shape_constant_A,
 )

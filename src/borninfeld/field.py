@@ -61,7 +61,7 @@ import numpy as np
 
 from .core import ChargeConfig, InputError, taylor_coefficients
 from .core import _check_order, _energy_series, _sigma_series
-from .quad import AccuracyError, exact_radial_profile, shape_constant_A
+from .quad import AccuracyError, _single_charge_field, shape_constant_A
 
 __all__ = [
     "DiscreteProblem",
@@ -161,16 +161,13 @@ def _superposed_fields(coords, centres, strengths, reach):
     values = np.zeros(len(coords))
     for centre, a, rho in zip(centres, strengths, reach):
         dists = np.linalg.norm(coords - np.asarray(centre), axis=1)
-        # exact dedupe: the profile takes strictly increasing positive radii,
-        # and the incomplete Beta runs once per distinct distance, not per
-        # node (502 distances for a node-centred charge among 31^3 interior
-        # nodes); dropping it made a solve-batch call 1.75x as slow
+        # exact dedupe: the incomplete Beta runs once per distinct distance,
+        # not per node (502 distances for a node-centred charge among 31^3
+        # interior nodes); dropping it made a solve-batch call 1.75x as slow
         radii, inverse = np.unique(
             np.append(np.minimum(dists, rho), rho), return_inverse=True
         )
-        start = int(radii[0] == 0.0)
-        profile = exact_radial_profile(a, 3, radii[start:])
-        u = np.concatenate(([profile.u0] * start, profile.u))[inverse]
+        u = _single_charge_field(a, 3, radii)[1][inverse]
         values += u[:-1] - u[-1]
     return values
 
@@ -720,14 +717,12 @@ def minimize_energy(
     problem: DiscreteProblem,
     tol: float = 1e-9,
     max_iter: int = 5000,
-    x0: np.ndarray | None = None,
 ) -> GridField:
     """Minimize the discrete energy over interior nodes, boundary fixed.
 
     The objective is smooth and strictly convex in the cell gradients, so
     the minimizer is unique and independent of the starting point.  The
-    solve starts from ``problem.initial_guess()``; a given ``x0`` (one value
-    per interior node, C order) replaces its interior.  Each Newton step
+    solve starts from ``problem.initial_guess()``.  Each Newton step
     runs PCG to an Eisenstat-Walker tolerance and backtracks on the energy
     (Armijo); below the energy's rounding a step is kept only if the
     max-norm residual falls.  The preconditioner's global part is the
@@ -751,11 +746,6 @@ def minimize_energy(
     inner = (slice(1, -1),) * 3
     n_inner = tuple(n - 2 for n in problem.shape)
     U = problem.initial_guess()
-    if x0 is not None:
-        x_start = np.asarray(x0, dtype=float).ravel()
-        if x_start.size != math.prod(n_inner):
-            raise ValueError("x0 must have one entry per interior node")
-        U[inner] = x_start.reshape(n_inner)
     poisson = _poisson_inverse(n_inner, problem.h)
     direction = np.zeros(problem.shape)  # boundary entries stay zero
 
@@ -1017,16 +1007,14 @@ def segment_report(field: GridField) -> list[SegmentRecord]:
 
 @dataclass(frozen=True)
 class GradientSupReport:
-    """Largest cell gradient magnitude outside an exclusion radius."""
+    """Largest cell gradient magnitude and its cell's distance to a charge."""
 
     sup: float
     argmax_distance: float
-    exclusion_radius: float
-    cells_considered: int
 
 
-def gradient_sup(field: GridField, exclusion_radius: float = 0.0) -> GradientSupReport:
-    """Max discrete gradient magnitude over cells away from the charges.
+def gradient_sup(field: GridField) -> GradientSupReport:
+    """Max discrete gradient magnitude over all cells.
 
     Strictly spacelike fields keep this below one; the order-m minimizer
     only exceeds it inside the charge cells, so the sup is reported together
@@ -1047,15 +1035,5 @@ def gradient_sup(field: GridField, exclusion_radius: float = 0.0) -> GradientSup
         dx, dy, dz = (x - c for x, c in zip(axes, problem.node_position(node)))
         # the summation order of np.linalg.norm over a row
         dmin = np.minimum(dmin, np.sqrt((dx * dx + dy * dy) + dz * dz))
-    dmin = dmin.ravel()
-    mask = dmin > exclusion_radius
-    if not mask.any():
-        return GradientSupReport(0.0, math.nan, exclusion_radius, 0)
-    masked = np.where(mask, flat, -np.inf)
-    arg = int(np.argmax(masked))
-    return GradientSupReport(
-        sup=float(flat[arg]),
-        argmax_distance=float(dmin[arg]),
-        exclusion_radius=float(exclusion_radius),
-        cells_considered=int(mask.sum()),
-    )
+    arg = int(np.argmax(flat))
+    return GradientSupReport(sup=float(flat[arg]), argmax_distance=float(dmin.flat[arg]))

@@ -1,14 +1,12 @@
 """Batched adaptive quadrature and the exact single-charge field.
 
 Two things in this package still integrate numerically: the order-m
-radial profile (``radial.approx_radial_profile``) and the refined constant
-Ctilde below.  Both run on one engine, ``adaptive_gauss_kronrod``, which
-takes arrays of intervals and evaluates all new Gauss-Kronrod 7-15 panels
-of a pass in one vectorized call.  Ctilde's integrals live on [0, inf)
-with algebraic decay; ``integrate_decaying`` maps them to [0, 1) through
-s = r0 + t/(1 - t), after which the integrand is mild enough for the same
-rule.  The Kronrod nodes are interior, so integrable endpoint
-singularities never get evaluated directly.
+radial profile (``radial.approx_radial_profile``) and the numerator of the
+refined constant Ctilde below.  Both run on one engine,
+``adaptive_gauss_kronrod``, which takes arrays of intervals and evaluates
+all new Gauss-Kronrod 7-15 panels of a pass in one vectorized call.  The
+Kronrod nodes are interior, so integrable endpoint singularities never get
+evaluated directly.
 
 The exact single-charge field needs no quadrature.  Its slope is pinned at
 every radius by the flux identity r^(N-1) u' / sqrt(1 - u'^2) =
@@ -31,13 +29,12 @@ betainc/betaincc to 1.4e-15 relative at N = 3, 4.1e-15 up to N = 7,
 9.0e-15 at N = 20 and 4.0e-14 at N = 65; the worst cases sit near w = 1/2,
 where the reflected branch subtracts from 1.
 
-The energy of that field is a closed form too (``radial.spacelike_ratio``).
-The refined energy constant still integrates on the half-line, each
-integral to the fixed absolute tolerance ``_CTILDE_TOL``, so Ctilde is a
-function of N alone:
+The energy of that field is a closed form too (``radial.spacelike_ratio``),
+and so is the denominator of the refined energy constant, which is B.  Its
+numerator is still integrated, on r = t/(1-t), to the fixed absolute
+tolerance ``_CTILDE_TOL``, so Ctilde is a function of N alone:
 
-    Ctilde(N) = omega_{N-1} * int r^(N-1) (1 - r^(N-1)/sqrt(r^(2(N-1))+1)) dr
-                / (int (r^(2(N-1))+1)^(-1/2) dr)^N.
+    Ctilde(N) = omega_{N-1} * int r^(N-1) (1 - r^(N-1)/sqrt(r^(2(N-1))+1)) dr / B^N.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from .core import _check_dim, _check_radii, _check_strength, sphere_measure
 __all__ = [
     "AccuracyError",
     "RadialProfile",
-    "integrate_decaying",
     "adaptive_gauss_kronrod",
     "shape_constant_A",
     "refined_constant_ctilde",
@@ -199,43 +195,6 @@ def adaptive_gauss_kronrod(
         err = np.concatenate((err[kept], new_err))
 
 
-def integrate_decaying(
-    f: Callable[[np.ndarray], np.ndarray],
-    r0: float,
-    abs_tol: float = 1e-10,
-    *,
-    max_subdivisions: int = 60,
-    rel_tol: float = 0.0,
-) -> tuple[float, float]:
-    """Integral of f over [r0, inf) for continuous f with O(s^-p), p > 1 decay.
-
-    ``f`` maps an array of nodes to an array of values.  The substitution
-    s = r0 + t/(1-t) maps the half-line to t in [0, 1), which starts as 16
-    equal intervals of ``adaptive_gauss_kronrod``, each held to abs_tol/16
-    or ``rel_tol`` of its own value.  Returns (value, error_bound); raises
-    AccuracyError if some interval misses its target.
-    """
-    r0 = float(r0)
-    if not math.isfinite(r0):
-        raise ValueError(f"lower limit must be finite, got {r0}")
-    if abs_tol <= 0:
-        raise ValueError("abs_tol must be positive")
-
-    def mapped(t: np.ndarray) -> np.ndarray:
-        onem = 1.0 - t
-        return f(r0 + t / onem) / (onem * onem)
-
-    t = np.linspace(0.0, 1.0, 17)
-    try:
-        values, bounds = adaptive_gauss_kronrod(
-            mapped, t[:-1], t[1:], abs_tol / 16, max_subdivisions, rel_tol
-        )
-    except AccuracyError as exc:
-        message = f"half-line quadrature from {r0:g} failed: {exc}"
-        raise AccuracyError(message, exc.estimate, exc.error_bound) from exc
-    return float(values.sum()), float(bounds.sum())
-
-
 # ---------------------------------------------------------------------------
 # Shape constants
 # ---------------------------------------------------------------------------
@@ -346,7 +305,7 @@ def shape_constant_A(N: int) -> float:
     return _single_charge_field(1.0, N, np.empty(0))[0]
 
 
-# absolute tolerance of each of Ctilde's two half-line integrals
+# absolute tolerance of Ctilde's numerator integral
 _CTILDE_TOL = 1e-10
 
 
@@ -354,25 +313,24 @@ def refined_constant_ctilde(N: int) -> float:
     """Refined constant of the energy/sup-norm inequality.
 
     Sharper than half the gradient-norm best constant: Ctilde >= Cbar/2,
-    with Ctilde(3)/omega_2 ~= 0.097.  Both integrals run through
-    ``integrate_decaying``; the numerator is evaluated in the cancellation-free
-    form r^(N-1) / (sqrt(R+1) (sqrt(R+1) + r^(N-1))) with R = r^(2(N-1)).
+    with Ctilde(3)/omega_2 ~= 0.097.  The denominator is B, a Gamma product
+    (see the module docstring).  The numerator maps [0, inf) to t in [0, 1)
+    through r = t/(1-t), 16 equal intervals of ``adaptive_gauss_kronrod``
+    each held to _CTILDE_TOL/16, and is evaluated in the cancellation- and
+    overflow-free form 1/(sqrt(R+1) (sqrt(1+1/R) + 1)), R = r^(2(N-1)).
     """
     _check_dim(N)
-    q = N - 1
-    p = 2 * q
+    p = 2 * (N - 1)
 
-    def numerator(r: np.ndarray) -> np.ndarray:
-        x = r**q
-        root = np.sqrt(x * x + 1.0)
-        return x / (root * (root + x))
+    def numerator(t: np.ndarray) -> np.ndarray:
+        onem = 1.0 - t
+        R = (t / onem) ** p
+        return 1.0 / (np.sqrt(R + 1.0) * (np.sqrt(1.0 + 1.0 / R) + 1.0) * onem * onem)
 
-    def denominator(s: np.ndarray) -> np.ndarray:
-        return 1.0 / np.sqrt(s**p + 1.0)
-
-    num, _ = integrate_decaying(numerator, 0.0, _CTILDE_TOL)
-    den, _ = integrate_decaying(denominator, 0.0, _CTILDE_TOL)
-    return sphere_measure(N) * num / den**N
+    t = np.linspace(0.0, 1.0, 17)
+    num, _ = adaptive_gauss_kronrod(numerator, t[:-1], t[1:], _CTILDE_TOL / 16)
+    B = _complete_beta(0.5 - 1.0 / p, 1.0 / p) / p
+    return sphere_measure(N) * float(num.sum()) / B**N
 
 
 # ---------------------------------------------------------------------------

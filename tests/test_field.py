@@ -14,6 +14,7 @@ import pytest
 from borninfeld.core import ChargeConfig, InputError, _energy_series, _sigma_series
 from borninfeld.core import taylor_coefficients
 from borninfeld.field import (
+    DiscreteProblem,
     GridField,
     _cell_s,
     _newton_model,
@@ -247,13 +248,14 @@ class TestInitialGuess:
 
     @pytest.mark.parametrize("rule", ["radial-superposition", "zero"])
     @pytest.mark.parametrize("m", [2, 16])
-    def test_same_minimizer_as_the_zero_interior_start(self, rule, m):
+    def test_same_minimizer_as_the_zero_interior_start(self, rule, m, monkeypatch):
         problem = assemble_problem(self.CONFIG, -2, 2, 0.125, m, rule)
         tol = 1e-9
         new = minimize_energy(problem, tol=tol)
-        old = minimize_energy(
-            problem, tol=tol, x0=np.zeros(int(problem.interior_mask().sum()))
+        monkeypatch.setattr(
+            DiscreteProblem, "initial_guess", lambda self: self.boundary_values.copy()
         )
+        old = minimize_energy(problem, tol=tol)
         assert new.converged and old.converged
         assert new.energy == pytest.approx(old.energy, rel=1e-14)
         assert np.max(np.abs(new.values - old.values)) <= 10 * tol
@@ -370,15 +372,16 @@ class TestMinimization:
         assert [r.kind for r in extremum_report(plus)] == ["max"]
         assert [r.kind for r in extremum_report(minus)] == ["min"]
 
-    def test_result_independent_of_initialization(self):
+    def test_result_independent_of_initialization(self, monkeypatch):
         problem = small_problem(m=2)
         rng = np.random.default_rng(3)
         tol = 1e-11
         base = minimize_energy(problem, tol=tol)
-        n_interior = int(problem.interior_mask().sum())
-        jittered = minimize_energy(
-            problem, tol=tol, x0=rng.normal(0.0, 0.1, n_interior)
-        )
+        start = problem.initial_guess()
+        inner = start[1:-1, 1:-1, 1:-1]
+        inner[...] = rng.normal(0.0, 0.1, inner.size).reshape(inner.shape)
+        monkeypatch.setattr(DiscreteProblem, "initial_guess", lambda self: start.copy())
+        jittered = minimize_energy(problem, tol=tol)
         assert base.converged and jittered.converged
         assert np.max(np.abs(base.values - jittered.values)) <= 10 * tol
 
@@ -482,9 +485,9 @@ class TestReports:
     def test_gradient_sup_away_from_charge_below_light_cone(self):
         problem = assemble_problem(SINGLE, -2, 2, 0.25, 4, "radial-superposition")
         result = minimize_energy(problem, tol=1e-9)
-        report = gradient_sup(result, exclusion_radius=0.5)
-        assert report.sup < 1.0
-        assert report.argmax_distance > 0.5
+        sup, argmax_distance, _ = _gradient_sup_by_meshgrid(result, 0.5)
+        assert sup < 1.0
+        assert argmax_distance > 0.5
 
     def test_far_gradient_sup_stable_in_order(self, dipole_field):
         # Raising the order perturbs the far field only through the
@@ -494,7 +497,7 @@ class TestReports:
         for m in (2, 4):
             problem = assemble_problem(SINGLE, -2, 2, 0.25, m, "radial-superposition")
             result = minimize_energy(problem, tol=1e-9)
-            sups.append(gradient_sup(result, exclusion_radius=0.75).sup)
+            sups.append(_gradient_sup_by_meshgrid(result, 0.75)[0])
         assert sups[1] - sups[0] <= 1e-3
 
 
@@ -534,7 +537,9 @@ def test_flat_model_equals_the_3d_stencils(lo, hi, h, m, rule):
 
 
 def _gradient_sup_by_meshgrid(field, exclusion_radius):
-    """The stacked cell-centre formula ``gradient_sup`` used to evaluate."""
+    """(sup, argmax distance, cells) over cells farther than ``exclusion_radius``
+    from every charge, by the stacked cell-centre formula ``gradient_sup``
+    used to evaluate."""
     problem = field.problem
     s = cell_s_3d(field.values, problem.h)[0]
     nx, ny, nz = s.shape
@@ -579,10 +584,11 @@ def test_gradient_sup_matches_the_meshgrid_formula_exactly(charges):
         problem=problem, values=U, energy=0.0, grad_norm=0.0, iterations=0,
         cg_per_step=(), converged=False, tol=1e-9, stop_reason="max_iter",
     )
-    for radius in (0.0, 0.5, 0.75):
-        report = gradient_sup(result, exclusion_radius=radius)
-        got = (report.sup, report.argmax_distance, report.cells_considered)
-        assert got == _gradient_sup_by_meshgrid(result, radius)
+    # no cell centre sits on a charge node, so radius 0 keeps every cell
+    sup, argmax_distance, cells = _gradient_sup_by_meshgrid(result, 0.0)
+    assert cells == math.prod(n - 1 for n in problem.shape)
+    report = gradient_sup(result)
+    assert (report.sup, report.argmax_distance) == (sup, argmax_distance)
 
 
 class TestNewtonSolver:

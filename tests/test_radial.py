@@ -17,7 +17,7 @@ from borninfeld.core import (
     sphere_measure,
     taylor_coefficients,
 )
-from borninfeld.quad import exact_radial_profile, integrate_decaying
+from borninfeld.quad import exact_radial_profile
 from gk15_oracle import adaptive_gauss_kronrod as oracle_engine
 from gk15_oracle import integrate_decaying as oracle_half_line
 from borninfeld.radial import (
@@ -350,9 +350,7 @@ class TestApproxProfile:
             return flux_gradient_magnitude(s, a, m, N)
 
         oracle = np.array([
-            integrate_decaying(
-                slope, r, 1e-15, max_subdivisions=400, rel_tol=1e-13
-            )[0]
+            oracle_half_line(slope, r, 1e-15, max_subdivisions=400, rel_tol=1e-13)[0]
             for r in rgrid
         ])
         np.testing.assert_allclose(profile.u, oracle, rtol=1e-11, atol=0)
