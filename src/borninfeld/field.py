@@ -131,44 +131,43 @@ class DiscreteProblem:
         its central value u0.  Under the superposition rule rho_k is infinite
         (the plain field); under the zero rule it is the node's clearance to
         the nearest face, so the guess meets the zero boundary without a jump.
+        A node and the charge node both sit on the grid, so r = h sqrt(key)
+        with the integer key |i - c|^2, clipped at (rho_k / h)^2: the field is
+        evaluated once per key that occurs and spread by a table lookup.
         """
-        nodes = [node for node, _ in self.charges]
-        if self.boundary_rule == "zero":
-            reach = [
-                self.h * min(min(i, n - 1 - i) for i, n in zip(node, self.shape))
-                for node in nodes
-            ]
-        else:
-            reach = [math.inf] * len(nodes)
         U = self.boundary_values.copy()
-        inner = self.interior_mask()
-        U[inner] = _superposed_fields(
-            np.asarray(self.lo) + self.h * np.argwhere(inner),
-            [self.node_position(node) for node in nodes],
-            [a for _, a in self.charges],
-            reach,
-        )
+        inner = U[1:-1, 1:-1, 1:-1]
+        zero = self.boundary_rule == "zero"
+        for node, a in self.charges:
+            di, dj, dk = ((np.arange(1, n - 1) - c) ** 2 for c, n in zip(node, self.shape))
+            key = di[:, None, None] + dj[:, None] + dk
+            if zero:
+                tail = min(min(c, n - 1 - c) for c, n in zip(node, self.shape)) ** 2
+                np.minimum(key, tail, out=key)
+                seen = np.bincount(key.ravel(), minlength=tail + 1)
+                seen[tail] = 1  # rho_k joins the radii, as the largest key
+            else:
+                seen = np.bincount(key.ravel())
+            keys = np.flatnonzero(seen)
+            u = _single_charge_field(a, 3, self.h * np.sqrt(keys))[1]
+            table = np.zeros(keys[-1] + 1)
+            table[keys] = u - u[-1] if zero else u
+            inner += table[key]
         return U
 
 
-def _superposed_fields(coords, centres, strengths, reach):
-    """Sum over charges of u_k(min(r_k, reach_k)) - u_k(reach_k) at ``coords``.
+def _superposed_fields(coords, centres, strengths):
+    """Sum over charges of the exact single-charge field u_k(r_k) at ``coords``.
 
-    u_k is the exact single-charge field of strength a_k and r_k the distance
-    to its centre; a point on a centre takes the central value u0.  With an
-    infinite reach the term is the field itself, exactly: u_k(inf) = 0.
+    u_k has strength a_k and r_k is the distance to its centre; a point on a
+    centre takes the central value u0.
     """
     values = np.zeros(len(coords))
-    for centre, a, rho in zip(centres, strengths, reach):
+    for centre, a in zip(centres, strengths):
         dists = np.linalg.norm(coords - np.asarray(centre), axis=1)
-        # exact dedupe: the incomplete Beta runs once per distinct distance,
-        # not per node (502 distances for a node-centred charge among 31^3
-        # interior nodes); dropping it made a solve-batch call 1.75x as slow
-        radii, inverse = np.unique(
-            np.append(np.minimum(dists, rho), rho), return_inverse=True
-        )
-        u = _single_charge_field(a, 3, radii)[1][inverse]
-        values += u[:-1] - u[-1]
+        # the incomplete Beta runs once per distinct distance, not per node
+        radii, inverse = np.unique(dists, return_inverse=True)
+        values += _single_charge_field(a, 3, radii)[1][inverse]
     return values
 
 
@@ -282,7 +281,6 @@ def assemble_problem(
             np.asarray(lo) + h * np.argwhere(on_bd),
             positions,
             strengths,
-            [math.inf] * len(strengths),
         )
         bound = sum(abs(a) ** 0.5 for a in strengths) * shape_constant_A(3)
         max_bd = float(np.max(np.abs(boundary_values)))
@@ -1023,17 +1021,12 @@ def gradient_sup(field: GridField) -> GradientSupReport:
     problem = field.problem
     s = _cell_grid(_cell_s(field.values, problem.h)[0], problem.shape)[:, :-1, :-1]
     flat = np.sqrt(s).ravel()
-    # cell-centre coordinates per axis, broadcast against each other
-    axes = [
-        ((np.arange(n) + 0.5) * problem.h + lo).reshape(
-            [n if e == d else 1 for e in range(3)]
-        )
-        for d, (n, lo) in enumerate(zip(s.shape, problem.lo))
-    ]
-    dmin = np.full(s.shape, np.inf)
-    for node, _ in problem.charges:
-        dx, dy, dz = (x - c for x, c in zip(axes, problem.node_position(node)))
-        # the summation order of np.linalg.norm over a row
-        dmin = np.minimum(dmin, np.sqrt((dx * dx + dy * dy) + dz * dz))
     arg = int(np.argmax(flat))
-    return GradientSupReport(sup=float(flat[arg]), argmax_distance=float(dmin.flat[arg]))
+    centre = [(i + 0.5) * problem.h + lo
+              for i, lo in zip(np.unravel_index(arg, s.shape), problem.lo)]
+    distance = math.inf
+    for node, _ in problem.charges:
+        dx, dy, dz = (x - c for x, c in zip(centre, problem.node_position(node)))
+        # the summation order of np.linalg.norm over a row
+        distance = min(distance, math.sqrt((dx * dx + dy * dy) + dz * dz))
+    return GradientSupReport(sup=float(flat[arg]), argmax_distance=float(distance))

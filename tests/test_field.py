@@ -29,7 +29,7 @@ from borninfeld.field import (
     minimize_energy,
     segment_report,
 )
-from borninfeld.quad import exact_radial_profile
+from borninfeld.quad import _single_charge_field, exact_radial_profile
 
 SINGLE = ChargeConfig(3, [((0.0, 0.0, 0.0), 1.0)])
 DIPOLE = ChargeConfig(3, [((-1.0, 0, 0), 1.0), ((1.0, 0, 0), -1.0)])
@@ -123,6 +123,45 @@ def newton_model_3d(problem, U):
         )
 
     return energy, grad, hessp, node_sigma
+
+
+# The start and the boundary data as they were evaluated from float node
+# coordinates, kept as the oracle of the integer-key start: on grids whose
+# lo and h are dyadic the two agree bit for bit.
+
+
+def float_distance_fields(coords, centres, strengths, reach):
+    """Sum over charges of u_k(min(r_k, reach_k)) - u_k(reach_k) at ``coords``,
+    from float distances, one field evaluation per distinct distance."""
+    values = np.zeros(len(coords))
+    for centre, a, rho in zip(centres, strengths, reach):
+        dists = np.linalg.norm(coords - np.asarray(centre), axis=1)
+        radii, inverse = np.unique(
+            np.append(np.minimum(dists, rho), rho), return_inverse=True
+        )
+        u = _single_charge_field(a, 3, radii)[1][inverse]
+        values += u[:-1] - u[-1]
+    return values
+
+
+def float_distance_start(problem):
+    nodes = [node for node, _ in problem.charges]
+    if problem.boundary_rule == "zero":
+        reach = [
+            problem.h * min(min(i, n - 1 - i) for i, n in zip(node, problem.shape))
+            for node in nodes
+        ]
+    else:
+        reach = [math.inf] * len(nodes)
+    U = problem.boundary_values.copy()
+    inner = problem.interior_mask()
+    U[inner] = float_distance_fields(
+        np.asarray(problem.lo) + problem.h * np.argwhere(inner),
+        [problem.node_position(node) for node in nodes],
+        [a for _, a in problem.charges],
+        reach,
+    )
+    return U
 
 
 class TestAssembly:
@@ -245,6 +284,65 @@ class TestInitialGuess:
                     )
                     expected += exact_radial_profile(b, 3, [r]).u[0]
             assert guess[node] == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("rule", ["radial-superposition", "zero"])
+    @pytest.mark.parametrize(
+        "charges, lo, hi, h",
+        [
+            ([((-0.6, 0.1, 0.05), 2.0), ((0.55, -0.2, 0.3), -0.7)], -2.0, 2.0, 0.125),
+            (
+                [((-1.0, 0.0, 0.0), 1.0), ((1.0, 0.25, -0.5), -2.0),
+                 ((0.0, 1.75, 1.0), 0.5)],
+                -4.0, 4.0, 0.25,
+            ),
+            ([((0.25, -0.5, 0.5), 1.3)], (-1.0, -1.5, -2.0), (1.0, 1.5, 2.0), 0.25),
+            ([((0.0, 0.0, 0.0), 1.3)], -1.0, 1.0, 1.0),
+            ([((-0.75, 0.25, 0.0), -2.0)], -1.0, 1.0, 0.25),
+        ],
+        ids=["class-config", "33-cube", "9x13x17", "3-cube", "one-from-a-face"],
+    )
+    def test_equals_the_float_distance_start_on_dyadic_grids(
+        self, charges, lo, hi, h, rule
+    ):
+        config = ChargeConfig(3, charges)
+        problem = assemble_problem(config, lo, hi, h, 4, rule)
+        assert np.array_equal(problem.initial_guess(), float_distance_start(problem))
+        # the boundary data keeps float distances to the unsnapped charges
+        boundary = ~problem.interior_mask()
+        expected = np.zeros(boundary.sum())
+        if rule == "radial-superposition":
+            expected = float_distance_fields(
+                np.asarray(problem.lo) + h * np.argwhere(boundary),
+                [c.pos for c in config.charges],
+                [c.strength for c in config.charges],
+                [math.inf] * config.n,
+            )
+        assert np.array_equal(problem.boundary_values[boundary], expected)
+
+    @pytest.mark.parametrize("rule", ["radial-superposition", "zero"])
+    @pytest.mark.parametrize(
+        "charges, half, h",
+        [
+            ([((0.0, 0.0, 0.0), 1.0)], 1.3, 0.1),
+            ([((-0.6, 0.15, 0.0), 1.0), ((0.75, 0.0, 0.3), -0.7)], 3.3, 0.15),
+        ],
+        ids=["one-h0.1", "two-h0.15"],
+    )
+    def test_same_solve_as_the_float_distance_start_off_dyadic_grids(
+        self, charges, half, h, rule, monkeypatch
+    ):
+        # node distances h sqrt(key) and float node coordinates differ in
+        # the last bits here, and both starts lead to one minimizer
+        problem = assemble_problem(ChargeConfig(3, charges), -half, half, h, 2, rule)
+        old_start = float_distance_start(problem)
+        assert np.max(np.abs(problem.initial_guess() - old_start)) <= 1e-15
+        new = minimize_energy(problem)
+        monkeypatch.setattr(DiscreteProblem, "initial_guess", lambda self: old_start.copy())
+        old = minimize_energy(problem)
+        assert new.converged and old.converged
+        assert new.energy == pytest.approx(old.energy, rel=1e-15, abs=0.0)
+        assert np.max(np.abs(new.values - old.values)) <= 1e-15
+        assert new.cg_per_step == old.cg_per_step
 
     @pytest.mark.parametrize("rule", ["radial-superposition", "zero"])
     @pytest.mark.parametrize("m", [2, 16])
@@ -589,6 +687,64 @@ def test_gradient_sup_matches_the_meshgrid_formula_exactly(charges):
     assert cells == math.prod(n - 1 for n in problem.shape)
     report = gradient_sup(result)
     assert (report.sup, report.argmax_distance) == (sup, argmax_distance)
+
+
+def _charge_distances_on_the_full_grid(problem):
+    """Every cell centre's distance to its nearest charge, by broadcast
+    cell-centre axes, as ``gradient_sup`` evaluated it before it took the
+    distance at the argmax cell alone."""
+    axes = [
+        ((np.arange(n - 1) + 0.5) * problem.h + lo).reshape(
+            [n - 1 if e == d else 1 for e in range(3)]
+        )
+        for d, (n, lo) in enumerate(zip(problem.shape, problem.lo))
+    ]
+    dmin = np.full(tuple(n - 1 for n in problem.shape), np.inf)
+    for node, _ in problem.charges:
+        dx, dy, dz = (x - c for x, c in zip(axes, problem.node_position(node)))
+        dmin = np.minimum(dmin, np.sqrt((dx * dx + dy * dy) + dz * dz))
+    return dmin
+
+
+@pytest.mark.filterwarnings("ignore:boundary clearance")
+@pytest.mark.parametrize("rule", ["radial-superposition", "zero"])
+@pytest.mark.parametrize(
+    "lo, hi, h",
+    [((-4.0, -3.0, -3.5), (4.0, 3.5, 3.0), 0.25), (-3.3, 3.3, 0.15)],
+    ids=["dyadic", "h0.15"],
+)
+@pytest.mark.parametrize(
+    "charges",
+    [
+        [((0.1, 0.05, 0.0), 1.0)],
+        [((-1.0, 0.0, 0.0), 1.0), ((1.0, 0.0, 0.0), -1.0)],
+        [((-1.0, -1.0, 0.0), 1.0), ((1.0, -1.0, 0.0), 2.0), ((0.0, 1.0, 0.5), -1.0)],
+    ],
+    ids=["one", "two", "three"],
+)
+def test_gradient_sup_equals_the_full_grid_distances(charges, lo, hi, h, rule):
+    problem = assemble_problem(ChargeConfig(3, charges), lo, hi, h, 2, rule)
+    distances = _charge_distances_on_the_full_grid(problem)
+    rng = np.random.default_rng(len(charges))
+    U = problem.initial_guess()
+    U[1:-1, 1:-1, 1:-1] += rng.normal(0.0, 0.01, tuple(n - 2 for n in problem.shape))
+    fields = [U]
+    # a unit spike at an interior node puts the sup on the first of the
+    # node's eight cells; off dyadic grids about one such cell's distance in
+    # ten depends on the summation order
+    for node in rng.integers(1, np.array(problem.shape) - 1, (24, 3)):
+        spike = np.zeros(problem.shape)
+        spike[tuple(node)] = 1.0
+        fields.append(spike)
+    for U in fields:
+        result = GridField(
+            problem=problem, values=U, energy=0.0, grad_norm=0.0, iterations=0,
+            cg_per_step=(), converged=False, tol=1e-9, stop_reason="max_iter",
+        )
+        flat = np.sqrt(cell_s_3d(U, h)[0]).ravel()
+        arg = int(np.argmax(flat))
+        report = gradient_sup(result)
+        assert (report.sup, report.argmax_distance) == (flat[arg], distances.flat[arg])
 
 
 class TestNewtonSolver:
