@@ -26,10 +26,9 @@ Hessian's sigma' term also makes the operator strongly anisotropic along
 grad u, which no nodal scaling sees, so the preconditioner wraps the
 global solve in an exact solve on a block of nodes around each charge:
 block, global, block, a symmetric multiplicative Schwarz sweep.  A block
-holds the interior nodes within K of the charge node, K = 1 (3^3 nodes)
-below 65^3 grid nodes and K = 2 (5^3) from there up, and is assembled
-from the cell quantities of the Newton model.  The solve starts from the
-same superposition of exact fields, centred on the snapped charge nodes
+holds the interior nodes near the charge node (``_charge_blocks``) and is
+assembled from the Newton model's cell quantities.  The solve starts from
+the same superposition of exact fields, centred on the snapped charge nodes
 (shifted to vanish on a zero boundary), since near each charge the
 minimizer behaves like the single-charge field; a strong charge then need
 not climb to its central value through damped steps.  The reported
@@ -172,7 +171,7 @@ def _superposed_fields(coords, centres, strengths):
 
 
 def assemble_problem(
-    config: ChargeConfig | None,
+    config: ChargeConfig,
     box_lo,
     box_hi,
     h: float,
@@ -181,23 +180,23 @@ def assemble_problem(
 ) -> DiscreteProblem:
     """Build a DiscreteProblem, snapping charges to grid nodes.
 
-    Validation: the spacing must divide every box edge; every charge must
-    snap to a strictly interior node; with two or more charges the spacing
-    must resolve at least 8 nodes between the closest snapped pair and the
-    box must clear every charge by at least the minimum charge spacing
-    (below twice that a truncation warning is issued).  Charges that snap
-    onto one node are 0 apart, so they fail the resolution guard.  Superposed
+    Validation: the spacing must lie in [1e-100, 1e100], so that the
+    energy's h^3 and the cells' 1/h^2 stay finite and nonzero, and it must
+    divide every box edge; every charge must snap to a strictly interior
+    node; with two or more charges the spacing must resolve at least 8 nodes
+    between the closest snapped pair and the box must clear every charge by
+    at least the minimum charge spacing (below twice that a truncation
+    warning is issued).  Charges that snap onto one node are 0 apart, so
+    they fail the resolution guard.  Superposed
     boundary data above the central-value bound sum_k |a_k|^(1/2) A(3) cannot
     come from correct single-charge fields, each bounded by its central
     value, so it raises ``AccuracyError``.
-    ``config=None`` assembles a chargeless problem (boundary data only,
-    zero-rule boundaries give the zero field).
     """
     lo = tuple(float(x) for x in np.broadcast_to(box_lo, (3,)))
     hi = tuple(float(x) for x in np.broadcast_to(box_hi, (3,)))
     h = float(h)
-    if not 0 < h < math.inf:
-        raise InputError(f"grid spacing must be positive and finite, got {h}")
+    if not 1e-100 <= h <= 1e100:
+        raise InputError(f"grid spacing must be finite, in [1e-100, 1e100], got {h}")
     if not all(map(math.isfinite, lo + hi)):
         raise InputError(f"box corners must be finite, got {lo} and {hi}")
     _check_order(m)
@@ -217,61 +216,53 @@ def assemble_problem(
         counts.append(n_int)
     shape = (counts[0] + 1, counts[1] + 1, counts[2] + 1)
 
+    if config.dim != 3:
+        raise InputError("grid solves are restricted to dimension 3")
     nodes: list[tuple[int, int, int]] = []
     snap_distances: list[float] = []
-    positions: list[tuple[float, ...]] = []
-    strengths: list[float] = []
-    if config is not None:
-        if config.dim != 3:
-            raise InputError("grid solves are restricted to dimension 3")
-        for charge in config.charges:
-            pos = np.asarray(charge.pos)
-            rel = (pos - np.asarray(lo)) / h
-            node = tuple(int(round(x)) for x in rel)
-            if not all(0 < node[d] < shape[d] - 1 for d in range(3)):
-                raise InputError(
-                    f"charge at {charge.pos} does not snap to a strictly "
-                    "interior grid node"
-                )
-            snap = float(np.linalg.norm(pos - (np.asarray(lo) + h * np.asarray(node))))
-            snap_distances.append(snap)
-            nodes.append(node)
-            positions.append(charge.pos)
-            strengths.append(charge.strength)
-        # resolution and clearance guards act on the snapped geometry; charges
-        # sharing a node are 0 apart, so no two of them ever merge
-        if len(nodes) >= 2:
-            min_spacing = h * min(
-                math.dist(a, b)
-                for i, a in enumerate(nodes)
-                for b in nodes[i + 1 :]
+    strengths = [charge.strength for charge in config.charges]
+    for charge in config.charges:
+        pos = np.asarray(charge.pos)
+        rel = (pos - np.asarray(lo)) / h
+        node = tuple(int(round(x)) for x in rel)
+        if not all(0 < node[d] < shape[d] - 1 for d in range(3)):
+            raise InputError(
+                f"charge at {charge.pos} does not snap to a strictly "
+                "interior grid node"
             )
-            if min_spacing / h < 8:
+        snap = float(np.linalg.norm(pos - (np.asarray(lo) + h * np.asarray(node))))
+        snap_distances.append(snap)
+        nodes.append(node)
+    # resolution and clearance guards act on the snapped geometry; charges
+    # sharing a node are 0 apart, so no two of them ever merge
+    if len(nodes) >= 2:
+        min_spacing = h * min(
+            math.dist(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :]
+        )
+        if min_spacing / h < 8:
+            raise InputError(
+                f"spacing {h} is too coarse: fewer than 8 nodes between the "
+                f"closest charges (separation {min_spacing:g})"
+            )
+        warned_clearance = False
+        for node in nodes:
+            pos = np.asarray(lo) + h * np.asarray(node)
+            bd_dist = min(min(pos[d] - lo[d], hi[d] - pos[d]) for d in range(3))
+            if bd_dist < min_spacing:
                 raise InputError(
-                    f"spacing {h} is too coarse: fewer than 8 nodes between the "
-                    f"closest charges (separation {min_spacing:g})"
+                    f"box too small: charge node at "
+                    f"{tuple(float(x) for x in pos)} clears the boundary "
+                    f"by {bd_dist:g} < min charge spacing {min_spacing:g}"
                 )
-            warned_clearance = False
-            for node in nodes:
-                pos = np.asarray(lo) + h * np.asarray(node)
-                bd_dist = min(
-                    min(pos[d] - lo[d], hi[d] - pos[d]) for d in range(3)
+            if not warned_clearance and bd_dist < 2.0 * min_spacing:
+                warnings.warn(
+                    f"boundary clearance {bd_dist:g} is below twice the min "
+                    f"charge spacing {min_spacing:g}; truncation effects grow",
+                    stacklevel=2,
                 )
-                if bd_dist < min_spacing:
-                    raise InputError(
-                        f"box too small: charge node at "
-                        f"{tuple(float(x) for x in pos)} clears the boundary "
-                        f"by {bd_dist:g} < min charge spacing {min_spacing:g}"
-                    )
-                if not warned_clearance and bd_dist < 2.0 * min_spacing:
-                    warnings.warn(
-                        f"boundary clearance {bd_dist:g} is below twice the min "
-                        f"charge spacing {min_spacing:g}; truncation effects grow",
-                        stacklevel=2,
-                    )
-                    warned_clearance = True
+                warned_clearance = True
 
-    if boundary_rule == "zero" or config is None:
+    if boundary_rule == "zero":
         boundary_values = np.zeros(shape)
     else:
         on_bd = np.ones(shape, dtype=bool)
@@ -279,7 +270,7 @@ def assemble_problem(
         boundary_values = np.zeros(shape)
         boundary_values[on_bd] = _superposed_fields(
             np.asarray(lo) + h * np.argwhere(on_bd),
-            positions,
+            [charge.pos for charge in config.charges],
             strengths,
         )
         bound = sum(abs(a) ** 0.5 for a in strengths) * shape_constant_A(3)
@@ -411,11 +402,12 @@ def _charge_blocks(problem: DiscreteProblem) -> tuple[_Block, ...]:
     """The block of each charge, in ``problem.charges`` order, clipped to
     the interior.
 
-    K is 1 (3^3 unknowns) below 65^3 grid nodes and 2 (5^3) from there up.
-    A block costs the same on every grid while the global Poisson products
-    grow like n^4: at 33^3 the 5^3 block's inverse, 0.8 ms per charge and
-    Newton step, cost more than the CG iterations it saved, and at 65^3 it
-    beat the 3^3 block on the strong charge (69 -> 40 CG iterations).
+    B holds the interior nodes within K of the charge node: K = 1 (3^3
+    unknowns) below 65^3 grid nodes, 2 (5^3) from there up.  A block costs
+    the same on every grid while the Poisson products grow like n^4: at 33^3
+    the 5^3 block's inverse, 0.8 ms per charge and Newton step, cost more
+    than the CG iterations it saved.  At 65^3 it saves more: CG iterations
+    47 -> 38 (Newton steps 7 -> 6) at a = 20, m = 16, and 8 -> 6 at a = 1, m = 2.
     """
     n = np.asarray(problem.shape)
     half = 1 if problem.n_nodes < 65**3 else 2
@@ -451,14 +443,15 @@ def _charge_blocks(problem: DiscreteProblem) -> tuple[_Block, ...]:
     return tuple(blocks)
 
 
-def _newton_model(problem: DiscreteProblem, U: np.ndarray):
-    """Energy at U from each cell's s and W alone, and a function whose call
-    completes the Newton model: gradient, Hessian action and nodal sigma.
+class _NewtonModel:
+    """The Newton model of the energy at U.
 
-    A line-search trial that Armijo rejects needs only the energy.  The
-    completion forms sigma(s), sigma'(s) and the edge weights (h/4)
-    sum_{cells at e} sigma once; ``hessp`` reuses them for every full-grid
-    direction V.  Per cell, with d the edge differences of U and w those of V,
+    The constructor forms each cell's s and W and the edge differences of U,
+    enough for the energy: a line-search trial that Armijo rejects needs no
+    more.  ``complete()`` adds sigma(s), sigma'(s) and the edge weights
+    (h/4) sum_{cells at e} sigma once, with the gradient and the nodal sigma;
+    ``hessp`` reuses them for every full-grid direction V.  Per cell, with d
+    the edge differences of U and w those of V,
 
         (H w)_e = (h/4) sigma(s) w_e + (h/(8 h^2)) sigma'(s) (d . w) d_e,
 
@@ -466,81 +459,90 @@ def _newton_model(problem: DiscreteProblem, U: np.ndarray):
     out.  The nodal sigma is the mean sigma of each interior node's eight
     cells: each reaches the node through three edges, so this is the node's
     sum of edge weights (the sigma-weighted Laplacian's diagonal) over 6h.
-    ``hessp.blocks()`` assembles, per charge block (``_charge_blocks``), the
-    exact Hessian rows E and columns B, H[E, B], scattered from the cells
-    with a corner in B by one ``np.bincount``; only a preconditioner needs
-    them, so a gradient alone never builds them.
+    ``blocks()`` assembles, per charge block (``_charge_blocks``), the exact
+    Hessian rows E and columns B, H[E, B], scattered from the cells with a
+    corner in B by one ``np.bincount``; only a preconditioner needs them, so
+    a gradient alone never builds them.
     """
-    h, shape = problem.h, U.shape
-    strides = (shape[1] * shape[2], shape[2], 1)
-    alphas = taylor_coefficients(problem.m)
-    s, *diffs = _cell_s(U, h)
-    live = len(s) - strides[1] - 1
-    W = _energy_series(s, alphas)
-    # a contiguous copy sums in the pairwise order of a 3-d cell array
-    energy = h**3 * float(np.sum(_cell_grid(W, shape)[:, :-1, :-1].copy()))
-    for node, a in problem.charges:
-        energy -= a * float(U[node])
 
-    def finish():
-        sigma, couple = _sigma_series(s, alphas)
+    def __init__(self, problem: DiscreteProblem, U: np.ndarray):
+        self.problem = problem
+        h, shape = problem.h, problem.shape
+        self.strides = (shape[1] * shape[2], shape[2], 1)
+        self.alphas = taylor_coefficients(problem.m)
+        self.s, *self.diffs = _cell_s(U, h)
+        W = _energy_series(self.s, self.alphas)
+        # a contiguous copy sums in the pairwise order of a 3-d cell array
+        self.energy = h**3 * float(np.sum(_cell_grid(W, shape)[:, :-1, :-1].copy()))
+        for node, a in problem.charges:
+            self.energy -= a * float(U[node])
+
+    def complete(self) -> _NewtonModel:
+        """Add the gradient, nodal sigma and cell data of ``hessp``; return self."""
+        h, shape, strides = self.problem.h, self.problem.shape, self.strides
+        sigma, couple = _sigma_series(self.s, self.alphas)
+        del self.s  # read no more; a model kept by the line search would hold it
         couple /= 8.0 * h
         for cells in (sigma, couple):
             _cell_grid(cells, shape)  # zeroes the junk cells
-        weights = _to_edges(sigma[:live], strides)
+        live = len(sigma) - strides[1] - 1
+        self.sigma, self.couple = sigma[:live], couple[:live]
+        self.weights = _to_edges(self.sigma, strides)
         # a node's eight cells are those of its two edges along the last axis
-        node_sigma = np.empty(U.size)
-        np.add(weights[2][1:], weights[2][:-1], out=node_sigma[1:-1])
+        node_sigma = np.empty(math.prod(shape))
+        np.add(self.weights[2][1:], self.weights[2][:-1], out=node_sigma[1:-1])
         node_sigma = 0.125 * node_sigma.reshape(shape)[1:-1, 1:-1, 1:-1]
-        for w in weights:
+        self.node_sigma = node_sigma  # the padded sum is freed before the fluxes
+        for w in self.weights:
             w *= h / 4.0
-        grad = _to_nodes([w * e for w, e in zip(weights, diffs)], strides).reshape(shape)
-        for node, a in problem.charges:
-            grad[node] -= a
+        fluxes = [w * e for w, e in zip(self.weights, self.diffs)]
+        self.grad = _to_nodes(fluxes, strides).reshape(shape)
+        for node, a in self.problem.charges:
+            self.grad[node] -= a
+        return self
 
-        def hessp(V: np.ndarray) -> np.ndarray:
-            v = V.ravel()
-            vdiffs = [v[step:] - v[:-step] for step in strides]
-            # sum over the cell's 12 edges of d_e * w_e, times sigma'/(8h)
-            P = _to_cells(diffs[0] * vdiffs[0], 0, strides)
-            for d in (1, 2):
-                P += _to_cells(diffs[d] * vdiffs[d], d, strides)
-            P *= couple[:live]
-            for w, e, f, p in zip(weights, diffs, vdiffs, _to_edges(P, strides)):
-                f *= w
-                p *= e
-                f += p
-            return _to_nodes(vdiffs, strides).reshape(V.shape)
+    def hessp(self, V: np.ndarray) -> np.ndarray:
+        strides, diffs = self.strides, self.diffs
+        v = V.ravel()
+        vdiffs = [v[step:] - v[:-step] for step in strides]
+        # sum over the cell's 12 edges of d_e * w_e, times sigma'/(8h)
+        P = _to_cells(diffs[0] * vdiffs[0], 0, strides)
+        for d in (1, 2):
+            P += _to_cells(diffs[d] * vdiffs[d], d, strides)
+        P *= self.couple
+        for w, e, f, p in zip(self.weights, diffs, vdiffs, _to_edges(P, strides)):
+            f *= w
+            p *= e
+            f += p
+        return _to_nodes(vdiffs, strides).reshape(V.shape)
 
-        def block_matrix(block: _Block) -> np.ndarray:
-            # H[E, B] from the cells with a corner in B, each adding
+    def blocks(self) -> list[np.ndarray]:
+        """H[E, B] of each charge block, in ``problem.charges`` order."""
+        h, sigma, couple, out = self.problem.h, self.sigma, self.couple, []
+        for block in self.problem._blocks:
+            # from the cells with a corner in B, each adding
             # (h/4) sigma L_cell + (sigma'/(8h)) g g^T, g = sum_e d_e (e_hi - e_lo)
-            g = np.concatenate([e[i] for e, i in zip(diffs, block.edges)], axis=1)
+            g = np.concatenate([e[i] for e, i in zip(self.diffs, block.edges)], axis=1)
             g = g @ _INCIDENCE
             cells = (h / 4.0) * sigma[block.cells, None, None] * _CELL_LAPLACIAN
             cells += couple[block.cells, None, None] * (g[:, :, None] * g[:, None, :])
             n_b, n_e = len(block.rows), math.prod(_box_shape(block.reach))
-            return np.bincount(
-                block.targets, cells.ravel()[block.entries], n_e * n_b
-            ).reshape(n_e, n_b)
-
-        hessp.blocks = lambda: [block_matrix(block) for block in problem._blocks]
-        return grad, hessp, node_sigma
-
-    return energy, finish
+            flat = np.bincount(block.targets, cells.ravel()[block.entries], n_e * n_b)
+            out.append(flat.reshape(n_e, n_b))
+        return out
 
 
 def discrete_energy(problem: DiscreteProblem, U: np.ndarray) -> float:
     """Energy of a full-grid nodal array under the problem's order."""
-    return _newton_model(problem, U)[0]
+    return _NewtonModel(problem, U).energy
 
 
 def discrete_energy_gradient(
     problem: DiscreteProblem, U: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Energy and its exact gradient with respect to every nodal value."""
-    energy, finish = _newton_model(problem, U)
-    return energy, finish()[0]
+    model = _NewtonModel(problem, U).complete()
+    return model.energy, model.grad
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +604,12 @@ def _poisson_inverse(n_inner: tuple[int, int, int], h: float):
     exact inverse Hessian at m = 1; since sigma >= 1 and sigma' >= 0, h times
     the Laplacian bounds the Hessian from below at every order.  The Newton
     solve applies it as D^(-1/2) P D^(-1/2), D the nodal mean sigma from
-    ``_newton_model``: the inverse of D^(1/2) (h L) D^(1/2), whose diagonal
+    ``_NewtonModel``: the inverse of D^(1/2) (h L) D^(1/2), whose diagonal
     is that of the Hessian's sigma part.  D = 1 at m = 1, so the exact
     inverse there is untouched.  It is the global part of the Newton-CG
     preconditioner (``_preconditioner``), which solves exactly on each
-    charge block before and after it (block, global, block); the block is
-    the 3^3 nodes around the charge node below 65^3 grid nodes and 5^3 from
-    there up.  At m = 1 the sweep is the exact inverse too.
+    charge block (``_charge_blocks``) before and after it (block, global,
+    block).  At m = 1 the sweep is the exact inverse too.
 
     The transform is a dense sine matrix S_d per axis, so the inverse is
     S (r / (h eig)) S with three matrix products per application, each
@@ -637,7 +638,7 @@ def _poisson_inverse(n_inner: tuple[int, int, int], h: float):
     return apply
 
 
-def _preconditioner(poisson, node_sigma: np.ndarray, blocks, matrices):
+def _preconditioner(poisson, model: _NewtonModel):
     """r -> z = M^(-1) r for one Newton step: block, global, block.
 
     The global part is the scaled Poisson inverse d^(-1/2) P d^(-1/2).
@@ -647,14 +648,14 @@ def _preconditioner(poisson, node_sigma: np.ndarray, blocks, matrices):
     keep it positive definite whatever the scale of P: with one block S =
     R^T H_BB^(-1) R it is S + (I - S H) P (I - H S).  H z is needed only
     where z moved: H[E, B] c on E for a block correction c, and
-    H[E, B]^T z_E = (H z)_B for the second solve.  ``matrices`` holds
-    H[E, B] per block; each is inverted here once, and every application
-    reuses the same residual and block buffers.
+    H[E, B]^T z_E = (H z)_B for the second solve.  The completed ``model``
+    gives d and H[E, B] per block; each block is inverted here once, and
+    every application reuses the same residual and block buffers.
     """
-    scale = 1.0 / np.sqrt(node_sigma)
+    scale = 1.0 / np.sqrt(model.node_sigma)
     work = np.empty_like(scale)
     solves = []
-    for block, H in zip(blocks, matrices):
+    for block, H in zip(model.problem._blocks, model.blocks()):
         e = np.empty(_box_shape(block.reach))
         b = np.empty(_box_shape(block.nodes))
         solves.append((block, H, np.linalg.inv(H[block.rows]), e, b, np.empty_like(b)))
@@ -728,16 +729,15 @@ def minimize_energy(
     each node's eight cells at the current iterate, r -> d^(-1/2) P(d^(-1/2)
     r), so it sees the growth of sigma towards a strong charge that P alone
     cannot.  Around it come exact solves with the Hessian's block on the
-    nodes within K of each charge, K = 1 below 65^3 grid nodes and 2 from
-    there up, once before and once after (block, global, block), for the
-    anisotropy along grad u that sigma' adds there; each block is inverted
-    once per Newton step (``_preconditioner``).  On
-    success ``grad_norm`` (max-norm of the objective gradient over interior
-    nodes) is at most ``tol``.  After ``max_iter`` Newton steps, or when
-    the line search fails, the last iterate is returned with
-    ``converged=False`` and ``stop_reason`` saying which.  A starting
-    energy or gradient 2-norm that binary64 cannot hold raises
-    ``InputError``.
+    nodes around each charge (``_charge_blocks``), once before and once
+    after (block, global, block), for the anisotropy along grad u that
+    sigma' adds there; each block is inverted once per Newton step
+    (``_preconditioner``).  On success ``grad_norm`` (max-norm of the
+    objective gradient over interior nodes) is at most ``tol``.  After
+    ``max_iter`` Newton steps, or when the line search fails, the last
+    iterate is returned with ``converged=False`` and ``stop_reason`` saying
+    which.  A starting energy or gradient 2-norm that binary64 cannot hold
+    raises ``InputError``.
     """
     if not 0 < tol < math.inf:
         raise InputError(f"tol must be positive and finite, got {tol}")
@@ -747,13 +747,12 @@ def minimize_energy(
     poisson = _poisson_inverse(n_inner, problem.h)
     direction = np.zeros(problem.shape)  # boundary entries stay zero
 
-    energy, finish = _newton_model(problem, U)
-    grad, hessp, node_sigma = finish()
-    g = grad[inner]
+    model = _NewtonModel(problem, U).complete()
+    g = model.grad[inner]
     residual = float(np.max(np.abs(g)))
     with np.errstate(over="ignore"):
         g_norm = float(np.linalg.norm(g))
-    for name, value in (("energy", energy), ("gradient 2-norm", g_norm)):
+    for name, value in (("energy", model.energy), ("gradient 2-norm", g_norm)):
         if not math.isfinite(value):
             raise InputError(
                 f"starting {name} is {value}: the objective leaves binary64"
@@ -765,17 +764,17 @@ def minimize_energy(
 
     def hessp_inner(p: np.ndarray) -> np.ndarray:
         direction[inner] = p
-        return hessp(direction)[inner]
+        return model.hessp(direction)[inner]
 
     while residual > tol and iterations < max_iter:
         # Below 0.5 tol / |g| the linear residual is already under tol.
         target = max(eta, 0.5 * tol / g_norm) * g_norm
-        precond = _preconditioner(poisson, node_sigma, problem._blocks, hessp.blocks())
+        precond = _preconditioner(poisson, model)
         step, n_cg = _pcg(hessp_inner, -g, precond, target, _CG_MAX_ITER)
         cg_per_step.append(n_cg)
         slope = float(np.vdot(g, step))
         alpha = 1.0
-        model = None
+        accepted = None
         for _ in range(_BACKTRACKS):
             trial = U.copy()
             trial[inner] += alpha * step
@@ -783,22 +782,21 @@ def minimize_energy(
             # a trial far outside the light cone may overflow the energy
             # series; its energy is then inf or nan, which Armijo rejects
             with np.errstate(over="ignore", invalid="ignore"):
-                trial_energy, finish = _newton_model(problem, trial)
-                if decrease <= _ENERGY_NOISE * abs(energy):
-                    candidate = finish()
-                    if float(np.max(np.abs(candidate[0][inner]))) < residual:
-                        model = (trial_energy, *candidate)
+                candidate = _NewtonModel(problem, trial)
+                if decrease <= _ENERGY_NOISE * abs(model.energy):
+                    candidate.complete()
+                    if float(np.max(np.abs(candidate.grad[inner]))) < residual:
+                        accepted = candidate
                     break
-                if trial_energy <= energy - _ARMIJO * decrease:
-                    model = (trial_energy, *finish())
+                if candidate.energy <= model.energy - _ARMIJO * decrease:
+                    accepted = candidate.complete()
                     break
             alpha *= 0.5
-        if model is None:
+        if accepted is None:
             stop_reason = "line_search_failed"
             break
-        U = trial
-        energy, grad, hessp, node_sigma = model
-        g = grad[inner]
+        U, model = trial, accepted
+        g = model.grad[inner]
         residual = float(np.max(np.abs(g)))
         g_norm, g_norm_old = float(np.linalg.norm(g)), g_norm
         iterations += 1
@@ -812,7 +810,7 @@ def minimize_energy(
     return GridField(
         problem=problem,
         values=U,
-        energy=float(energy),
+        energy=float(model.energy),
         grad_norm=residual,
         iterations=iterations,
         cg_per_step=tuple(cg_per_step),

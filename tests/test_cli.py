@@ -413,6 +413,20 @@ class TestSolveCommand:
         assert "box.lo" in err
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "box",
+        [{"lo": -1e300, "hi": 1e300, "h": 1e300}, {"lo": -1.0, "hi": 1.0, "h": 5e-324},
+         {"lo": -1e-200, "hi": 1e-200, "h": 1e-200}],
+        ids=["h-1e300", "h-5e-324", "h-1e-200"],
+    )
+    def test_spacing_outside_binary64_range_exit_2(self, tmp_path, capsys, box):
+        config = write_config(tmp_path / "solve.json", dict(self.SOLVE, box=box))
+        assert run_cli(["solve", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "grid spacing must be finite, in [1e-100, 1e100]" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_convergence_exit_4(self, tmp_path):
         payload = dict(self.SOLVE, tolerances={"solver": 1e-13})
         config = write_config(tmp_path / "solve.json", payload)

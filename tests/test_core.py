@@ -275,7 +275,9 @@ class TestInputError:
             taylor_coefficients,
             lambda m: asymptotics_spec(m, 3, 1.0),
             lambda m: radial.approx_radial_profile(1.0, m, 3, TestInputError.RGRID),
-            lambda m: field.assemble_problem(None, -1.0, 1.0, 0.25, m),
+            lambda m: field.assemble_problem(
+                ChargeConfig(3, [((0.0,) * 3, 1.0)]), -1.0, 1.0, 0.25, m
+            ),
         ],
     )
     @pytest.mark.parametrize("m", [0, -2, 4.0, True])
