@@ -10,9 +10,10 @@ bound |E| = 1.  Expanding that density in powers of |E|^2 gives
 and truncating the sum at order m yields the smooth approximating energy
 used by the radial and grid solvers.  This module owns the shared
 vocabulary: charge configurations, the expansion coefficients, the
-unit-sphere measure, the best constant of the gradient/sup-norm inequality,
-and the closed-form constants governing how an order-m field behaves next
-to a point charge.
+truncated density (by Horner, and in closed form where it is 1 - sqrt(1 -
+t^2) to rounding), the unit-sphere measure, the best constant of the
+gradient/sup-norm inequality, and the closed-form constants governing how an
+order-m field behaves next to a point charge.
 
 All functions here are pure and operate on immutable inputs; they are safe
 to call concurrently.
@@ -217,6 +218,60 @@ def _sigma_series(s, alphas: tuple[float, ...]):
         sigma *= s
         sigma += a
     return sigma, dsigma
+
+
+# Below this order tau_m lies under every s a grid solve meets, so
+# ``_Density`` leaves every entry to Horner.
+_CLOSED_FORM_MIN_ORDER = 4
+
+
+class _Density:
+    """W, sigma and sigma' of the order-m density at a flat array of squared
+    slopes s, split once between a closed form and Horner.
+
+    Where the dropped tail sum_{k>m} is below binary64 resolution, the order-m
+    truncation is the Born-Infeld density to rounding: W = s / (1 + sqrt(1 -
+    s)), sigma = (1 - s)^(-1/2) and sigma' = (1/2) (1 - s)^(-3/2), from one
+    square root whatever m.  That holds for s <= tau_m = min(1/2, (2^-56/m)^(1
+    / (m-1))), where each tail of W, sigma and sigma' is at most 2^-56 of its
+    value, the 1/(1 - s) factors of the tail bounds included; s is clamped at
+    tau_m under the root, so the closed form never warns.  The rest, s > tau_m
+    or not finite, keeps ``_energy_series`` and ``_sigma_series``.
+    """
+
+    def __init__(self, s: np.ndarray, alphas: tuple[float, ...]):
+        m, self.s, self.alphas, self.near = len(alphas), s, alphas, None
+        if m >= _CLOSED_FORM_MIN_ORDER:
+            tau = min(0.5, (2.0**-56 / m) ** (1.0 / (m - 1)))
+            self.near = np.flatnonzero(~(s <= tau))
+            self.rest = np.subtract(1.0, np.minimum(s, tau))
+            self.root = np.sqrt(self.rest)
+
+    def _horner(self, series):
+        s = self.s[self.near]
+        if s.size > 16:
+            with np.errstate(invalid="ignore"):  # 0 * inf in the first step
+                return series(s, self.alphas)
+        # a few entries cost less as Python floats than 2-4 ufunc calls a term
+        return np.array([series(x, self.alphas) for x in s.tolist()]).T
+
+    def energy(self) -> np.ndarray:
+        if self.near is None:
+            return _energy_series(self.s, self.alphas)
+        W = np.add(self.root, 1.0)
+        np.divide(self.s, W, out=W)
+        W[self.near] = self._horner(_energy_series)
+        return W
+
+    def sigma(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.near is None:
+            return _sigma_series(self.s, self.alphas)
+        sigma = np.divide(1.0, self.root)
+        dsigma = np.multiply(self.rest, self.root)
+        np.divide(0.5, dsigma, out=dsigma)
+        for out, values in zip((sigma, dsigma), self._horner(_sigma_series)):
+            out[self.near] = values  # no rows at all when no entry is near
+        return sigma, dsigma
 
 
 # ---------------------------------------------------------------------------

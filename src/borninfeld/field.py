@@ -10,7 +10,10 @@ where s_cell is the squared gradient magnitude of the cell, assembled as
 the mean of the four squared edge differences per axis divided by h^2.
 That choice is second-order consistent at cell centers, strictly convex in
 the edge differences (no checkerboard null mode), and keeps the Dirac
-pairing as a plain nodal value at the snapped charge node.
+pairing as a plain nodal value at the snapped charge node.  The density is
+evaluated by ``core._Density``: in closed form wherever the truncation is the
+Born-Infeld density to rounding, by Horner only next to a charge, so the
+cost of a Newton step grows with m only through those few cells.
 
 Boundary data is Dirichlet: either zero or the superposition of exact
 single-charge tails recentered at each charge, which is what the field
@@ -38,10 +41,10 @@ The kernels work on the C-order ravel of the node grid.  A cell or an edge
 sits at the flat index of its lowest node, so a step along axis d is the
 offset stride_d and every stencil is a contiguous slice.  "Junk" cells, whose
 lowest node lies on the last row or column, wrap into the next row or plane;
-they touch only boundary nodes and are zeroed before the energy series.  The
-sums keep the order of the 3-d stencils they replaced (first other axis
-before second, divergence over axes 0, 1, 2, energy summed over a contiguous
-copy), so reports and CSVs stay byte-identical.
+they touch only boundary nodes and are zeroed before the density.  The sums
+keep the order of the 3-d stencils they replaced (first other axis before
+second, divergence over axes 0, 1, 2, energy summed over a contiguous copy),
+so the two agree bit for bit.
 
 Grid solves are restricted to three dimensions; the radial module covers
 general N for single charges.
@@ -58,8 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ChargeConfig, InputError, taylor_coefficients
-from .core import _check_order, _energy_series, _sigma_series
+from .core import ChargeConfig, InputError, _check_order, _Density, taylor_coefficients
 from .quad import AccuracyError, _single_charge_field, shape_constant_A
 
 __all__ = [
@@ -155,21 +157,6 @@ class DiscreteProblem:
         return U
 
 
-def _superposed_fields(coords, centres, strengths):
-    """Sum over charges of the exact single-charge field u_k(r_k) at ``coords``.
-
-    u_k has strength a_k and r_k is the distance to its centre; a point on a
-    centre takes the central value u0.
-    """
-    values = np.zeros(len(coords))
-    for centre, a in zip(centres, strengths):
-        dists = np.linalg.norm(coords - np.asarray(centre), axis=1)
-        # the incomplete Beta runs once per distinct distance, not per node
-        radii, inverse = np.unique(dists, return_inverse=True)
-        values += _single_charge_field(a, 3, radii)[1][inverse]
-    return values
-
-
 def assemble_problem(
     config: ChargeConfig,
     box_lo,
@@ -182,15 +169,15 @@ def assemble_problem(
 
     Validation: the spacing must lie in [1e-100, 1e100], so that the
     energy's h^3 and the cells' 1/h^2 stay finite and nonzero, and it must
-    divide every box edge; every charge must snap to a strictly interior
-    node; with two or more charges the spacing must resolve at least 8 nodes
-    between the closest snapped pair and the box must clear every charge by
-    at least the minimum charge spacing (below twice that a truncation
-    warning is issued).  Charges that snap onto one node are 0 apart, so
-    they fail the resolution guard.  Superposed
-    boundary data above the central-value bound sum_k |a_k|^(1/2) A(3) cannot
-    come from correct single-charge fields, each bounded by its central
-    value, so it raises ``AccuracyError``.
+    divide every box edge into a node count numpy can index; every charge
+    must snap to a strictly interior node; with two or more charges the
+    spacing must resolve at least 8 nodes between the closest snapped pair
+    and the box must clear every charge by at least the minimum charge
+    spacing (below twice that a truncation warning is issued).  Charges that
+    snap onto one node are 0 apart, so they fail the resolution guard.
+    Superposed boundary data above the central-value bound sum_k |a_k|^(1/2)
+    A(3) cannot come from correct single-charge fields, each bounded by its
+    central value, so it raises ``AccuracyError``.
     """
     lo = tuple(float(x) for x in np.broadcast_to(box_lo, (3,)))
     hi = tuple(float(x) for x in np.broadcast_to(box_hi, (3,)))
@@ -208,6 +195,8 @@ def assemble_problem(
         if edge <= 0:
             raise InputError(f"box is empty along axis {d}")
         n = edge / h
+        if not math.isfinite(n):
+            raise InputError(f"node count must be finite, got {n} along axis {d}")
         n_int = round(n)
         if n_int < 2 or abs(n - n_int) > 1e-9 * max(1.0, abs(n)):
             raise InputError(
@@ -215,12 +204,13 @@ def assemble_problem(
             )
         counts.append(n_int)
     shape = (counts[0] + 1, counts[1] + 1, counts[2] + 1)
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+        raise InputError(f"node counts must be finite and numpy-indexable, got {shape}")
 
     if config.dim != 3:
         raise InputError("grid solves are restricted to dimension 3")
     nodes: list[tuple[int, int, int]] = []
     snap_distances: list[float] = []
-    strengths = [charge.strength for charge in config.charges]
     for charge in config.charges:
         pos = np.asarray(charge.pos)
         rel = (pos - np.asarray(lo)) / h
@@ -230,8 +220,8 @@ def assemble_problem(
                 f"charge at {charge.pos} does not snap to a strictly "
                 "interior grid node"
             )
-        snap = float(np.linalg.norm(pos - (np.asarray(lo) + h * np.asarray(node))))
-        snap_distances.append(snap)
+        centre = np.asarray(lo) + h * np.asarray(node)
+        snap_distances.append(float(np.linalg.norm(pos - centre)))
         nodes.append(node)
     # resolution and clearance guards act on the snapped geometry; charges
     # sharing a node are 0 apart, so no two of them ever merge
@@ -262,18 +252,19 @@ def assemble_problem(
                 )
                 warned_clearance = True
 
-    if boundary_rule == "zero":
-        boundary_values = np.zeros(shape)
-    else:
+    boundary_values = np.zeros(shape)
+    if boundary_rule != "zero":
         on_bd = np.ones(shape, dtype=bool)
         on_bd[1:-1, 1:-1, 1:-1] = False
-        boundary_values = np.zeros(shape)
-        boundary_values[on_bd] = _superposed_fields(
-            np.asarray(lo) + h * np.argwhere(on_bd),
-            [charge.pos for charge in config.charges],
-            strengths,
-        )
-        bound = sum(abs(a) ** 0.5 for a in strengths) * shape_constant_A(3)
+        coords = np.asarray(lo) + h * np.argwhere(on_bd)
+        values = np.zeros(len(coords))
+        for charge in config.charges:
+            dists = np.linalg.norm(coords - np.asarray(charge.pos), axis=1)
+            # the incomplete Beta runs once per distinct distance, not per node
+            radii, inverse = np.unique(dists, return_inverse=True)
+            values += _single_charge_field(charge.strength, 3, radii)[1][inverse]
+        boundary_values[on_bd] = values
+        bound = sum(abs(a) ** 0.5 for a in config.strengths) * shape_constant_A(3)
         max_bd = float(np.max(np.abs(boundary_values)))
         if max_bd > bound * (1.0 + 1e-9):
             raise AccuracyError(
@@ -289,7 +280,7 @@ def assemble_problem(
         shape=shape,
         boundary_rule=boundary_rule,
         boundary_values=boundary_values,
-        charges=tuple(sorted(zip(nodes, strengths))),
+        charges=tuple(sorted(zip(nodes, config.strengths))),
         snap_distances=tuple(snap_distances),
     )
 
@@ -469,9 +460,9 @@ class _NewtonModel:
         self.problem = problem
         h, shape = problem.h, problem.shape
         self.strides = (shape[1] * shape[2], shape[2], 1)
-        self.alphas = taylor_coefficients(problem.m)
-        self.s, *self.diffs = _cell_s(U, h)
-        W = _energy_series(self.s, self.alphas)
+        s, *self.diffs = _cell_s(U, h)
+        self.density = _Density(s, taylor_coefficients(problem.m))
+        W = self.density.energy()
         # a contiguous copy sums in the pairwise order of a 3-d cell array
         self.energy = h**3 * float(np.sum(_cell_grid(W, shape)[:, :-1, :-1].copy()))
         for node, a in problem.charges:
@@ -480,8 +471,8 @@ class _NewtonModel:
     def complete(self) -> _NewtonModel:
         """Add the gradient, nodal sigma and cell data of ``hessp``; return self."""
         h, shape, strides = self.problem.h, self.problem.shape, self.strides
-        sigma, couple = _sigma_series(self.s, self.alphas)
-        del self.s  # read no more; a model kept by the line search would hold it
+        sigma, couple = self.density.sigma()
+        del self.density  # read no more; a model kept by the line search would hold it
         couple /= 8.0 * h
         for cells in (sigma, couple):
             _cell_grid(cells, shape)  # zeroes the junk cells

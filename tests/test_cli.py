@@ -325,6 +325,9 @@ def test_scipy_stays_off_the_import_path(tmp_path):
     assert probe["solve"] == []
 
 
+_SPACING = "grid spacing must be finite, in [1e-100, 1e100]"
+
+
 class TestSolveCommand:
     SOLVE = {
         "dim": 3,
@@ -352,6 +355,19 @@ class TestSolveCommand:
             rows = list(csv.reader(handle))
         assert rows[0] == ["x", "y", "z", "u"]
         assert len(rows) == 17**3 + 1
+
+    def test_paper_limit_order_10000_solve(self, tmp_path):
+        # the closed form takes every cell but the charge's, so m = 10^4 costs
+        # about what m = 1000 does, and the two truncations agree to rounding
+        energies = []
+        for m in (1000, 10_000):
+            out = tmp_path / str(m)
+            config = write_config(tmp_path / f"{m}.json", dict(self.SOLVE, order_m=m))
+            assert run_cli(["solve", config, "--out", str(out)]) == 0
+            results = json.loads((out / "report.json").read_text())["results"]
+            assert results["converged"] is True
+            energies.append(results["energy"])
+        assert energies[1] == pytest.approx(energies[0], rel=1e-12)
 
     def test_non_cubic_box_solve(self, tmp_path):
         # 9 x 17 x 25 nodes: a swapped stride would pass every cubic test
@@ -414,16 +430,20 @@ class TestSolveCommand:
         assert "finite" in err
 
     @pytest.mark.parametrize(
-        "box",
-        [{"lo": -1e300, "hi": 1e300, "h": 1e300}, {"lo": -1.0, "hi": 1.0, "h": 5e-324},
-         {"lo": -1e-200, "hi": 1e-200, "h": 1e-200}],
-        ids=["h-1e300", "h-5e-324", "h-1e-200"],
+        "box, message",
+        [({"lo": -1e300, "hi": 1e300, "h": 1e300}, _SPACING),
+         ({"lo": -1.0, "hi": 1.0, "h": 5e-324}, _SPACING),
+         ({"lo": -1e-200, "hi": 1e-200, "h": 1e-200}, _SPACING),
+         ({"lo": -1.0, "hi": 1.0, "h": 1e-50}, "node counts must be finite and numpy"),
+         ({"lo": -1e300, "hi": 1e300, "h": 1e-100}, "node count must be finite")],
+        ids=["h-1e300", "h-5e-324", "h-1e-200", "nodes-2e50", "nodes-inf"],
     )
-    def test_spacing_outside_binary64_range_exit_2(self, tmp_path, capsys, box):
+    def test_spacing_outside_binary64_range_exit_2(self, tmp_path, capsys, box,
+                                                   message):
         config = write_config(tmp_path / "solve.json", dict(self.SOLVE, box=box))
         assert run_cli(["solve", config, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "grid spacing must be finite, in [1e-100, 1e100]" in err
+        assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -1,6 +1,7 @@
 """Tests for domain types, expansion coefficients, and closed-form constants."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from borninfeld.core import (
     ChargeConfig,
     GuaranteeRangeError,
     InputError,
+    _Density,
     _energy_series,
     _sigma_series,
     asymptotics_spec,
@@ -144,6 +146,88 @@ class TestLagrangianPartialSum:
             )
             for got, want in zip((W[i], sigma[i], dsigma[i]), exact):
                 assert abs(got - want) <= rel * want
+
+
+def closed_form_bound(m: int) -> float:
+    """tau_m as ``_Density`` documents it."""
+    return min(0.5, (2.0**-56 / m) ** (1.0 / (m - 1)))
+
+
+def horner(s, alphas):
+    return (_energy_series(s, alphas), *_sigma_series(s, alphas))
+
+
+def density(s, alphas):
+    d = _Density(s, alphas)
+    return (d.energy(), *d.sigma())
+
+
+class TestDensity:
+    ORDERS = [4, 8, 16, 64, 1000, 10_000]
+
+    @pytest.mark.parametrize("m", ORDERS)
+    def test_closed_form_within_4_ulp_of_horner_up_to_tau(self, m):
+        alphas, tau = taylor_coefficients(m), closed_form_bound(m)
+        s = np.concatenate(
+            [[0.0], np.geomspace(1e-300, tau, 1500), np.linspace(0.0, tau, 1500)]
+        )
+        assert _Density(s, alphas).near.size == 0
+        for got, want in zip(density(s, alphas), horner(s, alphas)):
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
+
+    @pytest.mark.parametrize("m", ORDERS)
+    @pytest.mark.parametrize("size", [3, 16, 17, 400])
+    def test_horner_bit_for_bit_above_tau(self, m, size):
+        # up to 16 entries Horner runs on Python floats, from 17 on arrays
+        alphas, tau = taylor_coefficients(m), closed_form_bound(m)
+        above = np.append(np.nextafter(tau, 2.0), np.linspace(tau, 1.05, size)[1:])
+        below = np.linspace(0.0, tau, 7)
+        s = np.concatenate([below, above])
+        s = s[np.random.default_rng(m).permutation(s.size)]
+        far, near = s <= tau, s > tau
+        assert np.array_equal(_Density(s, alphas).near, np.flatnonzero(near))
+        for got, want, closed in zip(density(s, alphas), horner(s[near], alphas),
+                                     horner(s[far], alphas)):
+            assert np.array_equal(got[near], want)
+            assert np.all(np.abs(got[far] - closed) <= 4 * np.finfo(float).eps * closed)
+
+    @pytest.mark.parametrize("m", ORDERS)
+    def test_dropped_tail_at_tau_below_2_to_minus_56(self, m):
+        # the tails of W, sigma and sigma' beyond order m, summed exactly
+        # until the next term is below 2^-200 of the tail
+        import mpmath as mp
+
+        with mp.workdps(60):
+            s = mp.mpf(closed_form_bound(m))
+            alpha = mp.mpf(1)
+            for h in range(1, m):
+                alpha *= mp.mpf(2 * h - 1) / (2 * h)
+            tails, k = [mp.mpf(0)] * 3, m
+            while True:
+                alpha *= mp.mpf(2 * k - 1) / (2 * k)
+                k += 1
+                power = s ** (k - 2)
+                terms = [alpha / (2 * k) * power * s * s, alpha * power * s,
+                         (k - 1) * alpha * power]
+                tails = [t + x for t, x in zip(tails, terms)]
+                if terms[2] < tails[2] * mp.mpf(2) ** -200:
+                    break
+            root = mp.sqrt(1 - s)
+            for tail, value in zip(tails, [1 - root, 1 / root, 1 / (2 * root**3)]):
+                assert tail <= value * mp.mpf(2) ** -56
+
+    @pytest.mark.parametrize("size", [3, 40])
+    def test_inf_and_nan_give_inf_or_nan_without_warning(self, size):
+        alphas = taylor_coefficients(16)
+        s = np.linspace(0.0, 2.0, size)
+        s[:2] = np.inf, np.nan
+        assert np.array_equal(_Density(s, alphas).near[:2], [0, 1])  # both to Horner
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = density(s, alphas)
+        for v in values:
+            assert not np.any(np.isfinite(v[:2]))
+            assert np.all(np.isfinite(v[2:]))
 
 
 class TestSphereMeasure:

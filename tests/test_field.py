@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from borninfeld.core import ChargeConfig, InputError, _energy_series, _sigma_series
+from borninfeld import core
+from borninfeld.core import ChargeConfig, InputError, _Density, _sigma_series
 from borninfeld.core import taylor_coefficients
 from borninfeld.field import (
     DiscreteProblem,
@@ -88,9 +89,11 @@ def cell_s_3d(U, h):
 def newton_model_3d(problem, U):
     h = problem.h
     s, *diffs = cell_s_3d(U, h)
-    alphas = taylor_coefficients(problem.m)
-    W = _energy_series(s, alphas)
-    sigma, dsigma = _sigma_series(s, alphas)
+    # the density is pinned by the evaluator's own tests against Horner
+    density = _Density(s.ravel(), taylor_coefficients(problem.m))
+    W, sigma, dsigma = (
+        x.reshape(s.shape) for x in (density.energy(), *density.sigma())
+    )
     weights = [(h / 4.0) * _scatter(sigma, d) for d in range(3)]
     couple = dsigma / (8.0 * h)
     energy = h**3 * float(np.sum(W))
@@ -231,6 +234,8 @@ class TestAssembly:
             lambda: assemble_problem(SINGLE, -1e120, 1e120, 1e120, 2, "zero"),
             lambda: assemble_problem(SINGLE, -1, 1, 5e-324, 2, "zero"),
             lambda: assemble_problem(SINGLE, -1e-200, 1e-200, 1e-200, 2, "zero"),
+            lambda: assemble_problem(SINGLE, -1, 1, 1e-50, 2, "zero"),
+            lambda: assemble_problem(SINGLE, -1e300, 1e300, 1e-100, 2, "zero"),
             lambda: minimize_energy(small_problem(), tol=math.inf),
             lambda: minimize_energy(small_problem(), tol=math.nan),
             lambda: minimize_energy(small_problem(), tol=0.0),
@@ -239,6 +244,8 @@ class TestAssembly:
             "h-nan", "h-inf", "lo-nan", "hi-inf", "lo-axis-inf",
             # h^3 overflows, edge / h overflows, 1/h^2 divides by zero
             "h-1e300", "h-1e200", "h-1e120", "h-5e-324", "h-1e-200",
+            # more nodes than numpy can index, and an infinite node count
+            "nodes-2e50", "nodes-inf",
             "tol-inf", "tol-nan", "tol-zero",
         ],
     )
@@ -858,6 +865,45 @@ class TestNewtonSolver:
         assert result.converged
         assert max(result.cg_per_step) <= 2
         assert result.energy == pytest.approx(energy, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:boundary clearance")
+    @pytest.mark.parametrize("rule", ["radial-superposition", "zero"])
+    @pytest.mark.parametrize("m", [8, 16, 64])
+    @pytest.mark.parametrize(
+        "config",
+        [DIPOLE, ChargeConfig(3, [((0.0, 0.0, 0.0), 20.0)])],
+        ids=["dipole", "strong"],
+    )
+    def test_same_solve_as_horner_everywhere(self, monkeypatch, config, m, rule):
+        # the closed form replaces Horner where the two agree to rounding, so
+        # the Newton path is the same and the energies agree to rounding
+        problem = assemble_problem(config, -4, 4, 0.25, m, rule)
+        fast = minimize_energy(problem, tol=1e-9)
+        monkeypatch.setattr(core, "_CLOSED_FORM_MIN_ORDER", math.inf)
+        horner = minimize_energy(problem, tol=1e-9)
+        assert fast.converged and horner.converged
+        assert fast.iterations == horner.iterations
+        assert fast.cg_per_step == horner.cg_per_step
+        assert abs(fast.energy - horner.energy) <= 1e-15 * abs(horner.energy)
+
+    def test_horner_sees_under_one_percent_of_cells_at_order_64(self, monkeypatch):
+        seen = {"cells": 0, "horner": 0}
+        for name in ("energy", "sigma"):
+            def counted(self, _method=getattr(_Density, name)):
+                seen["cells"] += self.s.size
+                return _method(self)
+
+            monkeypatch.setattr(_Density, name, counted)
+        for name in ("_energy_series", "_sigma_series"):
+            def counted(s, alphas, _series=getattr(core, name)):
+                seen["horner"] += np.size(s)
+                return _series(s, alphas)
+
+            monkeypatch.setattr(core, name, counted)
+        cfg = ChargeConfig(3, [((0.1, 0.05, 0.0), 1.0)])
+        problem = assemble_problem(cfg, -4, 4, 0.25, 64, "radial-superposition")
+        assert minimize_energy(problem, tol=1e-9).converged
+        assert 0 < seen["horner"] < 0.01 * seen["cells"]
 
     def test_objective_beyond_binary64_rejected(self):
         # a = 1e300 makes the starting energy -inf; at a = 1e155 the energy
