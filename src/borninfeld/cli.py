@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import enum
 import itertools
 import json
@@ -197,7 +198,10 @@ def load_config(path: Path, *, need_box: bool) -> dict:
 
 
 def _jsonable(obj):
-    """Recursively convert report content to strict JSON (inf -> 'inf')."""
+    """Recursively convert report content to strict JSON (inf -> 'inf').
+
+    A result record (a dataclass instance) becomes the object of its fields.
+    """
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, dict):
@@ -212,6 +216,9 @@ def _jsonable(obj):
         if math.isnan(obj):
             return "nan"
         return obj
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        # field by field: dataclasses.asdict would deep-copy every value
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
 
 
@@ -251,9 +258,10 @@ def validate_report(report: dict) -> None:
         raise ValueError(f"report results missing keys {sorted(missing)}")
     if command == "check":
         for verdict in report["results"]["verdicts"]:
-            for key in ("level", "rule", "lhs", "rhs", "margin"):
-                if key not in verdict:
-                    raise ValueError(f"verdict missing key {key!r}")
+            # every field of a Verdict; an unset per_segment is left out
+            for f in dataclasses.fields(conditions.Verdict):
+                if f.name not in verdict and f.name != "per_segment":
+                    raise ValueError(f"verdict missing key {f.name!r}")
             if not _is_number_or_sentinel(verdict["margin"]):
                 raise ValueError("verdict margin must be numeric or inf")
 
@@ -295,18 +303,19 @@ def _write_field_csv(path: Path, lo, h: float, values: np.ndarray) -> None:
 
 
 def _fields(record, *names: str) -> dict:
-    """The named attributes of a result record, keyed by name."""
+    """The named attributes of a record a report takes only in part, keyed
+    by name; a whole record goes into a report as it is (``_jsonable``)."""
     return {name: getattr(record, name) for name in names}
 
 
-_PAIR_KEYS = ("j", "l", "level", "separation")
 _FIT_KEYS = ("exponent", "coefficient", "residual", "window")
 
 
 def _verdict_dict(v: conditions.Verdict) -> dict:
-    out = _fields(v, "level", "rule", "lhs", "rhs", "margin")
-    if v.per_segment is not None:
-        out["per_segment"] = [_fields(p, *_PAIR_KEYS) for p in v.per_segment]
+    """The verdict's fields, without ``per_segment`` when it is None."""
+    out = {f.name: getattr(v, f.name) for f in dataclasses.fields(v)}
+    if v.per_segment is None:
+        del out["per_segment"]
     return out
 
 
@@ -373,7 +382,7 @@ def cmd_check(args) -> int:
         },
         "results": {
             "verdicts": [_verdict_dict(v) for v in verdicts],
-            "per_segment": [_fields(p, *_PAIR_KEYS) for p in segments],
+            "per_segment": segments,
             "conclusive": conclusive,
         },
     }
@@ -460,22 +469,6 @@ def cmd_solve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "field.csv"
     _write_field_csv(csv_path, problem.lo, problem.h, result.values)
-    if result.converged:
-        extremum = [
-            _fields(r, "node", "strength", "kind", "margin", "matches_charge_sign")
-            for r in field.extremum_report(result)
-        ]
-        segments = [
-            _fields(
-                s, "j", "l", "distance", "same_sign", "chord_defect", "light_ratio",
-                "near_light",
-            )
-            for s in field.segment_report(result)
-        ]
-    else:
-        extremum = []
-        segments = []
-    sup = field.gradient_sup(result)
     report = {
         "command": "solve",
         "seed": args.seed,
@@ -499,9 +492,9 @@ def cmd_solve(args) -> int:
             "converged": result.converged,
             "stop_reason": result.stop_reason,
             "snap_distances": list(problem.snap_distances),
-            "extremum": extremum,
-            "segments": segments,
-            "gradient_sup": _fields(sup, "sup", "argmax_distance"),
+            "extremum": field.extremum_report(result) if result.converged else [],
+            "segments": field.segment_report(result) if result.converged else [],
+            "gradient_sup": field.gradient_sup(result),
         },
     }
     path = _write_report(report, Path(args.out))

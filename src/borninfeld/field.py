@@ -124,6 +124,10 @@ class DiscreteProblem:
     def _blocks(self) -> tuple[_Block, ...]:
         return _charge_blocks(self)
 
+    @cached_property
+    def _coefficients(self) -> tuple[float, ...]:
+        return taylor_coefficients(self.m)
+
     def initial_guess(self) -> np.ndarray:
         """Starting field: the boundary data, with the superposed exact
         single-charge fields centred on the snapped charge nodes inside.
@@ -461,7 +465,7 @@ class _NewtonModel:
         h, shape = problem.h, problem.shape
         self.strides = (shape[1] * shape[2], shape[2], 1)
         s, *self.diffs = _cell_s(U, h)
-        self.density = _Density(s, taylor_coefficients(problem.m))
+        self.density = _Density(s, problem._coefficients)
         W = self.density.energy()
         # a contiguous copy sums in the pairwise order of a 3-d cell array
         self.energy = h**3 * float(np.sum(_cell_grid(W, shape)[:, :-1, :-1].copy()))
@@ -558,9 +562,13 @@ class GridField:
     grad_norm: float
     iterations: int
     cg_per_step: tuple[int, ...]
-    converged: bool
     tol: float
     stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        """Whether the solve met its tolerance: ``stop_reason`` says so."""
+        return self.stop_reason == "converged"
 
     @property
     def cg_iterations(self) -> int:
@@ -797,7 +805,6 @@ def minimize_energy(
             eta_new = max(eta_new, 0.9 * eta**2)
         eta = min(_ETA_MAX, eta_new)
 
-    converged = bool(residual <= tol)
     return GridField(
         problem=problem,
         values=U,
@@ -805,9 +812,8 @@ def minimize_energy(
         grad_norm=residual,
         iterations=iterations,
         cg_per_step=tuple(cg_per_step),
-        converged=converged,
         tol=tol,
-        stop_reason="converged" if converged else stop_reason,
+        stop_reason="converged" if residual <= tol else stop_reason,
     )
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,34 @@ class TestCheckCommand:
         path.write_text('{"dim": 3,')
         assert run_cli(["check", str(path), "--out", str(tmp_path)]) == 2
 
+    def test_verdict_and_pair_keys(self, tmp_path):
+        # verdicts and pairs go into the report whole, so a field added to
+        # conditions.Verdict or PairVerdict shows here
+        config = write_config(tmp_path / "c.json", DIPOLE)
+        assert run_cli(["check", config, "--out", str(tmp_path)]) == 0
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        verdict = {"level", "rule", "lhs", "rhs", "margin"}
+        keys = {v["rule"]: set(v) for v in results["verdicts"]}
+        assert keys == {
+            "global-sum-threshold": verdict,
+            "refined-energy-threshold": verdict | {"per_segment"},
+            "two-charge-exact": verdict,
+        }
+        (pair,) = results["per_segment"]
+        assert set(pair) == {"j", "l", "level", "separation"}
+        assert results["verdicts"][1]["per_segment"] == [pair]
+
+    def test_schema_requires_every_verdict_key_but_per_segment(self, tmp_path):
+        config = write_config(tmp_path / "c.json", DIPOLE)
+        assert run_cli(["check", config, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        refined = report["results"]["verdicts"][1]
+        del refined["per_segment"]
+        validate_report(report)
+        del refined["rhs"]
+        with pytest.raises(ValueError, match="verdict missing key 'rhs'"):
+            validate_report(report)
+
     def test_byte_identical_reports(self, tmp_path):
         config = write_config(tmp_path / "c.json", DIPOLE)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -529,6 +557,25 @@ class TestSolveCommand:
         assert kinds[-1.0] == "min"
         (segment,) = report["results"]["segments"]
         assert segment["near_light"] is False
+
+    @pytest.mark.filterwarnings("ignore:boundary clearance")
+    def test_record_keys(self, tmp_path):
+        # extremum, segment and gradient sup records go into the report
+        # whole, so a field added to one of them shows here
+        charges = [{"pos": [-1.0, 0.0, 0.0], "a": 1.0}, {"pos": [1.0, 0.0, 0.0], "a": -1.0}]
+        box = {"lo": -3.0, "hi": 3.0, "h": 0.25}
+        config = write_config(tmp_path / "solve.json", dict(self.SOLVE, charges=charges, box=box))
+        assert run_cli(["solve", config, "--out", str(tmp_path)]) == 0
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        assert [set(e) for e in results["extremum"]] == 2 * [
+            {"node", "strength", "kind", "margin", "matches_charge_sign"}
+        ]
+        (segment,) = results["segments"]
+        assert set(segment) == {
+            "j", "l", "distance", "same_sign", "chord_defect", "light_ratio",
+            "near_light",
+        }
+        assert set(results["gradient_sup"]) == {"sup", "argmax_distance"}
 
 
 # ---------------------------------------------------------------------------

@@ -672,7 +672,7 @@ def test_gradient_sup_matches_the_meshgrid_formula_exactly(charges):
     )
     result = GridField(
         problem=problem, values=U, energy=0.0, grad_norm=0.0, iterations=0,
-        cg_per_step=(), converged=False, tol=1e-9, stop_reason="max_iter",
+        cg_per_step=(), tol=1e-9, stop_reason="max_iter",
     )
     # no cell centre sits on a charge node, so radius 0 keeps every cell
     sup, argmax_distance, cells = _gradient_sup_by_meshgrid(result, 0.0)
@@ -731,7 +731,7 @@ def test_gradient_sup_equals_the_full_grid_distances(charges, lo, hi, h, rule):
     for U in fields:
         result = GridField(
             problem=problem, values=U, energy=0.0, grad_norm=0.0, iterations=0,
-            cg_per_step=(), converged=False, tol=1e-9, stop_reason="max_iter",
+            cg_per_step=(), tol=1e-9, stop_reason="max_iter",
         )
         flat = np.sqrt(cell_s_3d(U, h)[0]).ravel()
         arg = int(np.argmax(flat))
@@ -849,6 +849,21 @@ class TestNewtonSolver:
         # search rejects two trials, which stop at the energy
         assert model_calls["completions"] == result.iterations + 1
         assert model_calls["models"] == model_calls["completions"] + 2
+
+    def test_coefficients_are_computed_once_per_problem(self, model_calls, monkeypatch):
+        # every model reads the problem's tuple, rejected trials included
+        orders = []
+
+        def counted(m):
+            orders.append(m)
+            return taylor_coefficients(m)
+
+        monkeypatch.setattr("borninfeld.field.taylor_coefficients", counted)
+        cfg = ChargeConfig(3, [((0.0, 0.0, 0.0), 20.0)])
+        problem = assemble_problem(cfg, -4, 4, 0.25, 16, "radial-superposition")
+        assert minimize_energy(problem, tol=1e-9).converged
+        assert model_calls["models"] > model_calls["completions"] > 1
+        assert orders == [16]
 
     @pytest.mark.parametrize(
         "rule, energy",
