@@ -70,32 +70,47 @@ def _fail(path: str, message: str):
     raise ConfigError(f"config field '{path}': {message}")
 
 
-def _require(cond: bool, path: str, message: str) -> None:
-    if not cond:
+def _object(value, path: str, keys: set, required=(), note: str = "") -> dict:
+    """``value`` as a JSON object with keys from ``keys`` only, ``required``
+    among them; a missing key's path is the key under ``path``."""
+    root = path == "<root>"
+    if not isinstance(value, dict):
+        _fail(path, "expected a JSON object" if root else "expected an object")
+    unknown = set(value) - keys
+    if unknown:
+        _fail(path, f"unknown keys {sorted(unknown)}")
+    for key in required:
+        if key not in value:
+            _fail(key if root else f"{path}.{key}", "missing required key" + note)
+    return value
+
+
+def _number(value, path: str, positive: bool = False) -> float:
+    """``value`` as a finite binary64 number, > 0 if ``positive``.
+
+    json.loads accepts Infinity, NaN and integers past binary64, which no
+    coordinate or strength can use; an infinite tolerance ends a solve before
+    its first step, a NaN one after it.
+    """
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        if value > 0 or not positive:
+            return float(value)
+    _fail(path, "expected a positive finite number" if positive else "expected a finite number")
+
+
+def _numbers(value, path: str, n: int, message: str) -> list[float]:
+    """``value`` as a list of n finite numbers; ``message`` if it is not one."""
+    if not (isinstance(value, list) and len(value) == n):
         _fail(path, message)
+    return [_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
-def _is_finite_number(x) -> bool:
-    # json.loads accepts Infinity and NaN, which no coordinate or strength can use
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _is_positive_number(x) -> bool:
-    # an infinite tolerance ends a solve before its first step, a NaN one after it
-    return _is_finite_number(x) and x > 0
-
-
-def _as_vector(value, path: str) -> list[float]:
-    if _is_finite_number(value):
-        return [float(value)] * 3
-    _require(
-        isinstance(value, list) and len(value) == 3,
-        path,
-        "expected a finite number or [x, y, z]",
-    )
-    for i, x in enumerate(value):
-        _require(_is_finite_number(x), f"{path}[{i}]", "expected a finite number")
-    return [float(x) for x in value]
+def _vector(value, path: str) -> list[float]:
+    """A box corner: one finite number for every axis, or [x, y, z]."""
+    if not isinstance(value, list):
+        with contextlib.suppress(ConfigError):
+            return [_number(value, path)] * 3
+    return _numbers(value, path, 3, "expected a finite number or [x, y, z]")
 
 
 def load_config(path: Path, *, need_box: bool) -> dict:
@@ -111,84 +126,38 @@ def load_config(path: Path, *, need_box: bool) -> dict:
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
-    _require(isinstance(raw, dict), "<root>", "expected a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    _require(not unknown, "<root>", f"unknown keys {sorted(unknown)}")
-    _require("dim" in raw, "dim", "missing required key")
-    _require(
-        isinstance(raw["dim"], int) and not isinstance(raw["dim"], bool),
-        "dim",
-        "expected an integer",
-    )
-    _require("charges" in raw, "charges", "missing required key")
-    _require(
-        isinstance(raw["charges"], list) and raw["charges"], "charges",
-        "expected a non-empty list",
-    )
+    _object(raw, "<root>", _TOP_KEYS, ("dim", "charges"))
+    dim = raw["dim"]
+    if type(dim) is not int:
+        _fail("dim", "expected an integer")
+    if not (isinstance(raw["charges"], list) and raw["charges"]):
+        _fail("charges", "expected a non-empty list")
     charges = []
     for i, entry in enumerate(raw["charges"]):
         p = f"charges[{i}]"
-        _require(isinstance(entry, dict), p, "expected an object")
-        unknown = set(entry) - {"pos", "a"}
-        _require(not unknown, p, f"unknown keys {sorted(unknown)}")
-        _require("pos" in entry, f"{p}.pos", "missing required key")
-        _require("a" in entry, f"{p}.a", "missing required key")
-        pos = entry["pos"]
-        _require(
-            isinstance(pos, list) and len(pos) == raw["dim"],
-            f"{p}.pos",
-            f"expected a list of {raw['dim']} numbers",
-        )
-        for j, x in enumerate(pos):
-            _require(_is_finite_number(x), f"{p}.pos[{j}]", "expected a finite number")
-        _require(_is_finite_number(entry["a"]), f"{p}.a", "expected a finite number")
-        charges.append((tuple(float(x) for x in pos), float(entry["a"])))
+        _object(entry, p, {"pos", "a"}, ("pos", "a"))
+        pos = _numbers(entry["pos"], f"{p}.pos", dim, f"expected a list of {dim} numbers")
+        charges.append((tuple(pos), _number(entry["a"], f"{p}.a")))
     out = {}
-
     if need_box:
-        _require("box" in raw, "box", "missing required key (needed for solves)")
-        _require("order_m" in raw, "order_m", "missing required key (needed for solves)")
+        _object(raw, "<root>", _TOP_KEYS, ("box", "order_m"), " (needed for solves)")
     if "box" in raw:
-        box = raw["box"]
-        _require(isinstance(box, dict), "box", "expected an object")
-        unknown = set(box) - _BOX_KEYS
-        _require(not unknown, "box", f"unknown keys {sorted(unknown)}")
-        for key in _BOX_KEYS:
-            _require(key in box, f"box.{key}", "missing required key")
-        lo = _as_vector(box["lo"], "box.lo")
-        hi = _as_vector(box["hi"], "box.hi")
-        _require(
-            _is_positive_number(box["h"]), "box.h", "expected a positive finite number"
-        )
-        out["box"] = {"lo": lo, "hi": hi, "h": float(box["h"])}
+        box = _object(raw["box"], "box", _BOX_KEYS, ("lo", "hi", "h"))
+        lo, hi = _vector(box["lo"], "box.lo"), _vector(box["hi"], "box.hi")
+        out["box"] = {"lo": lo, "hi": hi, "h": _number(box["h"], "box.h", positive=True)}
     if "order_m" in raw:
-        _require(
-            isinstance(raw["order_m"], int)
-            and not isinstance(raw["order_m"], bool)
-            and raw["order_m"] >= 1,
-            "order_m",
-            "expected an integer >= 1",
-        )
+        if not (type(raw["order_m"]) is int and raw["order_m"] >= 1):
+            _fail("order_m", "expected an integer >= 1")
         out["order_m"] = raw["order_m"]
     rule = raw.get("boundary_rule", "radial-superposition")
-    _require(
-        rule in ("zero", "radial-superposition"),
-        "boundary_rule",
-        "expected 'zero' or 'radial-superposition'",
-    )
+    if rule not in ("zero", "radial-superposition"):
+        _fail("boundary_rule", "expected 'zero' or 'radial-superposition'")
     out["boundary_rule"] = rule
-    tolerances = raw.get("tolerances", {})
-    _require(isinstance(tolerances, dict), "tolerances", "expected an object")
-    unknown = set(tolerances) - _TOL_KEYS
-    _require(not unknown, "tolerances", f"unknown keys {sorted(unknown)}")
-    for key, value in tolerances.items():
-        _require(
-            _is_positive_number(value),
-            f"tolerances.{key}",
-            "expected a positive finite number",
-        )
-    out["tolerances"] = {k: float(v) for k, v in tolerances.items()}
-    out["config"] = ChargeConfig(raw["dim"], charges)
+    tolerances = _object(raw.get("tolerances", {}), "tolerances", _TOL_KEYS)
+    out["tolerances"] = {
+        k: _number(v, f"tolerances.{k}", positive=True) for k, v in tolerances.items()
+    }
+    out["config"] = ChargeConfig(dim, charges)
     return out
 
 

@@ -682,8 +682,22 @@ def _preconditioner(poisson, model: _NewtonModel):
     return apply
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of v, scaled by max |v| when the plain sum of squares
+    underflows to 0 (as reference BLAS nrm2 scales every sum)."""
+    norm = float(np.linalg.norm(v))
+    if norm == 0 and v.any():
+        scale = float(np.max(np.abs(v)))
+        norm = scale * float(np.linalg.norm(v / scale))
+    return norm
+
+
 def _pcg(hessp, b: np.ndarray, precond, target: float, max_iter: int):
-    """Preconditioned CG on H x = b from x = 0, until ||b - H x||_2 <= target."""
+    """Preconditioned CG on H x = b from x = 0, until ||b - H x||_2 <= target.
+
+    A curvature d.Hd or an r.z that underflows to 0 ends the iteration with
+    the x reached so far.
+    """
     x = np.zeros_like(b)
     r = b.copy()
     z = precond(r)
@@ -691,7 +705,10 @@ def _pcg(hessp, b: np.ndarray, precond, target: float, max_iter: int):
     rz = float(np.vdot(r, z))
     for it in range(1, max_iter + 1):
         Hd = hessp(d)
-        alpha = rz / float(np.vdot(d, Hd))
+        curvature = float(np.vdot(d, Hd))
+        if not (curvature > 0 and rz > 0):
+            return x, it
+        alpha = rz / curvature
         x += alpha * d
         r -= alpha * Hd
         if np.linalg.norm(r) <= target:
@@ -746,11 +763,12 @@ def minimize_energy(
     poisson = _poisson_inverse(n_inner, problem.h)
     direction = np.zeros(problem.shape)  # boundary entries stay zero
 
-    model = _NewtonModel(problem, U).complete()
-    g = model.grad[inner]
+    # a start past binary64 raises InputError just below, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = _NewtonModel(problem, U).complete()
+        g = model.grad[inner]
+        g_norm = _norm(g)
     residual = float(np.max(np.abs(g)))
-    with np.errstate(over="ignore"):
-        g_norm = float(np.linalg.norm(g))
     for name, value in (("energy", model.energy), ("gradient 2-norm", g_norm)):
         if not math.isfinite(value):
             raise InputError(
@@ -797,7 +815,7 @@ def minimize_energy(
         U, model = trial, accepted
         g = model.grad[inner]
         residual = float(np.max(np.abs(g)))
-        g_norm, g_norm_old = float(np.linalg.norm(g)), g_norm
+        g_norm, g_norm_old = _norm(g), g_norm
         iterations += 1
         # Eisenstat-Walker choice 2 with its safeguard against early collapse
         eta_new = 0.9 * (g_norm / g_norm_old) ** 2

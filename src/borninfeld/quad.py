@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _check_dim, _check_radii, _check_strength, sphere_measure
+from .core import InputError, _check_dim, _check_radii, _check_strength, sphere_measure
 
 __all__ = [
     "AccuracyError",
@@ -281,6 +281,9 @@ def _single_charge_field(a: float, N: int, r: np.ndarray) -> tuple[float, np.nda
     p = 2 * q
     alpha, beta = 0.5 - 1.0 / p, 1.0 / p
     length = (abs(a) / sphere_measure(N)) ** (1.0 / q)
+    if length == 0:
+        raise InputError(f"charge strength {a:g} is too weak for binary64: its length "
+                         f"(|a|/omega)^(1/{q}) underflows to 0")
     u0 = math.copysign(length * _complete_beta(alpha, beta) / p, a)
     if r.size == 0:
         return u0, np.empty(0)

@@ -537,6 +537,40 @@ class TestSolveCommand:
         results = json.loads((tmp_path / "report.json").read_text())["results"]
         assert results["stop_reason"] == "line_search_failed"
 
+    @pytest.mark.parametrize(
+        "box, m, rule",
+        [({"lo": -1.0, "hi": 1.0, "h": 0.5}, 1, "zero"),
+         ({"lo": -1000.0, "hi": 1000.0, "h": 250.0}, 8, "radial-superposition")],
+        ids=["gradient-norm", "curvature"],
+    )
+    def test_underflowing_solver_sums_exit_4(self, tmp_path, box, m, rule):
+        # a = 1e-200 squares to below binary64: the gradient's 2-norm, then
+        # PCG's curvature d.Hd, underflow to 0 while max |g| > tol; both once
+        # divided by zero
+        payload = {"dim": 3, "charges": [{"pos": [0.0, 0.0, 0.0], "a": 1e-200}],
+                   "box": box, "order_m": m, "boundary_rule": rule,
+                   "tolerances": {"solver": 1e-300}}
+        config = write_config(tmp_path / "solve.json", payload)
+        assert run_cli(["solve", config, "--out", str(tmp_path)]) == 4
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        assert results["stop_reason"] == "line_search_failed"
+
+    @pytest.mark.parametrize(
+        "a, edits, message",
+        [(1e-128, {"box": {"lo": -2e-81, "hi": 2e-81, "h": 2.5e-82}, "order_m": 1000},
+          "starting energy is inf"),
+         (5e-324, {}, "too weak for binary64")],
+        ids=["energy-series-overflows", "charge-length-underflows"],
+    )
+    def test_start_outside_binary64_exit_2_without_warning(self, tmp_path, capsys, a,
+                                                           edits, message):
+        # the order-1000 series overflows at the start; (|a|/omega)^(1/2) is 0
+        # for a = 5e-324.  Exit 2 with no warning (a RuntimeWarning fails the test)
+        payload = dict(self.SOLVE, charges=[{"pos": [0.0, 0.0, 0.0], "a": a}], **edits)
+        config = write_config(tmp_path / "solve.json", payload)
+        assert run_cli(["solve", config, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:boundary clearance")
     def test_dipole_solve_reports_extrema(self, tmp_path):
         payload = {
@@ -919,7 +953,8 @@ REQUIRED = [
     ("box", "lo"), ("box", "hi"), ("box", "h"),
 ]
 REQUIRED_FOR_SOLVE = [("box",), ("order_m",)]
-# rejected by the domain's checks rather than by the schema
+# well-typed values out of range: load_config rejects order_m = 0, h = -0.25
+# and the 2-long pos, and the domain's check (ChargeConfig) rejects a = 0
 OUT_OF_RANGE = [
     (("charges", 0, "a"), 0.0), (("order_m",), 0), (("box", "h"), -0.25),
     (("charges", 0, "pos"), [0.0, 0.0]),
@@ -991,6 +1026,129 @@ def test_malformed_config_exit_2(tmp_path_factory, run):
     (work / "c.json").write_text(text)
     assert run_cli([command, str(work / "c.json"), "--out", str(work)]) == 2
     assert not (work / "report.json").exists()
+
+
+MISSING = object()
+
+
+def _message_case(path, value, message, need_box=True):
+    """One defect of FUZZ_BASE: ``value`` at ``path`` (the whole config at
+    ``()``), or the key deleted for MISSING; ``message`` follows 'config field '."""
+    shown = "missing" if value is MISSING else repr(value)
+    return pytest.param(path, value, need_box, f"config field {message}",
+                        id=f"{'.'.join(map(str, path)) or '<root>'}={shown}")
+
+
+CONFIG_MESSAGES = [
+    _message_case((), [1], "'<root>': expected a JSON object"),
+    _message_case(("extra",), 1, "'<root>': unknown keys ['extra']"),
+    _message_case(("dim",), MISSING, "'dim': missing required key"),
+    _message_case(("charges",), MISSING, "'charges': missing required key"),
+    _message_case(("box",), MISSING, "'box': missing required key (needed for solves)"),
+    _message_case(("order_m",), MISSING,
+                  "'order_m': missing required key (needed for solves)"),
+    _message_case(("dim",), 3.0, "'dim': expected an integer"),
+    _message_case(("charges",), [], "'charges': expected a non-empty list"),
+    _message_case(("charges", 0), 1.0, "'charges[0]': expected an object"),
+    _message_case(("charges", 0, "q"), 1, "'charges[0]': unknown keys ['q']"),
+    _message_case(("charges", 0, "pos"), MISSING, "'charges[0].pos': missing required key"),
+    _message_case(("charges", 0, "a"), MISSING, "'charges[0].a': missing required key"),
+    _message_case(("charges", 0, "pos"), [0.0, 0.0],
+                  "'charges[0].pos': expected a list of 3 numbers"),
+    _message_case(("charges", 0, "pos", 1), math.nan,
+                  "'charges[0].pos[1]': expected a finite number"),
+    _message_case(("charges", 0, "a"), math.inf, "'charges[0].a': expected a finite number"),
+    _message_case(("charges", 0, "a"), True, "'charges[0].a': expected a finite number"),
+    _message_case(("box",), [], "'box': expected an object"),
+    _message_case(("box", "step"), 1, "'box': unknown keys ['step']"),
+    _message_case(("box", "lo"), MISSING, "'box.lo': missing required key"),
+    _message_case(("box", "h"), MISSING, "'box.h': missing required key"),
+    _message_case(("box", "lo"), -math.inf, "'box.lo': expected a finite number or [x, y, z]"),
+    _message_case(("box", "lo"), [-2.0, -2.0],
+                  "'box.lo': expected a finite number or [x, y, z]"),
+    _message_case(("box", "hi"), "2", "'box.hi': expected a finite number or [x, y, z]"),
+    _message_case(("box", "lo", 2), math.nan, "'box.lo[2]': expected a finite number"),
+    _message_case(("box", "h"), 0, "'box.h': expected a positive finite number"),
+    _message_case(("box", "h"), -math.inf, "'box.h': expected a positive finite number"),
+    _message_case(("order_m",), 0, "'order_m': expected an integer >= 1"),
+    _message_case(("order_m",), 2.0, "'order_m': expected an integer >= 1"),
+    _message_case(("boundary_rule",), "dirichlet",
+                  "'boundary_rule': expected 'zero' or 'radial-superposition'"),
+    _message_case(("tolerances",), [], "'tolerances': expected an object"),
+    _message_case(("tolerances", "quadrature"), 1e-4,
+                  "'tolerances': unknown keys ['quadrature']"),
+    _message_case(("tolerances", "solver"), -1.0,
+                  "'tolerances.solver': expected a positive finite number"),
+    _message_case(("tolerances", "solver"), math.nan,
+                  "'tolerances.solver': expected a positive finite number"),
+    # check needs no order_m, but checks one that is there
+    _message_case(("order_m",), -1, "'order_m': expected an integer >= 1", need_box=False),
+]
+
+
+@pytest.mark.parametrize("path, value, need_box, message", CONFIG_MESSAGES)
+def test_config_messages(tmp_path, path, value, need_box, message):
+    config = json.loads(json.dumps(FUZZ_BASE))
+    if not path:
+        config = value
+    else:
+        _edit(config, path, value, delete=value is MISSING)
+    with pytest.raises(cli.ConfigError) as caught:
+        cli.load_config(Path(write_config(tmp_path / "c.json", config)), need_box=need_box)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("slot", [("charges", 0, "a"), ("box", "h"), ("tolerances", "solver")])
+def test_integer_past_binary64_exit_2(tmp_path, capsys, slot):
+    # json.loads reads 10^400 as an int, which float() cannot convert
+    config = json.loads(json.dumps(FUZZ_BASE))
+    _edit(config, slot, 10**400)
+    assert run_cli(["solve", write_config(tmp_path / "c.json", config),
+                    "--out", str(tmp_path / "out")]) == 2
+    assert "finite number" in capsys.readouterr().err
+
+
+@st.composite
+def extreme_runs(draw):
+    """(command, config): a well-formed 3-d config at the edges of binary64,
+    1 or 2 charges on distinct interior nodes of a 9^3 or 17^3 grid."""
+    # strength and tolerance exponents are each mixed with the range below
+    # -150, where squares of the field's scale underflow binary64
+    command = draw(st.sampled_from(["check", "solve"]))
+    nodes = draw(st.sampled_from([9, 17]))
+    half = 10.0 ** draw(st.floats(-100.0, 99.0))
+    h = 2 * half / (nodes - 1)
+    sites = draw(st.lists(st.integers(0, (nodes - 2) ** 3 - 1), min_size=1, max_size=2,
+                          unique=True))
+    charges = [
+        {"pos": [-half + h * (1 + i) for i in np.unravel_index(site, (nodes - 2,) * 3)],
+         "a": draw(st.sampled_from([-1.0, 1.0]))
+         * 10.0 ** draw(st.one_of(st.floats(-323.3, 308.0), st.floats(-323.3, -150.0)))}
+        for site in sites
+    ]
+    tol = 10.0 ** draw(st.one_of(st.floats(-300.0, 300.0), st.floats(-300.0, -150.0)))
+    config = {
+        "dim": 3, "charges": charges, "box": {"lo": -half, "hi": half, "h": h},
+        "order_m": draw(st.integers(1, 1000)),
+        "boundary_rule": draw(st.sampled_from(["zero", "radial-superposition"])),
+        "tolerances": {"solver": tol},
+    }
+    return command, config
+
+
+@pytest.mark.filterwarnings("ignore:boundary clearance")
+@settings(max_examples=120)
+@given(run=extreme_runs())
+def test_well_formed_extremes_exit_with_a_documented_code(tmp_path_factory, run):
+    # strengths 5e-324 to 1e308, boxes +-1e-100 to +-1e99, m up to 1000,
+    # tolerances 1e-300 to 1e300: every outcome is an exit code, never a
+    # traceback or a RuntimeWarning
+    command, config = run
+    work = tmp_path_factory.mktemp("extreme")
+    argv = [command, write_config(work / "c.json", config), "--out", str(work)]
+    code = run_cli(argv + ["--max-iter", "4"] if command == "solve" else argv)
+    event(f"{command} exit {code}")
+    assert code in ({0, 1, 2} if command == "check" else {0, 2, 3, 4})
 
 
 @settings(max_examples=120)
