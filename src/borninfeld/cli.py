@@ -30,6 +30,7 @@ import argparse
 import contextlib
 import dataclasses
 import enum
+import functools
 import itertools
 import json
 import math
@@ -244,31 +245,142 @@ def _write_report(report: dict, out_dir: Path) -> Path:
     return path
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# ---------------------------------------------------------------------------
+# CSV files: the bytes of '%.17g' for whole arrays
+# ---------------------------------------------------------------------------
+
+_CHUNK = 8192  # values per formatting call: its temporaries stay near 2 MB
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
+_MARGIN = 2.0**-40  # far above a double-double product's error, in units of N
+_S_MIN = -294  # 10^s, s in [-294, 342], brings every nonzero binary64 into [1e16, 1e17)
+_P10 = 10 ** np.arange(19, dtype=np.int64)
+_SEP, _EOL, _MINUS = np.frombuffer(b",\0\0\0\r\n\0\0\0\0-\0", np.uint32)  # 4-byte words
 
 
-def _column(values: np.ndarray):
-    """The values as CSV fields, formatted lazily while the file is written."""
-    return map(_fmt, values.ravel().tolist())
+@functools.cache
+def _tables():
+    """Lookup tables of ``_words``, built on its first call."""
+    hi, lo = [], []  # 5^s = hi + lo to 2^-106 or better, from 5^s 2^800 for s < 0
+    for s in range(_S_MIN, 343):
+        v, shift = (5**s, 0) if s >= 0 else ((1 << 800) // 5**-s, 800)
+        hi.append(math.ldexp(float(v), -shift))
+        lo.append(math.ldexp(float(v - int(float(v))), -shift))
+    hi, c = np.array(hi), np.array(hi) * _SPLIT
+    hh = c - (c - hi)  # Dekker's split of hi into two 26-bit halves
+    digits = np.arange(10_000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10
+    text = (digits + 48).astype(np.uint8)
+    lead = np.logical_or.accumulate(digits > 0, axis=1)  # from the first nonzero digit on
+    trail = np.logical_or.accumulate(digits[:, ::-1] > 0, axis=1)[:, ::-1]  # to the last one
+    # 0000-9999 in full, without leading zeros, without trailing zeros; 000-999
+    # in full and without leading zeros but the last, each with NUL and with "."
+    groups = np.concatenate([text, text * lead, text * trail]).view(np.uint32)
+    keep = lead[:1000, 1:] | [False, False, True]
+    units = np.array([np.insert(text[:1000, 1:] * m, 3, p, 1) for m in (1, keep) for p in (0, 46)])
+    exps = np.array([b"e%+03d" % X * (not -4 <= X < 17) for X in range(-324, 309)], "S8")
+    return (hi, hh, hi - hh, np.array(lo)), groups, units.view(np.uint32), exps.view(np.uint32)
+
+
+def _words(x: np.ndarray, sep: int) -> np.ndarray:
+    """Each value's ``'%.17g' % v`` bytes after ``sep``, as a row of uint32
+    words padded with NULs, which the CSV writer drops: separator and sign,
+    integer digits and point, the fraction's five 4-digit groups, exponent.
+
+    The digits are N, the integer nearest |v|·10^s, s = 16 − ⌊log10 |v|⌋.
+    10^s = 2^s·5^s: 2^s is a shift, then Dekker's exact product (Numer. Math.
+    18, 1971) with hi of 5^s = hi + lo gives P + T, |T| ≤ ulp(P)/2: exact
+    for 0 ≤ s ≤ 22, within _MARGIN beyond.  ``format`` itself takes inf,
+    nan and the products that close to a rounding tie or a decade.
+    """
+    scale, groups, units, exps = _tables()
+    a = np.abs(x)
+    zero, ok = a == 0, a < np.inf
+    np.copyto(a, 1.0, where=zero | ~ok)
+    k = np.floor(np.log10(a))
+    for again in (True, False):  # once more if log10 rounded across a power of ten
+        s = (16 - k).astype(np.int32)
+        h, hh, hl, lo = (t.take(s - _S_MIN) for t in scale)
+        y = np.ldexp(a, s)
+        c = y * _SPLIT
+        yh = c - (c - y)
+        yl = y - yh
+        P = y * h
+        T = ((yh * hh - P) + yh * hl + yl * hh) + yl * hl
+        T += y * lo
+        c = P + T
+        T -= c - P
+        P = c
+        low, high = (P - 1e16) + T < 0, (P - 1e17) + T >= 0
+        if not (again and (low.any() or high.any())):
+            break
+        k += high
+        k -= low
+    r = np.rint(T)
+    N = P.astype(np.int64) + r.astype(np.int64)  # P is even: ties go to even N
+    off = np.abs(T - r)
+    near = (np.abs(off - 0.5) <= _MARGIN) | ((P == 1e16) | (P == 1e17)) & (off <= _MARGIN)
+    X = k.astype(np.intp) + (N == 10**17)  # rounded up into the next decade
+    N[N == 10**17] = 10**16
+    sci = (X < -4) | (X > 16)
+    fallback = np.flatnonzero(~ok | (lo != 0) & near)
+    v = X * ~sci  # digits before the point, less one
+    I, F = np.divmod(N, _P10.take(np.minimum(16 - v, 18)))  # F: 16 − v digits, a8 and b12
+    a8, b12 = np.divmod(F, _P10.take(np.maximum(8 - v, 0)))  # its first 8 and last 12 of 20
+    a8 *= _P10.take(np.maximum(v - 8, 0))
+    b12 *= _P10.take(np.minimum(v + 4, 12))
+    I *= ~zero
+    U = I // 1000  # the integer part's digits before its last three
+    g0, g1 = np.divmod(a8, 10**4)  # the five 4-digit groups
+    g2, rest = np.divmod(b12, 10**8)
+    g3, g4 = np.divmod(rest, 10**4)
+    o = 4 * (U.max(initial=0) > 0)  # four words for U's 4-digit groups, if any
+    words = np.zeros((8 + o, x.size), np.uint32)
+    np.bitwise_or(np.signbit(x) * _MINUS, sep, out=words[0])
+    for j in range(o):  # without leading zeros (table offset 10000) from U's top group on
+        g = U // _P10[12 - 4 * j] % 10**4
+        groups.take(g + 10000 * (U < _P10[16 - 4 * j]), out=words[1 + j])
+    units.take(I - 1000 * U + 1000 * (F != 0) + 2000 * (U == 0), out=words[1 + o])
+    # a group drops its trailing zeros (table offset 20000) when all later ones are 0
+    tails = ((g1 == 0) & (b12 == 0), b12 == 0, rest == 0, g4 == 0, True)
+    for row, g, tail in zip(words[2 + o:], (g0, g1, g2, g3, g4), tails):
+        groups.take(g + 20000 * tail, out=row)
+    if sci.any():
+        e = exps.take(2 * (X * sci + 324) + [[0], [1]])  # the two words of its exponent
+        words[6 + o] |= e[0]  # an exponent's mantissa has no fifth fraction group
+        words[7 + o] = e[1]
+    if fallback.size:
+        text = [np.uint32(sep).tobytes() + format(v, ".17g").encode() for v in x[fallback]]
+        text = np.array(text, f"S{4 * len(words)}").view(np.uint32)
+        words[:, fallback] = text.reshape(-1, len(words)).T
+    return words[:7 + o + words[-1].any()].T
+
+
+def _write_rows(path: Path, header: str, n: int, block) -> None:
+    """The header, n rows by ``block(i, j)`` (rows i to j, each CRLF first), a last CRLF."""
+    with path.open("wb") as handle:
+        handle.write(header.encode())
+        for i in range(0, n, _CHUNK):
+            handle.write(block(i, min(i + _CHUNK, n)).tobytes().translate(None, b"\0"))
+        handle.write(b"\r\n")
 
 
 def _write_field_csv(path: Path, lo, h: float, values: np.ndarray) -> None:
-    """Rows ``x, y, z, u`` over every node, last axis fastest.
-
-    Each x-plane is one ``%`` format of a template that holds the node
-    coordinates and a ``%.17g`` slot per value (the bytes of ``_fmt``), and
-    is written on its own, so the whole file is never one string.
-    """
+    """Rows ``x, y, z, u`` over every node, last axis fastest.  The "x" and
+    ",y,z" prefixes are formatted once and gathered beside each block."""
     xs, ys, zs = (
-        list(_column(float(lo[d]) + h * np.arange(n))) for d, n in enumerate(values.shape)
+        [w.tobytes().translate(None, b"\0") for w in _words(lo[d] + h * np.arange(n), sep)]
+        for d, (n, sep) in enumerate(zip(values.shape, (_EOL, _SEP, _SEP)))
     )
-    rows = [f"{y},{z},%.17g\r\n" for y, z in itertools.product(ys, zs)]
-    with path.open("w", newline="") as handle:
-        handle.write("x,y,z,u\r\n")
-        for x, plane in zip(xs, values):
-            prefix = x + ","
-            handle.write((prefix + prefix.join(rows)) % tuple(plane.ravel().tolist()))
+    x_pre, yz_pre = (  # NUL-padded to whole words
+        np.array(t, f"S{-(-max(map(len, t)) // 4) * 4}").view(np.uint32).reshape(len(t), -1)
+        for t in (xs, [y + z for y, z in itertools.product(ys, zs)])
+    )
+
+    def block(i, j):
+        x, yz = np.divmod(np.arange(i, j), len(yz_pre))
+        u = _words(values.ravel()[i:j], _SEP)
+        return np.hstack([x_pre.take(x, axis=0), yz_pre.take(yz, axis=0), u])
+
+    _write_rows(path, "x,y,z,u", values.size, block)
 
 
 def _fields(record, *names: str) -> dict:
@@ -369,8 +481,8 @@ def cmd_radial(args) -> int:
             f"--rmin and --rmax need 0 < rmin < rmax < inf, got {args.rmin:g} and "
             f"{args.rmax:g}"
         )
-    if args.points < 2:
-        raise ConfigError("radial grid needs at least 2 points")
+    if not 2 <= args.points <= 10**5:  # 10^5 radii: 0.2 s, 100 MB; 10^6: 0.8 GB
+        raise ConfigError(f"radial grid needs 2 to 100000 points, got {args.points}")
     rgrid = np.geomspace(args.rmin, args.rmax, args.points)
     profile = radial.approx_radial_profile(args.a, args.order, args.dim, rgrid)
     window = tuple(args.fit_window)
@@ -378,13 +490,9 @@ def cmd_radial(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "profile.csv"
-    # one ``%`` format of a ``%.17g`` template (the bytes of ``_fmt``), rows
-    # ending in \r\n as csv.writer writes them
-    rows = np.column_stack((profile.r, profile.u, profile.du))
-    template = "%.17g,%.17g,%.17g\r\n" * len(rows)
-    csv_path.write_text(
-        "r,u,du\r\n" + template % tuple(rows.ravel().tolist()), newline=""
-    )
+    columns = ((profile.r, _EOL), (profile.u, _SEP), (profile.du, _SEP))
+    _write_rows(csv_path, "r,u,du", len(profile.r),
+                lambda i, j: np.hstack([_words(c[i:j], sep) for c, sep in columns]))
     predicted = None
     if 2 * args.order != args.dim:
         spec = asymptotics_spec(args.order, args.dim, args.a, override_guarantee=True)
@@ -395,12 +503,7 @@ def cmd_radial(args) -> int:
         "command": "radial",
         "seed": args.seed,
         "inputs": {
-            "a": args.a,
-            "dim": args.dim,
-            "order": args.order,
-            "rmin": args.rmin,
-            "rmax": args.rmax,
-            "points": args.points,
+            **_fields(args, "a", "dim", "order", "rmin", "rmax", "points"),
             "fit_window": list(window),
         },
         "results": {
@@ -452,14 +555,8 @@ def cmd_solve(args) -> int:
         },
         "results": {
             "field_csv": csv_path.name,
-            "energy": result.energy,
-            "grad_norm": result.grad_norm,
-            "iterations": result.iterations,
-            "cg_iterations": result.cg_iterations,
-            "cg_per_step": result.cg_per_step,
-            "charge_blocks": result.charge_blocks,
-            "converged": result.converged,
-            "stop_reason": result.stop_reason,
+            **_fields(result, "energy", "grad_norm", "iterations", "cg_iterations",
+                      "cg_per_step", "charge_blocks", "converged", "stop_reason"),
             "snap_distances": list(problem.snap_distances),
             "extremum": field.extremum_report(result) if result.converged else [],
             "segments": field.segment_report(result) if result.converged else [],

@@ -21,6 +21,7 @@ to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,7 +45,7 @@ class InputError(ValueError):
     """An input outside the problem's hypotheses or outside binary64.
 
     The hypotheses are a dimension N >= 3, finite nonzero strengths at
-    distinct finite points and an order m >= 1; each has one checker below.
+    distinct finite points and an order 1 <= m <= 10^5; each has one checker.
     The command line reports this error as invalid input (exit 2).
     """
 
@@ -64,6 +65,8 @@ def _check_strength(a) -> float:
 def _check_order(m) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise InputError(f"order m must be an integer >= 1, got {m!r}")
+    if m > 10**5:  # m = 10^5: a 7 s ``radial``, a 0.7 s 17^3 ``solve``
+        raise InputError(f"order m must be at most 100000, got {m}")
 
 
 def _check_radii(rgrid) -> np.ndarray:
@@ -192,16 +195,24 @@ def taylor_coefficients(m: int) -> tuple[float, ...]:
     return tuple(alphas)
 
 
+@functools.lru_cache(maxsize=4)
+def _horner_terms(alphas: tuple[float, ...]):
+    """alpha_k/2k and alpha_k from k = m down, as floats and as 0-d arrays,
+    which numpy's in-place operators take without converting a float."""
+    floats = ([alphas[k - 1] / (2 * k) for k in range(len(alphas), 0, -1)], alphas[::-1])
+    return floats, tuple([np.array(c) for c in terms] for terms in floats)
+
+
 def _energy_series(s, alphas: tuple[float, ...]):
     """W(s) = sum_k (alpha_k/2k) s^k by Horner, for a squared slope s = t^2.
 
     ``s``, a float or an ndarray, is never written: the first step makes a
-    new accumulator, which later steps update in place.
+    new accumulator, 0 * s (nan for an infinite s), updated in place later.
     """
-    W = 0.0
-    for k in range(len(alphas), 0, -1):
+    W = 0.0  # the floats, or for an ndarray s the 0-d arrays
+    for c in _horner_terms(alphas)[isinstance(s, np.ndarray)][0]:
         W *= s
-        W += alphas[k - 1] / (2 * k)
+        W += c
     W *= s
     return W
 
@@ -211,8 +222,9 @@ def _sigma_series(s, alphas: tuple[float, ...]):
 
     The radial flux is g(t) = t sigma(t^2), with g'(t) = sigma + 2 t^2 sigma'.
     """
+    terms = _horner_terms(alphas)[isinstance(s, np.ndarray)][1]
     sigma = dsigma = 0.0
-    for a in reversed(alphas):
+    for a in terms:
         dsigma *= s
         dsigma += sigma
         sigma *= s

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -282,9 +283,7 @@ def _field_csv_by_loop(path, lo, h, values):
             for j in range(ny):
                 for k in range(nz):
                     x, y, z = lo + h * np.array([i, j, k])
-                    writer.writerow(
-                        [cli._fmt(x), cli._fmt(y), cli._fmt(z), cli._fmt(values[i, j, k])]
-                    )
+                    writer.writerow([format(v, ".17g") for v in (x, y, z, values[i, j, k])])
 
 
 def test_profile_csv_bytes_match_csv_writer(tmp_path):
@@ -295,7 +294,7 @@ def test_profile_csv_bytes_match_csv_writer(tmp_path):
         writer = csv.writer(handle)
         writer.writerow(["r", "u", "du"])
         for r, u, du in zip(profile.r, profile.u, profile.du):
-            writer.writerow([cli._fmt(r), cli._fmt(u), cli._fmt(du)])
+            writer.writerow([format(v, ".17g") for v in (r, u, du)])
     new, old = (tmp_path / "profile.csv"), (tmp_path / "old.csv")
     assert new.read_bytes() == old.read_bytes()
 
@@ -309,6 +308,61 @@ def test_field_csv_bytes_match_per_node_writer(tmp_path):
     cli._write_field_csv(tmp_path / "new.csv", lo, h, values)
     _field_csv_by_loop(tmp_path / "old.csv", lo, h, values)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_field_csv_blocks_split_planes(tmp_path):
+    # 7 planes of 40 x 41 nodes: the first block of nodes ends inside a
+    # plane and the last is short; values span subnormals to 1e300
+    shape = (7, 40, 41)
+    assert math.prod(shape) % cli._CHUNK and cli._CHUNK % (shape[1] * shape[2])
+    rng = np.random.default_rng(11)
+    values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-320, 300, shape)
+    values[3, 0, :5] = [0.0, -0.0, 5e-324, 1e-320, 1e300]
+    lo, h = (-1e-3, 2.5, -7.0), 1e-3
+    cli._write_field_csv(tmp_path / "new.csv", lo, h, values)
+    _field_csv_by_loop(tmp_path / "old.csv", lo, h, values)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _csv_texts(values, sep=0):
+    """The bytes ``cli._words`` gives each value, its NUL padding dropped."""
+    words = cli._words(np.asarray(values, dtype=float), sep)
+    return [row.tobytes().translate(None, b"\0") for row in words]
+
+
+def _format17(values, prefix=b""):
+    return [prefix + format(v, ".17g").encode() for v in np.asarray(values, dtype=float).tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
+    st.lists(st.floats(), max_size=64),
+)
+def test_words_match_format_on_any_binary64(patterns, floats):
+    values = np.concatenate([np.array(patterns, np.uint64).view(np.float64), floats])
+    assert _csv_texts(values) == _format17(values)
+
+
+def test_words_match_format_on_edge_values():
+    tiny, normal = 5e-324, 2.2250738585072014e-308
+    values = [0.0, tiny, 2 * tiny, np.nextafter(normal, 0), normal, sys.float_info.max]
+    values += [math.inf, math.nan]
+    for e in range(-323, 309):
+        power = float(f"1e{e}")
+        values += [np.nextafter(power, 0), power, np.nextafter(power, math.inf)]
+    # exact 17-digit ties: q / 2^(s+1) scaled by 10^s is q 5^s / 2, q odd
+    for s in range(23):
+        first = -(-2 * 10**16 // 5**s) | 1
+        last = (2 * 10**17 - 1) // 5**s - 1 | 1
+        for q in (*range(first, first + 40, 2), *range(last - 40, last + 1, 2)):
+            assert (q * 5**s) % 2 == 1 and 2 * 10**16 <= q * 5**s < 2 * 10**17
+            values.append(math.ldexp(q, -(s + 1)))
+    values = np.array(values)
+    values = np.concatenate([values, -values])
+    assert _csv_texts(values) == _format17(values)
+    assert _csv_texts(values, cli._SEP) == _format17(values, b",")
+    assert _csv_texts(values, cli._EOL) == _format17(values, b"\r\n")
 
 
 _IMPORT_PROBE = """
@@ -472,6 +526,26 @@ class TestSolveCommand:
         assert run_cli(["solve", config, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["radial", "--a", "1", "--order", "1000000000000"], "order m must be at most"),
+         (["constants", "--dim", "3", "--orders", "1000000000000"], "order m must be at most"),
+         (["radial", "--a", "1", "--order", "4", "--points", "1000000000"],
+          "radial grid needs 2 to 100000 points, got 1000000000"),
+         (["solve", "{config}"], "order m must be at most 100000, got 1" + "0" * 400)],
+        ids=["radial-order", "constants-orders", "radial-points", "solve-order"],
+    )
+    def test_oversized_inputs_exit_2_before_allocating(self, tmp_path, capsys, argv, message):
+        config = write_config(tmp_path / "solve.json", dict(self.SOLVE, order_m=10**400))
+        argv = [config if a == "{config}" else a for a in argv]
+        start = time.perf_counter()
+        assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 0.1
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

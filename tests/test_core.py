@@ -146,6 +146,14 @@ class TestLagrangianPartialSum:
             )
             for got, want in zip((W[i], sigma[i], dsigma[i]), exact):
                 assert abs(got - want) <= rel * want
+        # the first step is 0 * s, so an infinite s gives nan, for arrays as
+        # for floats, and so does a nan
+        s = np.array([math.inf, math.nan])
+        with np.errstate(invalid="ignore"):
+            series = np.array([_energy_series(s, alphas), *_sigma_series(s, alphas)])
+        assert np.isnan(series).all()
+        for x in s.tolist():
+            assert np.isnan([_energy_series(x, alphas), *_sigma_series(x, alphas)]).all()
 
 
 def closed_form_bound(m: int) -> float:
