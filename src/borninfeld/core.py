@@ -203,13 +203,25 @@ def _horner_terms(alphas: tuple[float, ...]):
     return floats, tuple([np.array(c) for c in terms] for terms in floats)
 
 
-def _energy_series(s, alphas: tuple[float, ...]):
+def _fresh(name: str, shape, dtype=float) -> np.ndarray:
+    """A new array for every take: a standalone evaluation's ``take``.  A grid
+    solve passes ``field._Buffers``, one array per name for the solve."""
+    return np.empty(shape, dtype)
+
+
+def _zeroed(a: np.ndarray) -> np.ndarray:
+    a[...] = 0.0
+    return a
+
+
+def _energy_series(s, alphas: tuple[float, ...], out=None):
     """W(s) = sum_k (alpha_k/2k) s^k by Horner, for a squared slope s = t^2.
 
     ``s``, a float or an ndarray, is never written: the first step makes a
-    new accumulator, 0 * s (nan for an infinite s), updated in place later.
+    new accumulator, 0 * s (nan for an infinite s), updated in place later;
+    for an ndarray s, ``out`` zeroed is that accumulator.
     """
-    W = 0.0  # the floats, or for an ndarray s the 0-d arrays
+    W = 0.0 if out is None else _zeroed(out)  # the floats, or the 0-d arrays
     for c in _horner_terms(alphas)[isinstance(s, np.ndarray)][0]:
         W *= s
         W += c
@@ -217,13 +229,14 @@ def _energy_series(s, alphas: tuple[float, ...]):
     return W
 
 
-def _sigma_series(s, alphas: tuple[float, ...]):
-    """sigma(s) = 2 W'(s) and sigma'(s) by Horner, as ``_energy_series``.
+def _sigma_series(s, alphas: tuple[float, ...], out=(None, None)):
+    """sigma(s) = 2 W'(s) and sigma'(s) by Horner, as ``_energy_series``,
+    into the pair ``out`` if given.
 
     The radial flux is g(t) = t sigma(t^2), with g'(t) = sigma + 2 t^2 sigma'.
     """
     terms = _horner_terms(alphas)[isinstance(s, np.ndarray)][1]
-    sigma = dsigma = 0.0
+    sigma, dsigma = (0.0 if a is None else _zeroed(a) for a in out)
     for a in terms:
         dsigma *= s
         dsigma += sigma
@@ -249,15 +262,21 @@ class _Density:
     value, the 1/(1 - s) factors of the tail bounds included; s is clamped at
     tau_m under the root, so the closed form never warns.  The rest, s > tau_m
     or not finite, keeps ``_energy_series`` and ``_sigma_series``.
+
+    Arrays come from ``take`` (``_fresh`` by default): "rest" and "root"
+    (1 - s and its root), which ``sigma()`` overwrites with sigma' and sigma,
+    so it comes after ``energy()``; "cells" for W; "mask" for the split.
     """
 
-    def __init__(self, s: np.ndarray, alphas: tuple[float, ...]):
-        m, self.s, self.alphas, self.near = len(alphas), s, alphas, None
+    def __init__(self, s: np.ndarray, alphas: tuple[float, ...], take=_fresh):
+        m, self.s, self.alphas, self.near, self.take = len(alphas), s, alphas, None, take
         if m >= _CLOSED_FORM_MIN_ORDER:
             tau = min(0.5, (2.0**-56 / m) ** (1.0 / (m - 1)))
-            self.near = np.flatnonzero(~(s <= tau))
-            self.rest = np.subtract(1.0, np.minimum(s, tau))
-            self.root = np.sqrt(self.rest)
+            mask = np.less_equal(s, tau, out=take("mask", s.shape, bool))
+            self.near = np.flatnonzero(np.logical_not(mask, out=mask))
+            rest = take("rest", s.shape)
+            self.rest = np.subtract(1.0, np.minimum(s, tau, out=rest), out=rest)
+            self.root = np.sqrt(self.rest, out=take("root", s.shape))
 
     def _horner(self, series):
         s = self.s[self.near]
@@ -268,19 +287,21 @@ class _Density:
         return np.array([series(x, self.alphas) for x in s.tolist()]).T
 
     def energy(self) -> np.ndarray:
+        W = self.take("cells", self.s.shape)
         if self.near is None:
-            return _energy_series(self.s, self.alphas)
-        W = np.add(self.root, 1.0)
+            return _energy_series(self.s, self.alphas, W)
+        np.add(self.root, 1.0, out=W)
         np.divide(self.s, W, out=W)
         W[self.near] = self._horner(_energy_series)
         return W
 
     def sigma(self) -> tuple[np.ndarray, np.ndarray]:
         if self.near is None:
-            return _sigma_series(self.s, self.alphas)
-        sigma = np.divide(1.0, self.root)
-        dsigma = np.multiply(self.rest, self.root)
+            out = self.take("root", self.s.shape), self.take("rest", self.s.shape)
+            return _sigma_series(self.s, self.alphas, out)
+        dsigma = np.multiply(self.rest, self.root, out=self.rest)
         np.divide(0.5, dsigma, out=dsigma)
+        sigma = np.divide(1.0, self.root, out=self.root)
         for out, values in zip((sigma, dsigma), self._horner(_sigma_series)):
             out[self.near] = values  # no rows at all when no entry is near
         return sigma, dsigma

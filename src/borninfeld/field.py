@@ -46,6 +46,12 @@ keep the order of the 3-d stencils they replaced (first other axis before
 second, divergence over axes 0, 1, 2, energy summed over a contiguous copy),
 so the two agree bit for bit.
 
+A solve runs in one block of named arrays (``_Buffers``), allocated when
+it starts and freed when it returns: the current Newton model's cell and
+edge data, the PCG vectors, and scratch that ``hessp`` and the line
+search's models share, as they never run at once (see ``minimize_energy``).
+Standalone models and ``_cell_s`` allocate their own (``core._fresh``).
+
 Grid solves are restricted to three dimensions; the radial module covers
 general N for single charges.
 """
@@ -61,7 +67,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ChargeConfig, InputError, _check_order, _Density, taylor_coefficients
+from .core import ChargeConfig, InputError, _check_order, _Density, _fresh, _zeroed
+from .core import taylor_coefficients
 from .quad import AccuracyError, _single_charge_field, shape_constant_A
 
 __all__ = [
@@ -277,12 +284,7 @@ def assemble_problem(
                 error_bound=bound,
             )
     return DiscreteProblem(
-        lo=lo,
-        hi=hi,
-        h=h,
-        m=m,
-        shape=shape,
-        boundary_rule=boundary_rule,
+        lo=lo, hi=hi, h=h, m=m, shape=shape, boundary_rule=boundary_rule,
         boundary_values=boundary_values,
         charges=tuple(sorted(zip(nodes, config.strengths))),
         snap_distances=tuple(snap_distances),
@@ -302,46 +304,53 @@ def _cell_grid(cells: np.ndarray, shape) -> np.ndarray:
     return grid
 
 
-def _widen(a: np.ndarray, step: int) -> np.ndarray:
+def _widen(a: np.ndarray, step: int, take, name: str) -> np.ndarray:
     """out[p] = a[p] + a[p - step], with a read as zero outside its range."""
-    out = np.empty(len(a) + step)
+    out = take(name, len(a) + step)
     out[:step], out[-step:] = a[:step], a[-step:]
     np.add(a[step:], a[:-step], out=out[step:-step])
     return out
 
 
-def _to_cells(edges: np.ndarray, axis: int, strides) -> np.ndarray:
-    """Per cell, the sum of its four edge values along ``axis``."""
+def _to_cells(edges: np.ndarray, axis: int, strides, take) -> np.ndarray:
+    """Per cell, the sum of its four edge values along ``axis``, written
+    over the head of ``edges``."""
     first, second = (step for d, step in enumerate(strides) if d != axis)
-    pairs = edges[:-first] + edges[first:]
-    return pairs[:-second] + pairs[second:]
+    pairs = np.add(edges[:-first], edges[first:], out=take("pairs", len(edges) - first))
+    return np.add(pairs[:-second], pairs[second:], out=edges[: len(pairs) - second])
 
 
-def _to_edges(cells: np.ndarray, strides) -> list[np.ndarray]:
-    """Adjoint of ``_to_cells`` for all three axes, from two partial sums."""
-    pairs0, pairs1 = _widen(cells, strides[0]), _widen(cells, strides[1])
-    return [_widen(pairs1, 1), _widen(pairs0, 1), _widen(pairs0, strides[1])]
+def _to_edges(cells: np.ndarray, strides, take, names):
+    """Adjoint of ``_to_cells``, from two partial sums: yields the edges of
+    axes 0, 1 and 2 in turn, each into the array named ``names[d]``."""
+    pairs = _widen(cells, strides[1], take, "pairs")
+    yield _widen(pairs, 1, take, names[0])
+    pairs = _widen(cells, strides[0], take, "pairs")
+    yield _widen(pairs, 1, take, names[1])
+    yield _widen(pairs, strides[1], take, names[2])
 
 
-def _to_nodes(fluxes: list[np.ndarray], strides) -> np.ndarray:
-    """Adjoint of the edge differences: nodal sums of signed edge fluxes."""
-    out = np.zeros(len(fluxes[0]) + strides[0])
+def _to_nodes(fluxes, strides, out: np.ndarray) -> np.ndarray:
+    """Adjoint of the edge differences: nodal sums of signed edge fluxes,
+    taken axis by axis from the iterable ``fluxes``."""
+    out[...] = 0.0
     for f, step in zip(fluxes, strides):
         out[step:] += f
         out[:-step] -= f
     return out
 
 
-def _cell_s(U: np.ndarray, h: float):
+def _cell_s(U: np.ndarray, h: float, take=_fresh):
     """Per-cell squared gradient magnitude (junk cells zero) and the edge
     differences u[p + stride_d] - u[p], all flat."""
     strides = (U.shape[1] * U.shape[2], U.shape[2], 1)
     u = U.ravel()
-    diffs = [u[step:] - u[:-step] for step in strides]
-    s = np.zeros(len(diffs[0]))
+    diffs = [np.subtract(u[step:], u[:-step], out=take(f"diff{d}", len(u) - step))
+             for d, step in enumerate(strides)]
+    s = _zeroed(take("nodes", len(diffs[0])))
     live = s[: len(s) - strides[1] - 1]
     for d, e in enumerate(diffs):
-        live += _to_cells(e * e, d, strides)
+        live += _to_cells(np.multiply(e, e, out=take("edges", len(e))), d, strides, take)
     _cell_grid(s, U.shape)  # zeroes the junk cells
     s *= 0.25 / (h * h)
     return (s, *diffs)
@@ -457,24 +466,27 @@ class _NewtonModel:
     ``blocks()`` assembles, per charge block (``_charge_blocks``), the exact
     Hessian rows E and columns B, H[E, B], scattered from the cells with a
     corner in B by one ``np.bincount``; only a preconditioner needs them, so
-    a gradient alone never builds them.
+    a gradient alone never builds them.  Grid arrays come from ``take``: new
+    ones by default, a solve's ``_Buffers`` (gradient and hessp share one).
     """
 
-    def __init__(self, problem: DiscreteProblem, U: np.ndarray):
-        self.problem = problem
+    def __init__(self, problem: DiscreteProblem, U: np.ndarray, take=_fresh):
+        self.problem, self.take = problem, take
         h, shape = problem.h, problem.shape
         self.strides = (shape[1] * shape[2], shape[2], 1)
-        s, *self.diffs = _cell_s(U, h)
-        self.density = _Density(s, problem._coefficients)
-        W = self.density.energy()
+        s, *self.diffs = _cell_s(U, h, take)
+        self.density = _Density(s, problem._coefficients, take)
+        cells = _cell_grid(self.density.energy(), shape)[:, :-1, :-1]
         # a contiguous copy sums in the pairwise order of a 3-d cell array
-        self.energy = h**3 * float(np.sum(_cell_grid(W, shape)[:, :-1, :-1].copy()))
+        packed = take("edges", cells.shape)
+        packed[...] = cells
+        self.energy = h**3 * float(np.sum(packed))
         for node, a in problem.charges:
             self.energy -= a * float(U[node])
 
     def complete(self) -> _NewtonModel:
         """Add the gradient, nodal sigma and cell data of ``hessp``; return self."""
-        h, shape, strides = self.problem.h, self.problem.shape, self.strides
+        h, shape, strides, take = self.problem.h, self.problem.shape, self.strides, self.take
         sigma, couple = self.density.sigma()
         del self.density  # read no more; a model kept by the line search would hold it
         couple /= 8.0 * h
@@ -482,34 +494,36 @@ class _NewtonModel:
             _cell_grid(cells, shape)  # zeroes the junk cells
         live = len(sigma) - strides[1] - 1
         self.sigma, self.couple = sigma[:live], couple[:live]
-        self.weights = _to_edges(self.sigma, strides)
+        self.weights = list(_to_edges(self.sigma, strides, take, ("w0", "w1", "w2")))
         # a node's eight cells are those of its two edges along the last axis
-        node_sigma = np.empty(math.prod(shape))
-        np.add(self.weights[2][1:], self.weights[2][:-1], out=node_sigma[1:-1])
-        node_sigma = 0.125 * node_sigma.reshape(shape)[1:-1, 1:-1, 1:-1]
-        self.node_sigma = node_sigma  # the padded sum is freed before the fluxes
+        padded = take("nodes", math.prod(shape))
+        np.add(self.weights[2][1:], self.weights[2][:-1], out=padded[1:-1])
+        inner = padded.reshape(shape)[1:-1, 1:-1, 1:-1]
+        self.node_sigma = np.multiply(inner, 0.125, out=take("node_sigma", inner.shape))
         for w in self.weights:
             w *= h / 4.0
-        fluxes = [w * e for w, e in zip(self.weights, self.diffs)]
-        self.grad = _to_nodes(fluxes, strides).reshape(shape)
+        fluxes = (np.multiply(w, e, out=take("edges", len(e)))
+                  for w, e in zip(self.weights, self.diffs))
+        self.grad = _to_nodes(fluxes, strides, padded).reshape(shape)
         for node, a in self.problem.charges:
             self.grad[node] -= a
         return self
 
     def hessp(self, V: np.ndarray) -> np.ndarray:
-        strides, diffs = self.strides, self.diffs
+        strides, diffs, take = self.strides, self.diffs, self.take
         v = V.ravel()
-        vdiffs = [v[step:] - v[:-step] for step in strides]
+        # the edge differences of V, formed twice: for P, then for the fluxes
+        vdiffs = (np.subtract(v[k:], v[:-k], out=take("edges", v.size - k)) for k in strides * 2)
         # sum over the cell's 12 edges of d_e * w_e, times sigma'/(8h)
-        P = _to_cells(diffs[0] * vdiffs[0], 0, strides)
-        for d in (1, 2):
-            P += _to_cells(diffs[d] * vdiffs[d], d, strides)
+        P = np.multiply(diffs[0], next(vdiffs), out=take("cells", len(diffs[0])))
+        P = _to_cells(P, 0, strides, take)
+        for d, f in zip((1, 2), vdiffs):
+            P += _to_cells(np.multiply(diffs[d], f, out=f), d, strides, take)
         P *= self.couple
-        for w, e, f, p in zip(self.weights, diffs, vdiffs, _to_edges(P, strides)):
-            f *= w
-            p *= e
-            f += p
-        return _to_nodes(vdiffs, strides).reshape(V.shape)
+        adjoint = _to_edges(P, strides, take, ("adjoint",) * 3)
+        fluxes = (np.add(np.multiply(f, w, out=f), np.multiply(p, e, out=p), out=f)
+                  for f, w, p, e in zip(vdiffs, self.weights, adjoint, diffs))
+        return _to_nodes(fluxes, strides, take("nodes", v.size)).reshape(V.shape)
 
     def blocks(self) -> list[np.ndarray]:
         """H[E, B] of each charge block, in ``problem.charges`` order."""
@@ -583,6 +597,28 @@ class GridField:
         return tuple(len(block.rows) for block in self.problem._blocks)
 
 
+_NODE_ARRAYS = ("nodes", "edges", "pairs", "adjoint", "cells", "rest", "root",
+                "diff0", "diff1", "diff2", "w0", "w1", "w2")
+_INTERIOR_ARRAYS = ("g", "node_sigma", "x", "r", "z", "d", "Hd", "work", "poisson")
+
+
+class _Buffers(dict):
+    """A solve's arrays by name, views of one block allocated when it starts:
+    a node array per name in ``_NODE_ARRAYS``, an interior array per name in
+    ``_INTERIOR_ARRAYS`` and a boolean node array "mask".  A take returns
+    the head of the name's array in the shape and type asked for."""
+
+    def __init__(self, shape: tuple[int, int, int]):
+        n, n_inner = math.prod(shape), math.prod(k - 2 for k in shape)
+        sizes = {**dict.fromkeys(_NODE_ARRAYS, n),
+                 **dict.fromkeys(_INTERIOR_ARRAYS, n_inner), "mask": n // 8 + 1}
+        ends = np.cumsum(list(sizes.values()))
+        super().__init__(zip(sizes, np.split(np.empty(ends[-1]), ends[:-1])))
+
+    def __call__(self, name: str, shape, dtype=float) -> np.ndarray:
+        return self[name].view(dtype)[: math.prod(np.atleast_1d(shape))].reshape(shape)
+
+
 def _sine_matrix(n: int) -> np.ndarray:
     """Orthonormal DST-I matrix sqrt(2/(n+1)) sin(pi j k/(n+1)), j, k = 1..n.
 
@@ -618,21 +654,23 @@ def _poisson_inverse(n_inner: tuple[int, int, int], h: float):
     """
     eig = np.zeros(n_inner)
     for d, n in enumerate(n_inner):
-        shape = [1, 1, 1]
-        shape[d] = n
-        k = np.arange(1, n + 1)
-        eig = eig + (2.0 - 2.0 * np.cos(np.pi * k / (n + 1))).reshape(shape)
+        k = np.arange(1, n + 1).reshape([n if e == d else 1 for e in range(3)])
+        eig = eig + (2.0 - 2.0 * np.cos(np.pi * k / (n + 1)))
     scale = h * eig
     sines = [_sine_matrix(n) for n in reversed(n_inner)]
 
-    def transform(r: np.ndarray) -> np.ndarray:
-        for s in sines:
+    def transform(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        for s, out in zip(sines, (a, b, a)):  # ends in a, r only read
             n = s.shape[0]
-            r = (s @ r.reshape(-1, n).T).reshape(n, *r.shape[:-1])
+            rows = np.matmul(s, r.reshape(-1, n).T, out=out.reshape(n, -1))
+            r = rows.reshape(n, *r.shape[:-1])
         return r
 
-    def apply(r: np.ndarray) -> np.ndarray:
-        return transform(transform(r) / scale)
+    def apply(r: np.ndarray, out=None, take=_fresh) -> np.ndarray:
+        work = take("work", r.shape)  # r itself in a solve: read by the first product only
+        t = transform(r, take("poisson", r.shape), work)
+        t /= scale
+        return transform(t, np.empty_like(r) if out is None else out, work)
 
     return apply
 
@@ -651,15 +689,17 @@ def _preconditioner(poisson, model: _NewtonModel):
     gives d and H[E, B] per block; each block is inverted here once, and
     every application reuses the same residual and block buffers.
     """
-    scale = 1.0 / np.sqrt(model.node_sigma)
-    work = np.empty_like(scale)
+    take = model.take  # in a solve, the scaling overwrites node_sigma, read no more
+    scale = np.sqrt(model.node_sigma, out=take("node_sigma", model.node_sigma.shape))
+    np.divide(1.0, scale, out=scale)
+    work = take("work", scale.shape)
     solves = []
     for block, H in zip(model.problem._blocks, model.blocks()):
         e = np.empty(_box_shape(block.reach))
         b = np.empty(_box_shape(block.nodes))
         solves.append((block, H, np.linalg.inv(H[block.rows]), e, b, np.empty_like(b)))
 
-    def apply(r: np.ndarray) -> np.ndarray:
+    def apply(r: np.ndarray, out=None) -> np.ndarray:
         np.copyto(work, r)  # r - H z while z lives on the blocks
         for block, H, inverse, e, b, c in solves:
             np.copyto(b, work[block.nodes])
@@ -667,7 +707,7 @@ def _preconditioner(poisson, model: _NewtonModel):
             np.matmul(H, c.ravel(), out=e.ravel())
             work[block.reach] -= e
         np.multiply(work, scale, out=work)
-        z = poisson(work)
+        z = poisson(work, out, take)
         z *= scale
         for block, *_, c in solves:
             z[block.nodes] += c
@@ -692,30 +732,29 @@ def _norm(v: np.ndarray) -> float:
     return norm
 
 
-def _pcg(hessp, b: np.ndarray, precond, target: float, max_iter: int):
-    """Preconditioned CG on H x = b from x = 0, until ||b - H x||_2 <= target.
+def _pcg(hessp, g: np.ndarray, precond, target: float, max_iter: int, take):
+    """Preconditioned CG on H x = -g from x = 0, until ||-g - H x||_2 <= target.
 
-    A curvature d.Hd or an r.z that underflows to 0 ends the iteration with
-    the x reached so far.
+    x, r, z, d and Hd, taken by those names, are updated in place, and
+    ``hessp`` and ``precond`` write into their second argument.  A curvature
+    d.Hd or an r.z that underflows to 0 ends with the x reached so far.
     """
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = precond(r)
-    d = z
-    rz = float(np.vdot(r, z))
+    x, r, z, d, Hd = (take(name, g.shape) for name in ("x", "r", "z", "d", "Hd"))
+    _zeroed(x)
+    np.negative(g, out=r)
+    rz = float(np.vdot(r, precond(r, d)))  # the first z is the first d
     for it in range(1, max_iter + 1):
-        Hd = hessp(d)
-        curvature = float(np.vdot(d, Hd))
+        curvature = float(np.vdot(d, hessp(d, Hd)))
         if not (curvature > 0 and rz > 0):
             return x, it
         alpha = rz / curvature
-        x += alpha * d
-        r -= alpha * Hd
+        x += np.multiply(d, alpha, out=z)
+        r -= np.multiply(Hd, alpha, out=Hd)
         if np.linalg.norm(r) <= target:
             return x, it
-        z = precond(r)
-        rz, rz_old = float(np.vdot(r, z)), rz
-        d = z + (rz / rz_old) * d
+        rz, rz_old = float(np.vdot(r, precond(r, z))), rz
+        d *= rz / rz_old
+        d += z
     return x, max_iter
 
 
@@ -740,20 +779,28 @@ def minimize_energy(
     solve starts from ``problem.initial_guess()``.  Each Newton step
     runs PCG to an Eisenstat-Walker tolerance and backtracks on the energy
     (Armijo); below the energy's rounding a step is kept only if the
-    max-norm residual falls.  The preconditioner's global part is the
-    Poisson inverse P (``_poisson_inverse``) scaled by the mean sigma d of
-    each node's eight cells at the current iterate, r -> d^(-1/2) P(d^(-1/2)
-    r), so it sees the growth of sigma towards a strong charge that P alone
-    cannot.  Around it come exact solves with the Hessian's block on the
-    nodes around each charge (``_charge_blocks``), once before and once
-    after (block, global, block), for the anisotropy along grad u that
-    sigma' adds there; each block is inverted once per Newton step
-    (``_preconditioner``).  On success ``grad_norm`` (max-norm of the
-    objective gradient over interior nodes) is at most ``tol``.  After
-    ``max_iter`` Newton steps, or when the line search fails, the last
+    max-norm residual falls.  The preconditioner, set up once per Newton
+    step (``_preconditioner``), is the Poisson inverse P scaled by the mean
+    sigma d of each node's eight cells, r -> d^(-1/2) P(d^(-1/2) r), between
+    exact solves on each charge block.  On success ``grad_norm`` (max-norm
+    of the objective gradient over interior nodes) is at most ``tol``.
+    After ``max_iter`` Newton steps, or when the line search fails, the last
     iterate is returned with ``converged=False`` and ``stop_reason`` saying
     which.  A starting energy or gradient 2-norm that binary64 cannot hold
     raises ``InputError``.
+
+    Memory: the iterate U, a spare iterate and ``_Buffers``, one block taken
+    when the solve starts and freed when it returns, so no Newton step
+    allocates a grid array.  The current Newton model owns diff0-2, w0-2,
+    root (sigma) and rest (sigma'), and node_sigma until the preconditioner
+    turns it into its scaling; the line search builds each trial model over
+    them, as it reads only the current model's energy and residual.  PCG
+    owns x (the step, which the line search reads too), r, z, d, Hd, work
+    and poisson, and g holds the interior gradient.  The scratch arrays
+    nodes, edges, pairs, cells, adjoint and mask serve ``hessp`` during PCG
+    and a model's temporaries (s, W, the fluxes, the gradient) otherwise,
+    and the spare iterate is the zero-boundary direction of ``hessp`` during
+    PCG.  At 33^3 the traced peak is about 24.2 node arrays (tracemalloc).
     """
     if not 0 < tol < math.inf:
         raise InputError(f"tol must be positive and finite, got {tol}")
@@ -761,14 +808,19 @@ def minimize_energy(
     n_inner = tuple(n - 2 for n in problem.shape)
     U = problem.initial_guess()
     poisson = _poisson_inverse(n_inner, problem.h)
-    direction = np.zeros(problem.shape)  # boundary entries stay zero
+    take, trial = _Buffers(problem.shape), np.empty_like(U)
+    g = take("g", n_inner)
+
+    def gradient(model: _NewtonModel) -> float:
+        """Copy the interior gradient to g; return its max-norm."""
+        g[...] = model.grad[inner]
+        return float(np.max(np.abs(g, out=take("Hd", n_inner))))
 
     # a start past binary64 raises InputError just below, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        model = _NewtonModel(problem, U).complete()
-        g = model.grad[inner]
+        model = _NewtonModel(problem, U, take).complete()
+        residual = gradient(model)
         g_norm = _norm(g)
-    residual = float(np.max(np.abs(g)))
     for name, value in (("energy", model.energy), ("gradient 2-norm", g_norm)):
         if not math.isfinite(value):
             raise InputError(
@@ -779,30 +831,31 @@ def minimize_energy(
     cg_per_step = []
     stop_reason = "max_iter"
 
-    def hessp_inner(p: np.ndarray) -> np.ndarray:
+    def hessp_inner(p: np.ndarray, out: np.ndarray) -> np.ndarray:
         direction[inner] = p
-        return model.hessp(direction)[inner]
+        out[...] = model.hessp(direction)[inner]
+        return out
 
     while residual > tol and iterations < max_iter:
         # Below 0.5 tol / |g| the linear residual is already under tol.
         target = max(eta, 0.5 * tol / g_norm) * g_norm
         precond = _preconditioner(poisson, model)
-        step, n_cg = _pcg(hessp_inner, -g, precond, target, _CG_MAX_ITER)
+        direction = _zeroed(trial)  # idle until the line search
+        step, n_cg = _pcg(hessp_inner, g, precond, target, _CG_MAX_ITER, take)
         cg_per_step.append(n_cg)
         slope = float(np.vdot(g, step))
         alpha = 1.0
         accepted = None
         for _ in range(_BACKTRACKS):
-            trial = U.copy()
-            trial[inner] += alpha * step
+            np.copyto(trial, U)
+            trial[inner] += np.multiply(step, alpha, out=take("Hd", n_inner))
             decrease = -alpha * slope
             # a trial far outside the light cone may overflow the energy
             # series; its energy is then inf or nan, which Armijo rejects
             with np.errstate(over="ignore", invalid="ignore"):
-                candidate = _NewtonModel(problem, trial)
+                candidate = _NewtonModel(problem, trial, take)
                 if decrease <= _ENERGY_NOISE * abs(model.energy):
-                    candidate.complete()
-                    if float(np.max(np.abs(candidate.grad[inner]))) < residual:
+                    if gradient(candidate.complete()) < residual:
                         accepted = candidate
                     break
                 if candidate.energy <= model.energy - _ARMIJO * decrease:
@@ -812,9 +865,8 @@ def minimize_energy(
         if accepted is None:
             stop_reason = "line_search_failed"
             break
-        U, model = trial, accepted
-        g = model.grad[inner]
-        residual = float(np.max(np.abs(g)))
+        U, trial, model = trial, U, accepted
+        residual = gradient(model)
         g_norm, g_norm_old = _norm(g), g_norm
         iterations += 1
         # Eisenstat-Walker choice 2 with its safeguard against early collapse
@@ -824,13 +876,8 @@ def minimize_energy(
         eta = min(_ETA_MAX, eta_new)
 
     return GridField(
-        problem=problem,
-        values=U,
-        energy=float(model.energy),
-        grad_norm=residual,
-        iterations=iterations,
-        cg_per_step=tuple(cg_per_step),
-        tol=tol,
+        problem=problem, values=U, energy=float(model.energy), grad_norm=residual,
+        iterations=iterations, cg_per_step=tuple(cg_per_step), tol=tol,
         stop_reason="converged" if residual <= tol else stop_reason,
     )
 
@@ -861,31 +908,19 @@ def compare_solutions(f1: GridField, f2: GridField) -> ComparisonReport:
     missing on one side count as zero).
     """
     p1, p2 = f1.problem, f2.problem
-    if (
-        p1.shape != p2.shape
-        or p1.lo != p2.lo
-        or p1.hi != p2.hi
-        or p1.h != p2.h
-        or p1.m != p2.m
-    ):
+    if (p1.shape, p1.lo, p1.hi, p1.h, p1.m) != (p2.shape, p2.lo, p2.hi, p2.h, p2.m):
         raise ValueError("fields live on different grids or orders")
     a1 = dict(p1.charges)
     a2 = dict(p2.charges)
     for node in set(a1) | set(a2):
         if a2.get(node, 0.0) > a1.get(node, 0.0) + 1e-15:
-            raise ValueError(
-                f"sources are not ordered: rho2 > rho1 at node {node}"
-            )
+            raise ValueError(f"sources are not ordered: rho2 > rho1 at node {node}")
     bd = ~p1.interior_mask()
     boundary_gap = float(np.max(f2.values[bd] - f1.values[bd]))
     max_excess = float(np.max(f2.values - f1.values - boundary_gap))
     threshold = 10.0 * max(f1.tol, f2.tol)
-    return ComparisonReport(
-        max_excess=max_excess,
-        boundary_gap=boundary_gap,
-        threshold=threshold,
-        passed=bool(max_excess <= threshold),
-    )
+    return ComparisonReport(max_excess=max_excess, boundary_gap=boundary_gap,
+                            threshold=threshold, passed=bool(max_excess <= threshold))
 
 
 @dataclass(frozen=True)
@@ -916,24 +951,14 @@ def extremum_report(field: GridField) -> list[ExtremumRecord]:
         center = U[i, j, k]
         neighbors = np.delete(block.ravel(), 13)  # all but the centre
         if np.all(neighbors < center):
-            kind = "max"
-            margin = float(center - np.max(neighbors))
+            kind, margin = "max", float(center - np.max(neighbors))
         elif np.all(neighbors > center):
-            kind = "min"
-            margin = float(np.min(neighbors) - center)
+            kind, margin = "min", float(np.min(neighbors) - center)
         else:
-            kind = "neither"
-            margin = 0.0
+            kind, margin = "neither", 0.0
         expected = "max" if a > 0 else "min"
-        out.append(
-            ExtremumRecord(
-                node=node,
-                strength=a,
-                kind=kind,
-                margin=margin,
-                matches_charge_sign=(kind == expected),
-            )
-        )
+        out.append(ExtremumRecord(node=node, strength=a, kind=kind, margin=margin,
+                                  matches_charge_sign=(kind == expected)))
     return out
 
 
@@ -952,20 +977,12 @@ class SegmentRecord:
 
 def _trilinear(U: np.ndarray, lo, h: float, points: np.ndarray) -> np.ndarray:
     rel = (points - np.asarray(lo)) / h
-    base = np.floor(rel).astype(int)
-    max_base = np.asarray(U.shape) - 2
-    base = np.clip(base, 0, max_base)
+    base = np.clip(np.floor(rel).astype(int), 0, np.asarray(U.shape) - 2)
     frac = rel - base
     out = np.zeros(len(points))
-    for di in (0, 1):
-        for dj in (0, 1):
-            for dk in (0, 1):
-                w = (
-                    (frac[:, 0] if di else 1 - frac[:, 0])
-                    * (frac[:, 1] if dj else 1 - frac[:, 1])
-                    * (frac[:, 2] if dk else 1 - frac[:, 2])
-                )
-                out += w * U[base[:, 0] + di, base[:, 1] + dj, base[:, 2] + dk]
+    for corner in product((0, 1), repeat=3):
+        f = [frac[:, d] if c else 1 - frac[:, d] for d, c in enumerate(corner)]
+        out += f[0] * f[1] * f[2] * U[tuple((base + corner).T)]
     return out
 
 
@@ -1002,17 +1019,10 @@ def segment_report(field: GridField) -> list[SegmentRecord]:
             # rest when it stays below one; coarser grids cannot assert the
             # flag at all.
             threshold = 1.0 - 10.0 * problem.h
-            out.append(
-                SegmentRecord(
-                    j=j,
-                    l=l,
-                    distance=dist,
-                    same_sign=(aj * al > 0),
-                    chord_defect=defect,
-                    light_ratio=ratio,
-                    near_light=bool(threshold > 0.0 and ratio > threshold),
-                )
-            )
+            out.append(SegmentRecord(
+                j=j, l=l, distance=dist, same_sign=(aj * al > 0), chord_defect=defect,
+                light_ratio=ratio, near_light=bool(threshold > 0.0 and ratio > threshold),
+            ))
     return out
 
 

@@ -157,6 +157,11 @@ def flux_gradient_magnitude(r, a: float, m: int, N: int):
 _PROFILE_TOL = 1e-10
 
 
+# Slope segments per engine call in ``approx_radial_profile``, so the panel
+# arrays of 10^5 radii take a few MB instead of about 60.
+_SEGMENT_BLOCK = 8192
+
+
 def approx_radial_profile(a: float, m: int, N: int, rgrid) -> RadialProfile:
     """Order-m single-charge radial field sampled on ``rgrid``.
 
@@ -170,7 +175,7 @@ def approx_radial_profile(a: float, m: int, N: int, rgrid) -> RadialProfile:
     so the root find runs once, on the whole grid.  Every piece runs on
     the batched engine, held to its absolute tolerance or 1e-13 relative,
     whichever is looser: [0, t(r_max)] after tau = v^(q/(q-1)), which
-    bounds the integrand; all segments [t(r_{i+1}), t(r_i)] in one call,
+    bounds the integrand; the segments [t(r_{i+1}), t(r_i)], 8,192 a call,
     each to 1e-10/(n+1), where an AccuracyError names the segment; and, for
     2m > N, the central value u(0+), attached as ``u0``, whose head beyond
     T = max(t(r_min), 1) takes tau = T x^(-q/(2m-N)) on intervals of
@@ -221,21 +226,22 @@ def approx_radial_profile(a: float, m: int, N: int, rgrid) -> RadialProfile:
     # dominate, and the range of the head's substituted integrand would grow
     # like T^(-(2m-2)/q).  For 2m <= N `mid` is empty.
     T = max(slopes[0], 1.0) if 2 * m > N else slopes[0]
-    try:
-        seg, _ = adaptive_gauss_kronrod(
-            integrand, np.append(slopes[1:], slopes[0]), np.append(slopes[:-1], T),
-            seg_tol, 200, rel_tol=1e-13,
-        )
-    except AccuracyError as exc:
-        i = exc.interval
-        if i == n - 1:  # `mid`
-            raise
-        raise AccuracyError(
-            f"slope segment [{slopes[i + 1]:g}, {slopes[i]:g}] of the radii "
-            f"[{r[i]:g}, {r[i + 1]:g}]: {exc}",
-            estimate=exc.estimate,
-            error_bound=exc.error_bound,
-        ) from exc
+    lo, hi, seg = np.append(slopes[1:], slopes[0]), np.append(slopes[:-1], T), np.empty(n)
+    for start in range(0, n, _SEGMENT_BLOCK):
+        block = slice(start, start + _SEGMENT_BLOCK)
+        try:
+            seg[block], _ = adaptive_gauss_kronrod(
+                integrand, lo[block], hi[block], seg_tol, 200, rel_tol=1e-13
+            )
+        except AccuracyError as exc:
+            exc.interval = i = start + exc.interval
+            if i == n - 1:  # `mid`
+                raise
+            raise AccuracyError(
+                f"slope segment [{slopes[i + 1]:g}, {slopes[i]:g}] of the radii "
+                f"[{r[i]:g}, {r[i + 1]:g}]: {exc}",
+                estimate=exc.estimate, error_bound=exc.error_bound,
+            ) from exc
     # summed from the outer radius inward, as u vanishes at infinity
     u_mag = np.cumsum(np.concatenate(([first], seg[-2::-1])))[::-1]
 
@@ -249,16 +255,8 @@ def approx_radial_profile(a: float, m: int, N: int, rgrid) -> RadialProfile:
             x[:-1], x[1:], _PROFILE_TOL / 8, 200, rel_tol=1e-13,
         )
         u0 = sign * (u_mag[0] + seg[-1] + head.sum())
-    return RadialProfile(
-        dim=N,
-        strength=a,
-        kind="approximant",
-        order=m,
-        r=r,
-        u=sign * u_mag,
-        du=-sign * slopes,
-        u0=u0,
-    )
+    return RadialProfile(dim=N, strength=a, kind="approximant", order=m, r=r,
+                         u=sign * u_mag, du=-sign * slopes, u0=u0)
 
 
 # ---------------------------------------------------------------------------

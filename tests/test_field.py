@@ -14,9 +14,11 @@ import pytest
 from borninfeld import core
 from borninfeld.core import ChargeConfig, InputError, _Density, _sigma_series
 from borninfeld.core import taylor_coefficients
+from borninfeld import field
 from borninfeld.field import (
     DiscreteProblem,
     GridField,
+    _Buffers,
     _cell_s,
     _NewtonModel,
     _poisson_inverse,
@@ -626,6 +628,32 @@ def test_flat_model_equals_the_3d_stencils(lo, hi, h, m, rule):
     assert np.array_equal(V, V_before)
 
 
+@pytest.mark.parametrize("m", [2, 16])
+@pytest.mark.parametrize(
+    "lo, hi, h",
+    [(-4.0, 4.0, 0.25), ((-1.0, -1.5, -2.0), (1.0, 1.5, 2.0), 0.25), (-1.0, 1.0, 1.0)],
+    ids=["33-cube", "9x13x17", "3-cube"],
+)
+def test_model_in_solve_buffers_equals_a_standalone_model(lo, hi, h, m):
+    # a solve builds every model over the last one's arrays; another model
+    # built there first must leave nothing behind
+    config = ChargeConfig(3, [((0.0, 0.0, 0.0), 1.3)])
+    problem = assemble_problem(config, lo, hi, h, m, "radial-superposition")
+    rng = np.random.default_rng(m)
+    U = problem.initial_guess()
+    U += rng.normal(0.0, 0.05, U.shape) * problem.interior_mask()
+    V = rng.normal(0.0, 1.0, U.shape)
+    take = _Buffers(problem.shape)
+    _NewtonModel(problem, 2.0 * U, take).complete().hessp(-V)
+    model = _NewtonModel(problem, U, take).complete()
+    alone = _NewtonModel(problem, U).complete()
+    assert model.energy == alone.energy
+    # the gradient and hessp share an array in a solve
+    assert np.array_equal(model.grad, alone.grad)
+    assert np.array_equal(model.node_sigma, alone.node_sigma)
+    assert np.array_equal(model.hessp(V), alone.hessp(V))
+
+
 def _gradient_sup_by_meshgrid(field, exclusion_radius):
     """(sup, argmax distance, cells) over cells farther than ``exclusion_radius``
     from every charge, by the stacked cell-centre formula ``gradient_sup``
@@ -778,6 +806,55 @@ class TestNewtonSolver:
             expected[node] = weight_sum / (6.0 * h)
         assert node_sigma.shape == expected.shape
         assert np.max(np.abs(node_sigma / expected - 1.0)) <= 1e-14
+
+    def test_memory_of_a_solve_is_bounded_and_steady(self, monkeypatch):
+        # every grid array of a solve is taken when it starts: the peak stays
+        # under 25 node arrays at 33^3, and from the second Newton step on
+        # nothing grid-sized comes and goes (the charge blocks' cell matrices
+        # take about half a node array) and no step starts holding more than
+        # the second did, but for numpy's small blocks of array shapes, a few
+        # hundred bytes a step, for which 8 KB are allowed
+        import tracemalloc
+
+        cfg = ChargeConfig(3, [((0.0, 0.0, 0.0), 20.0)])
+        problem = assemble_problem(cfg, -4, 4, 0.25, 16, "radial-superposition")
+        problem._blocks, problem._coefficients  # cached before the trace
+        node_array, starts, peaks = 8 * problem.n_nodes, [], []
+
+        def traced(poisson, model, _setup=field._preconditioner):
+            current, peak = tracemalloc.get_traced_memory()
+            starts.append(current)
+            peaks.append(peak)
+            if len(starts) == 2:
+                tracemalloc.reset_peak()
+            return _setup(poisson, model)
+
+        monkeypatch.setattr(field, "_preconditioner", traced)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            result = minimize_energy(problem, tol=1e-9)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.converged and result.iterations >= 3
+        assert max(peaks) - entry <= 25 * node_array
+        assert peaks[-1] - starts[1] <= 0.75 * node_array
+        assert max(starts[2:]) <= starts[1] + 8192
+
+    def test_solves_leave_no_state(self):
+        # nothing of a solve outlives it: two problems on different grids
+        # give the same bits in either order
+        cfg = ChargeConfig(3, [((0.25, 0.0, -0.25), -2.0)])
+        problems = [
+            assemble_problem(SINGLE, *self.NON_CUBIC, 0.25, 16, "zero"),
+            assemble_problem(cfg, -2, 2, 0.25, 2, "radial-superposition"),
+        ]
+        first = [minimize_energy(p, tol=1e-9) for p in problems]
+        second = [minimize_energy(p, tol=1e-9) for p in problems[::-1]][::-1]
+        for a, b in zip(first, second):
+            assert np.array_equal(a.values, b.values)
+            assert (a.energy, a.cg_per_step) == (b.energy, b.cg_per_step)
 
     def test_node_sigma_is_one_at_order_one(self):
         problem = assemble_problem(SINGLE, *self.NON_CUBIC, 0.25, 1, "zero")

@@ -223,6 +223,39 @@ class TestApproxProfile:
         with pytest.raises(ValueError):
             approx_radial_profile(1.0, 2, 3, np.array([2.0, 1.0]))
 
+    def test_segment_blocks_change_no_bit_and_name_the_failed_segment(self, monkeypatch):
+        # the slope segments go to the engine _SEGMENT_BLOCK at a time; at 7
+        # a 40-radius grid takes blocks of segments 0-6, ..., 35-39 (39 is
+        # the central value's `mid`)
+        rgrid = np.geomspace(1e-3, 10, 40)
+        whole = approx_radial_profile(1.0, 4, 3, rgrid)
+        monkeypatch.setattr(radial, "_SEGMENT_BLOCK", 7)
+        blocked = approx_radial_profile(1.0, 4, 3, rgrid)
+        assert np.array_equal(whole.u, blocked.u) and whole.u0 == blocked.u0
+        engine = radial.adaptive_gauss_kronrod
+        for block, local, segment in ((2, 2, 16), (5, 4, 39)):
+            calls = []
+
+            def failing(f, lo, hi, *args, _block=block, _local=local, **kwargs):
+                if np.all(np.asarray(lo) > 0.0):  # a block of segments
+                    calls.append(lo)
+                    if len(calls) == _block + 1:
+                        exc = radial.AccuracyError("not reached", estimate=1.0,
+                                                   error_bound=2.0)
+                        exc.interval = _local
+                        raise exc
+                return engine(f, lo, hi, *args, **kwargs)
+
+            monkeypatch.setattr(radial, "adaptive_gauss_kronrod", failing)
+            with pytest.raises(radial.AccuracyError) as info:
+                approx_radial_profile(1.0, 4, 3, rgrid)
+            if segment == 39:  # `mid` keeps the engine's error
+                assert info.value.interval == 39
+                assert str(info.value) == "not reached"
+            else:
+                assert info.value.__cause__.interval == segment
+                assert f"of the radii [{rgrid[16]:g}, {rgrid[17]:g}]" in str(info.value)
+
     def test_one_root_find_call_on_the_grid(self, monkeypatch):
         calls = []
         root = radial.flux_gradient_magnitude
