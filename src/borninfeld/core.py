@@ -205,8 +205,32 @@ def _horner_terms(alphas: tuple[float, ...]):
 
 def _fresh(name: str, shape, dtype=float) -> np.ndarray:
     """A new array for every take: a standalone evaluation's ``take``.  A grid
-    solve passes ``field._Buffers``, one array per name for the solve."""
+    solve passes ``_Buffers``, one array per name for the solve."""
     return np.empty(shape, dtype)
+
+
+class _Buffers(dict):
+    """Arrays by name, views of one block allocated at once, ``sizes[name]``
+    float64 elements each: the ``take`` of a grid solve
+    (``field._solve_buffers``).  A take returns the head of the name's array
+    in the shape and type asked for, as one view made at the first take of
+    that (name, shape, dtype) and handed back at every later one.  Any other
+    name, such as a charge block's, or a take larger than the name's array
+    gets an array of its own at its first take, kept in the same way.
+    """
+
+    def __init__(self, sizes: dict):
+        ends = np.cumsum(list(sizes.values()))
+        super().__init__(zip(sizes, np.split(np.empty(ends[-1]), ends[:-1])))
+        self.views = {}
+
+    def __call__(self, name, shape, dtype=float) -> np.ndarray:
+        key = name, shape, dtype
+        if key not in self.views:
+            array, size = self.get(name, np.empty(0)).view(dtype), np.prod(shape)
+            fits = array.size >= size
+            self.views[key] = array[:size].reshape(shape) if fits else np.empty(shape, dtype)
+        return self.views[key]
 
 
 def _zeroed(a: np.ndarray) -> np.ndarray:

@@ -46,11 +46,15 @@ keep the order of the 3-d stencils they replaced (first other axis before
 second, divergence over axes 0, 1, 2, energy summed over a contiguous copy),
 so the two agree bit for bit.
 
-A solve runs in one block of named arrays (``_Buffers``), allocated when
-it starts and freed when it returns: the current Newton model's cell and
-edge data, the PCG vectors, and scratch that ``hessp`` and the line
+A solve runs in one block of named arrays (``_solve_buffers``), allocated
+when it starts and freed when it returns: the current Newton model's cell
+and edge data, the PCG vectors, and scratch that ``hessp`` and the line
 search's models share, as they never run at once (see ``minimize_energy``).
-Standalone models and ``_cell_s`` allocate their own (``core._fresh``).
+A take hands back one view per name, shape and type, so a Newton step
+makes no view and allocates no grid array; no kernel zeroes an array only
+to add into it, and no full-grid ufunc reads or writes a strided interior
+view, which would take numpy's iterator buffers.  Standalone models and
+``_cell_s`` allocate their own (``core._fresh``).
 
 Grid solves are restricted to three dimensions; the radial module covers
 general N for single charges.
@@ -62,12 +66,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import ChargeConfig, InputError, _check_order, _Density, _fresh, _zeroed
+from .core import ChargeConfig, InputError, _Buffers, _check_order, _Density, _fresh, _zeroed
 from .core import taylor_coefficients
 from .quad import AccuracyError, _single_charge_field, shape_constant_A
 
@@ -190,8 +194,7 @@ def assemble_problem(
     A(3) cannot come from correct single-charge fields, each bounded by its
     central value, so it raises ``AccuracyError``.
     """
-    lo = tuple(float(x) for x in np.broadcast_to(box_lo, (3,)))
-    hi = tuple(float(x) for x in np.broadcast_to(box_hi, (3,)))
+    lo, hi = (tuple(map(float, np.broadcast_to(b, (3,)))) for b in (box_lo, box_hi))
     h = float(h)
     if not 1e-100 <= h <= 1e100:
         raise InputError(f"grid spacing must be finite, in [1e-100, 1e100], got {h}")
@@ -332,10 +335,11 @@ def _to_edges(cells: np.ndarray, strides, take, names):
 
 def _to_nodes(fluxes, strides, out: np.ndarray) -> np.ndarray:
     """Adjoint of the edge differences: nodal sums of signed edge fluxes,
-    taken axis by axis from the iterable ``fluxes``."""
-    out[...] = 0.0
-    for f, step in zip(fluxes, strides):
-        out[step:] += f
+    taken axis by axis from the iterable ``fluxes``.  The first axis writes
+    0.0 + f, as adding to zeros would (a flux of -0.0 lands as +0.0)."""
+    out[: strides[0]] = 0.0
+    for d, (f, step) in enumerate(zip(fluxes, strides)):
+        np.add(out[step:] if d else 0.0, f, out=out[step:])
         out[:-step] -= f
     return out
 
@@ -347,13 +351,24 @@ def _cell_s(U: np.ndarray, h: float, take=_fresh):
     u = U.ravel()
     diffs = [np.subtract(u[step:], u[:-step], out=take(f"diff{d}", len(u) - step))
              for d, step in enumerate(strides)]
-    s = _zeroed(take("nodes", len(diffs[0])))
-    live = s[: len(s) - strides[1] - 1]
-    for d, e in enumerate(diffs):
+    # the squares along axis 0 fill s and their cell sums land on its head;
+    # a square is never -0.0, so that equals adding them to zeros
+    s = take("nodes", len(diffs[0]))
+    live = _to_cells(np.multiply(diffs[0], diffs[0], out=s), 0, strides, take)
+    for d, e in enumerate(diffs[1:], 1):
         live += _to_cells(np.multiply(e, e, out=take("edges", len(e))), d, strides, take)
-    _cell_grid(s, U.shape)  # zeroes the junk cells
+    _cell_grid(s, U.shape)  # zeroes the junk cells, the tail past live among them
     s *= 0.25 / (h * h)
     return (s, *diffs)
+
+
+def _steepest_cell(s, shape, take=_fresh):
+    """The largest sqrt(s) over the real cells of a flat cell s on a grid of
+    ``shape`` nodes, and the C-order index of its cell among them."""
+    flat = take("edges", tuple(n - 1 for n in shape))
+    flat[...] = s.reshape(flat.shape[0], *shape[1:])[:, :-1, :-1]  # sqrt would buffer it
+    arg = int(np.argmax(np.sqrt(flat, out=flat)))
+    return float(flat.flat[arg]), arg
 
 
 # A cell's eight corners in C order, the four corners where its edges along
@@ -378,18 +393,21 @@ class _Block(NamedTuple):
     B holds the interior nodes within K of the charge node (Chebyshev
     distance), E those of B and their neighbours; both are boxes of the
     interior grid, sliced out by ``nodes`` and ``reach``, and ``rows`` are
-    B's positions in E's C-order ravel.  ``cells`` are the flat indices of
-    the cells with a corner in B and ``edges`` per axis those of their four
-    edges along it.  Entry ``entries[t]`` of the ravelled 8 x 8 cell
-    matrices adds to entry ``targets[t]`` of the ravelled H[E, B].
+    B's positions in E's C-order ravel.  ``edges`` per axis are the flat
+    indices of the four edges along it of each cell with a corner in B.
+    Term t of H[E, B] comes from the flat cell ``cells[t]`` and two of its
+    corners, at ``corners[0][t]`` and ``corners[1][t]`` of the ravelled
+    (cell, corner) values, whose cell Laplacian entry is ``laplacian[t]``;
+    it adds to entry ``targets[t]`` of the ravelled H[E, B].
     """
 
     nodes: tuple[slice, slice, slice]
     reach: tuple[slice, slice, slice]
     rows: np.ndarray
+    edges: np.ndarray
     cells: np.ndarray
-    edges: tuple[np.ndarray, ...]
-    entries: np.ndarray
+    corners: np.ndarray
+    laplacian: np.ndarray
     targets: np.ndarray
 
 
@@ -428,7 +446,8 @@ def _charge_blocks(problem: DiscreteProblem) -> tuple[_Block, ...]:
         corners = lowest[:, None] + _CORNERS
         in_b = np.all((corners >= b_lo) & (corners <= b_hi), axis=-1)
         in_e = np.all((corners >= 1) & (corners <= n - 2), axis=-1)
-        entries = np.flatnonzero(in_e[:, :, None] & in_b[:, None, :])
+        # the terms: a cell, a row corner in E and a column corner in B
+        cell, row, col = np.nonzero(in_e[:, :, None] & in_b[:, None, :])
         targets = (
             _flat(corners, e_lo, e_shape)[:, :, None] * b_shape.prod()
             + _flat(corners, b_lo, b_shape)[:, None, :]
@@ -439,10 +458,9 @@ def _charge_blocks(problem: DiscreteProblem) -> tuple[_Block, ...]:
             nodes=tuple(slice(int(lo) - 1, int(hi)) for lo, hi in zip(b_lo, b_hi)),
             reach=tuple(slice(int(lo) - 1, int(hi)) for lo, hi in zip(e_lo, e_hi)),
             rows=np.arange(e_shape.prod()).reshape(e_shape)[within].ravel(),
-            cells=cells,
-            edges=tuple(cells[:, None] + _flat(_CORNERS[s], 0, n) for s in _EDGE_STARTS),
-            entries=entries,
-            targets=targets.ravel()[entries],
+            edges=np.stack([cells[:, None] + _flat(_CORNERS[s], 0, n) for s in _EDGE_STARTS]),
+            cells=cells[cell], corners=8 * cell + np.stack([row, col]),
+            laplacian=_CELL_LAPLACIAN[row, col], targets=targets[cell, row, col],
         ))
     return tuple(blocks)
 
@@ -464,18 +482,19 @@ class _NewtonModel:
     cells: each reaches the node through three edges, so this is the node's
     sum of edge weights (the sigma-weighted Laplacian's diagonal) over 6h.
     ``blocks()`` assembles, per charge block (``_charge_blocks``), the exact
-    Hessian rows E and columns B, H[E, B], scattered from the cells with a
-    corner in B by one ``np.bincount``; only a preconditioner needs them, so
-    a gradient alone never builds them.  Grid arrays come from ``take``: new
-    ones by default, a solve's ``_Buffers`` (gradient and hessp share one).
+    Hessian rows E and columns B, H[E, B], summed from the terms of the
+    cells with a corner in B by one ``np.add.at``; only a preconditioner
+    needs them, so a gradient alone never builds them.  Arrays come from
+    ``take``: new ones by default, a solve's ``_Buffers`` (gradient and
+    hessp share one; each block keeps its H[E, B]).
     """
 
     def __init__(self, problem: DiscreteProblem, U: np.ndarray, take=_fresh):
         self.problem, self.take = problem, take
         h, shape = problem.h, problem.shape
         self.strides = (shape[1] * shape[2], shape[2], 1)
-        s, *self.diffs = _cell_s(U, h, take)
-        self.density = _Density(s, problem._coefficients, take)
+        self.s, *self.diffs = _cell_s(U, h, take)
+        self.density = _Density(self.s, problem._coefficients, take)
         cells = _cell_grid(self.density.energy(), shape)[:, :-1, :-1]
         # a contiguous copy sums in the pairwise order of a 3-d cell array
         packed = take("edges", cells.shape)
@@ -495,11 +514,14 @@ class _NewtonModel:
         live = len(sigma) - strides[1] - 1
         self.sigma, self.couple = sigma[:live], couple[:live]
         self.weights = list(_to_edges(self.sigma, strides, take, ("w0", "w1", "w2")))
-        # a node's eight cells are those of its two edges along the last axis
-        padded = take("nodes", math.prod(shape))
-        np.add(self.weights[2][1:], self.weights[2][:-1], out=padded[1:-1])
+        # a node's eight cells are those of its two edges along the last axis;
+        # W is summed, so its array takes them, and s stays for gradient_sup
+        padded = take("cells", math.prod(shape))
+        edge_sums = np.add(self.weights[2][1:], self.weights[2][:-1], out=padded[1:-1])
+        edge_sums *= 0.125  # before the copy: a ufunc on the strided interior takes buffers
         inner = padded.reshape(shape)[1:-1, 1:-1, 1:-1]
-        self.node_sigma = np.multiply(inner, 0.125, out=take("node_sigma", inner.shape))
+        self.node_sigma = take("node_sigma", inner.shape)
+        self.node_sigma[...] = inner
         for w in self.weights:
             w *= h / 4.0
         fluxes = (np.multiply(w, e, out=take("edges", len(e)))
@@ -526,18 +548,31 @@ class _NewtonModel:
         return _to_nodes(fluxes, strides, take("nodes", v.size)).reshape(V.shape)
 
     def blocks(self) -> list[np.ndarray]:
-        """H[E, B] of each charge block, in ``problem.charges`` order."""
-        h, sigma, couple, out = self.problem.h, self.sigma, self.couple, []
-        for block in self.problem._blocks:
-            # from the cells with a corner in B, each adding
-            # (h/4) sigma L_cell + (sigma'/(8h)) g g^T, g = sum_e d_e (e_hi - e_lo)
-            g = np.concatenate([e[i] for e, i in zip(self.diffs, block.edges)], axis=1)
-            g = g @ _INCIDENCE
-            cells = (h / 4.0) * sigma[block.cells, None, None] * _CELL_LAPLACIAN
-            cells += couple[block.cells, None, None] * (g[:, :, None] * g[:, None, :])
-            n_b, n_e = len(block.rows), math.prod(_box_shape(block.reach))
-            flat = np.bincount(block.targets, cells.ravel()[block.entries], n_e * n_b)
-            out.append(flat.reshape(n_e, n_b))
+        """H[E, B] of each charge block, in ``problem.charges`` order, each
+        in an array of its own from ``take``.  In a solve, they are summed in
+        the scratch node arrays, idle while the preconditioner is set up."""
+        h, take, out = self.problem.h, self.take, []
+        for k, block in enumerate(self.problem._blocks):
+            # g = sum_e d_e (e_hi - e_lo) at the corners of each cell with a
+            # corner in B, one row a cell
+            parts = take("pairs", block.edges.shape)
+            for e, i, part in zip(self.diffs, block.edges, parts):
+                e.take(i, out=part, mode="clip")
+            g = np.concatenate(parts, axis=1, out=take("adjoint", (len(i), 12)))
+            g = np.matmul(g, _INCIDENCE, out=take("cells", (len(i), 8))).ravel()
+            # each term of a cell's (sigma'/(8h)) g g^T + (h/4) sigma L_cell
+            pair = g.take(block.corners, out=take("edges", block.corners.shape), mode="clip")
+            gg = np.multiply(*pair, out=pair[0])
+            terms = self.couple.take(block.cells, out=pair[1], mode="clip")
+            gg *= terms
+            self.sigma.take(block.cells, out=terms, mode="clip")
+            terms *= h / 4.0
+            terms *= block.laplacian
+            terms += gg
+            # each entry adds its terms in order to +0.0
+            H = _zeroed(take(("block H", k), (math.prod(_box_shape(block.reach)), len(block.rows))))
+            np.add.at(H.ravel(), block.targets, terms)
+            out.append(H)
         return out
 
 
@@ -567,7 +602,10 @@ class GridField:
     conjugate gradient iterations of each Newton direction in order: one
     entry per accepted step, plus one for the rejected last direction when
     the line search failed.  ``stop_reason`` is ``converged``, ``max_iter``
-    or ``line_search_failed``.
+    or ``line_search_failed``.  ``steepest_cell`` is the largest cell
+    gradient magnitude of ``values`` and that cell's C-order index, from
+    the cell s of ``minimize_energy``'s last Newton model, for
+    ``gradient_sup``; it is None where that s was not kept.
     """
 
     problem: DiscreteProblem
@@ -578,6 +616,7 @@ class GridField:
     cg_per_step: tuple[int, ...]
     tol: float
     stop_reason: str
+    steepest_cell: tuple | None = None
 
     @property
     def converged(self) -> bool:
@@ -602,21 +641,13 @@ _NODE_ARRAYS = ("nodes", "edges", "pairs", "adjoint", "cells", "rest", "root",
 _INTERIOR_ARRAYS = ("g", "node_sigma", "x", "r", "z", "d", "Hd", "work", "poisson")
 
 
-class _Buffers(dict):
-    """A solve's arrays by name, views of one block allocated when it starts:
-    a node array per name in ``_NODE_ARRAYS``, an interior array per name in
-    ``_INTERIOR_ARRAYS`` and a boolean node array "mask".  A take returns
-    the head of the name's array in the shape and type asked for."""
-
-    def __init__(self, shape: tuple[int, int, int]):
-        n, n_inner = math.prod(shape), math.prod(k - 2 for k in shape)
-        sizes = {**dict.fromkeys(_NODE_ARRAYS, n),
-                 **dict.fromkeys(_INTERIOR_ARRAYS, n_inner), "mask": n // 8 + 1}
-        ends = np.cumsum(list(sizes.values()))
-        super().__init__(zip(sizes, np.split(np.empty(ends[-1]), ends[:-1])))
-
-    def __call__(self, name: str, shape, dtype=float) -> np.ndarray:
-        return self[name].view(dtype)[: math.prod(np.atleast_1d(shape))].reshape(shape)
+def _solve_buffers(shape: tuple[int, int, int]) -> _Buffers:
+    """A solve's ``_Buffers``: a node array per name in ``_NODE_ARRAYS``, an
+    interior array per name in ``_INTERIOR_ARRAYS`` and a boolean node array
+    "mask"."""
+    n, n_inner = math.prod(shape), math.prod(k - 2 for k in shape)
+    return _Buffers({**dict.fromkeys(_NODE_ARRAYS, n),
+                     **dict.fromkeys(_INTERIOR_ARRAYS, n_inner), "mask": n // 8 + 1})
 
 
 def _sine_matrix(n: int) -> np.ndarray:
@@ -740,15 +771,15 @@ def _pcg(hessp, g: np.ndarray, precond, target: float, max_iter: int, take):
     d.Hd or an r.z that underflows to 0 ends with the x reached so far.
     """
     x, r, z, d, Hd = (take(name, g.shape) for name in ("x", "r", "z", "d", "Hd"))
-    _zeroed(x)
     np.negative(g, out=r)
     rz = float(np.vdot(r, precond(r, d)))  # the first z is the first d
     for it in range(1, max_iter + 1):
         curvature = float(np.vdot(d, hessp(d, Hd)))
         if not (curvature > 0 and rz > 0):
-            return x, it
+            return x if it > 1 else _zeroed(x), it
         alpha = rz / curvature
-        x += np.multiply(d, alpha, out=z)
+        # x starts as 0.0 + alpha d, as if added to zeros
+        np.add(x if it > 1 else 0.0, np.multiply(d, alpha, out=z), out=x)
         r -= np.multiply(Hd, alpha, out=Hd)
         if np.linalg.norm(r) <= target:
             return x, it
@@ -789,18 +820,24 @@ def minimize_energy(
     which.  A starting energy or gradient 2-norm that binary64 cannot hold
     raises ``InputError``.
 
-    Memory: the iterate U, a spare iterate and ``_Buffers``, one block taken
-    when the solve starts and freed when it returns, so no Newton step
+    Memory: the iterate U, a spare iterate and ``_solve_buffers``, one block
+    taken when the solve starts and freed when it returns, so no Newton step
     allocates a grid array.  The current Newton model owns diff0-2, w0-2,
     root (sigma) and rest (sigma'), and node_sigma until the preconditioner
     turns it into its scaling; the line search builds each trial model over
     them, as it reads only the current model's energy and residual.  PCG
     owns x (the step, which the line search reads too), r, z, d, Hd, work
     and poisson, and g holds the interior gradient.  The scratch arrays
-    nodes, edges, pairs, cells, adjoint and mask serve ``hessp`` during PCG
-    and a model's temporaries (s, W, the fluxes, the gradient) otherwise,
-    and the spare iterate is the zero-boundary direction of ``hessp`` during
-    PCG.  At 33^3 the traced peak is about 24.2 node arrays (tracemalloc).
+    nodes, edges, pairs, cells, adjoint and mask serve ``hessp`` during PCG,
+    the charge blocks' assembly before it, and a model's temporaries (s in
+    nodes, W, the fluxes, the gradient in cells) otherwise.  The spare
+    iterate is the zero-boundary direction of ``hessp`` during PCG and the
+    line search's trial.  The last model's s is still in nodes when the
+    loop ends, unless the line search failed, and its steepest cell is found
+    there for ``gradient_sup``.  Each charge block keeps its H[E, B] for the
+    solve.  At 33^3 the traced peak is about 24.2 node arrays (tracemalloc);
+    from the second step on, a step allocates only the block inverses and,
+    at m >= 4, the Horner path's near-charge cells.
     """
     if not 0 < tol < math.inf:
         raise InputError(f"tol must be positive and finite, got {tol}")
@@ -808,13 +845,14 @@ def minimize_energy(
     n_inner = tuple(n - 2 for n in problem.shape)
     U = problem.initial_guess()
     poisson = _poisson_inverse(n_inner, problem.h)
-    take, trial = _Buffers(problem.shape), np.empty_like(U)
+    take, trial = _solve_buffers(problem.shape), np.empty_like(U)
     g = take("g", n_inner)
 
     def gradient(model: _NewtonModel) -> float:
         """Copy the interior gradient to g; return its max-norm."""
         g[...] = model.grad[inner]
-        return float(np.max(np.abs(g, out=take("Hd", n_inner))))
+        # max |g| is |max g| or |min g|, and nan if either is
+        return float(max(abs(g.max()), abs(g.min())))
 
     # a start past binary64 raises InputError just below, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -847,8 +885,11 @@ def minimize_energy(
         alpha = 1.0
         accepted = None
         for _ in range(_BACKTRACKS):
-            np.copyto(trial, U)
-            trial[inner] += np.multiply(step, alpha, out=take("Hd", n_inner))
+            # U + alpha step over the whole grid, from the step copied into
+            # zeros: a ufunc on the strided interior would take buffers
+            _zeroed(trial)[inner] = step if alpha == 1.0 else np.multiply(
+                step, alpha, out=take("Hd", n_inner))
+            np.add(U, trial, out=trial)
             decrease = -alpha * slope
             # a trial far outside the light cone may overflow the energy
             # series; its energy is then inf or nan, which Armijo rejects
@@ -875,10 +916,13 @@ def minimize_energy(
             eta_new = max(eta_new, 0.9 * eta**2)
         eta = min(_ETA_MAX, eta_new)
 
+    # after a failed line search, a rejected trial's s is in the model's place
+    failed = stop_reason == "line_search_failed"
+    steepest = None if failed else _steepest_cell(model.s, problem.shape, take)
     return GridField(
         problem=problem, values=U, energy=float(model.energy), grad_norm=residual,
         iterations=iterations, cg_per_step=tuple(cg_per_step), tol=tol,
-        stop_reason="converged" if residual <= tol else stop_reason,
+        stop_reason="converged" if residual <= tol else stop_reason, steepest_cell=steepest,
     )
 
 # ---------------------------------------------------------------------------
@@ -910,8 +954,7 @@ def compare_solutions(f1: GridField, f2: GridField) -> ComparisonReport:
     p1, p2 = f1.problem, f2.problem
     if (p1.shape, p1.lo, p1.hi, p1.h, p1.m) != (p2.shape, p2.lo, p2.hi, p2.h, p2.m):
         raise ValueError("fields live on different grids or orders")
-    a1 = dict(p1.charges)
-    a2 = dict(p2.charges)
+    a1, a2 = dict(p1.charges), dict(p2.charges)
     for node in set(a1) | set(a2):
         if a2.get(node, 0.0) > a1.get(node, 0.0) + 1e-15:
             raise ValueError(f"sources are not ordered: rho2 > rho1 at node {node}")
@@ -943,12 +986,9 @@ def extremum_report(field: GridField) -> list[ExtremumRecord]:
     """
     if not field.converged:
         raise ValueError("extremum classification requires a converged field")
-    U = field.values
-    out = []
+    U, out = field.values, []
     for node, a in field.problem.charges:
-        i, j, k = node
-        block = U[i - 1 : i + 2, j - 1 : j + 2, k - 1 : k + 2]
-        center = U[i, j, k]
+        center, block = U[node], U[tuple(slice(c - 1, c + 2) for c in node)]
         neighbors = np.delete(block.ravel(), 13)  # all but the centre
         if np.all(neighbors < center):
             kind, margin = "max", float(center - np.max(neighbors))
@@ -956,9 +996,8 @@ def extremum_report(field: GridField) -> list[ExtremumRecord]:
             kind, margin = "min", float(np.min(neighbors) - center)
         else:
             kind, margin = "neither", 0.0
-        expected = "max" if a > 0 else "min"
         out.append(ExtremumRecord(node=node, strength=a, kind=kind, margin=margin,
-                                  matches_charge_sign=(kind == expected)))
+                                  matches_charge_sign=kind == ("max" if a > 0 else "min")))
     return out
 
 
@@ -997,32 +1036,22 @@ def segment_report(field: GridField) -> list[SegmentRecord]:
     """
     if not field.converged:
         raise ValueError("segment diagnostics require a converged field")
-    problem = field.problem
-    U = field.values
-    charges = problem.charges
-    out = []
-    for j in range(len(charges)):
-        for l in range(j + 1, len(charges)):
-            (node_j, aj), (node_l, al) = charges[j], charges[l]
-            pj = problem.node_position(node_j)
-            pl = problem.node_position(node_l)
-            dist = float(np.linalg.norm(pl - pj))
-            uj, ul = float(U[node_j]), float(U[node_l])
-            n_samples = max(17, 4 * int(dist / problem.h) + 1)
-            t = np.linspace(0.0, 1.0, n_samples)
-            points = pj[None, :] + t[:, None] * (pl - pj)[None, :]
-            u_line = _trilinear(U, problem.lo, problem.h, points)
-            chord = uj + t * (ul - uj)
-            defect = float(np.max(np.abs(u_line - chord)))
-            ratio = abs(uj - ul) / dist
-            # The allowance 10h only separates light-like chords from the
-            # rest when it stays below one; coarser grids cannot assert the
-            # flag at all.
-            threshold = 1.0 - 10.0 * problem.h
-            out.append(SegmentRecord(
-                j=j, l=l, distance=dist, same_sign=(aj * al > 0), chord_defect=defect,
-                light_ratio=ratio, near_light=bool(threshold > 0.0 and ratio > threshold),
-            ))
+    problem, U, out = field.problem, field.values, []
+    # The allowance 10h only separates light-like chords from the rest when
+    # it stays below one; coarser grids cannot assert the flag at all.
+    threshold = 1.0 - 10.0 * problem.h
+    for (j, (node_j, aj)), (l, (node_l, al)) in combinations(enumerate(problem.charges), 2):
+        pj, pl = problem.node_position(node_j), problem.node_position(node_l)
+        dist = float(np.linalg.norm(pl - pj))
+        uj, ul = float(U[node_j]), float(U[node_l])
+        t = np.linspace(0.0, 1.0, max(17, 4 * int(dist / problem.h) + 1))
+        u_line = _trilinear(U, problem.lo, problem.h, pj + t[:, None] * (pl - pj))
+        defect = float(np.max(np.abs(u_line - (uj + t * (ul - uj)))))
+        ratio = abs(uj - ul) / dist
+        out.append(SegmentRecord(
+            j=j, l=l, distance=dist, same_sign=(aj * al > 0), chord_defect=defect,
+            light_ratio=ratio, near_light=bool(threshold > 0.0 and ratio > threshold),
+        ))
     return out
 
 
@@ -1040,16 +1069,16 @@ def gradient_sup(field: GridField) -> GradientSupReport:
     Strictly spacelike fields keep this below one; the order-m minimizer
     only exceeds it inside the charge cells, so the sup is reported together
     with the distance (cell center to nearest charge) where it is attained.
+    The solve's ``steepest_cell`` is read where it was kept.
     """
     problem = field.problem
-    s = _cell_grid(_cell_s(field.values, problem.h)[0], problem.shape)[:, :-1, :-1]
-    flat = np.sqrt(s).ravel()
-    arg = int(np.argmax(flat))
-    centre = [(i + 0.5) * problem.h + lo
-              for i, lo in zip(np.unravel_index(arg, s.shape), problem.lo)]
+    sup, arg = field.steepest_cell or _steepest_cell(
+        _cell_s(field.values, problem.h)[0], problem.shape)
+    cell = np.unravel_index(arg, np.subtract(problem.shape, 1))
+    centre = [(i + 0.5) * problem.h + lo for i, lo in zip(cell, problem.lo)]
     distance = math.inf
     for node, _ in problem.charges:
         dx, dy, dz = (x - c for x, c in zip(centre, problem.node_position(node)))
         # the summation order of np.linalg.norm over a row
         distance = min(distance, math.sqrt((dx * dx + dy * dy) + dz * dz))
-    return GradientSupReport(sup=float(flat[arg]), argmax_distance=float(distance))
+    return GradientSupReport(sup=sup, argmax_distance=float(distance))
