@@ -6,8 +6,9 @@ and an exit-code convention:
     0  success (a certificate applies, a solve converged, ...)
     1  no implemented certificate applies (check only)
     2  invalid input, raised as ``core.InputError``: a schema violation, a
-       malformed file, a bad argument, or a value outside the problem's
-       hypotheses or outside binary64
+       malformed file, a bad argument (an ``--out`` that cannot be a
+       directory too), or a value outside the problem's hypotheses or
+       outside binary64
     3  quadrature accuracy failure (``quad.AccuracyError``)
     4  solver non-convergence
 
@@ -20,8 +21,8 @@ from the config's ``tolerances.solver`` only (default 1e-9).
 
 Reports are deterministic: identical config and arguments produce
 byte-identical files.  ``--seed`` is a label recorded in every report; the
-package has no randomness, so it drives nothing.  Infinite margins
-serialize as the string "inf".
+package has no randomness, so it drives nothing.  Non-finite numbers
+serialize as the strings "inf", "-inf" and "nan".
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -167,29 +169,50 @@ def load_config(path: Path, *, need_box: bool) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(obj):
-    """Recursively convert report content to strict JSON (inf -> 'inf').
+def _json(obj, out: list, pad: str) -> None:
+    """Append ``obj`` to ``out`` as ``json.dumps(indent=2, sort_keys=True)`` writes
+    it at line start ``pad``, but with inf, -inf and nan as "inf", "-inf" and "nan",
+    an enum as its value, a numpy scalar as its ``item()`` and a result record (a
+    dataclass instance) as the object of its fields; other types are a TypeError."""
+    kind = type(obj)
+    if kind is float:
+        out.append(float.__repr__(obj) if math.isfinite(obj) else
+                   '"nan"' if obj != obj else '"inf"' if obj > 0 else '"-inf"')
+    elif kind is str:
+        out.append(_quote(obj))
+    elif kind is dict:
+        _items([(_quote(k) + ": ", v) for k, v in sorted(obj.items())], out, pad, "{}")
+    elif kind is list or kind is tuple:
+        _items([("", v) for v in obj], out, pad, "[]")
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is bool or obj is None:
+        out.append("true" if obj else "false" if obj is False else "null")
+    elif isinstance(obj, enum.Enum):
+        _json(obj.value, out, pad)
+    elif isinstance(obj, (np.floating, np.integer)):
+        _json(obj.item(), out, pad)
+    elif dataclasses.is_dataclass(kind):
+        _items([(key, getattr(obj, name)) for key, name in _record_keys(kind)], out, pad, "{}")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
-    A result record (a dataclass instance) becomes the object of its fields.
-    """
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-        return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        # field by field: dataclasses.asdict would deep-copy every value
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    return obj
+
+def _items(items: list, out: list, pad: str, ends: str) -> None:
+    """Append the (key prefix, value) ``items`` in order, one a line, in ``ends``."""
+    inner = pad + "  "
+    sep = ends[0] + inner
+    for key, value in items:
+        out += sep, key
+        _json(value, out, inner)
+        sep = "," + inner
+    out.append(pad + ends[1] if items else ends)
+
+
+@functools.cache
+def _record_keys(kind: type) -> tuple:
+    """('"name": ', name) for a record type's fields, sorted by name."""
+    return tuple((_quote(n) + ": ", n) for n in sorted(f.name for f in dataclasses.fields(kind)))
 
 
 def _is_number_or_sentinel(value) -> bool:
@@ -236,12 +259,21 @@ def validate_report(report: dict) -> None:
                 raise ValueError("verdict margin must be numeric or inf")
 
 
+def _out_dir(out: str) -> Path:
+    """The ``--out`` directory, made if missing; exit 2 if it cannot be."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it, or no permission
+        raise ConfigError(f"cannot use --out {out}: {exc.strerror}") from exc
+    return Path(out)
+
+
 def _write_report(report: dict, out_dir: Path) -> Path:
-    report = _jsonable(report)
     validate_report(report)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    text = []
+    _json(report, text, "\n")
     path = out_dir / "report.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    path.write_text("".join(text) + "\n")
     return path
 
 
@@ -385,7 +417,7 @@ def _write_field_csv(path: Path, lo, h: float, values: np.ndarray) -> None:
 
 def _fields(record, *names: str) -> dict:
     """The named attributes of a record a report takes only in part, keyed
-    by name; a whole record goes into a report as it is (``_jsonable``)."""
+    by name; a whole record goes into a report as it is (``_json``)."""
     return {name: getattr(record, name) for name in names}
 
 
@@ -434,7 +466,7 @@ def cmd_constants(args) -> int:
             "orders": per_order,
         },
     }
-    path = _write_report(report, Path(args.out))
+    path = _write_report(report, _out_dir(args.out))
     print(f"constants: dim={N}, report written to {path}")
     return 0
 
@@ -467,7 +499,7 @@ def cmd_check(args) -> int:
             "conclusive": conclusive,
         },
     }
-    path = _write_report(report, Path(args.out))
+    path = _write_report(report, _out_dir(args.out))
     for v in verdicts:
         margin = "inf" if math.isinf(v.margin) else f"{v.margin:.6g}"
         print(f"check[{v.rule}]: {v.level.value} (margin {margin})")
@@ -487,8 +519,7 @@ def cmd_radial(args) -> int:
     profile = radial.approx_radial_profile(args.a, args.order, args.dim, rgrid)
     window = tuple(args.fit_window)
     u_fit, du_fit = radial.fit_singularity(profile, window)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     csv_path = out_dir / "profile.csv"
     columns = ((profile.r, _EOL), (profile.u, _SEP), (profile.du, _SEP))
     _write_rows(csv_path, "r,u,du", len(profile.r),
@@ -516,7 +547,7 @@ def cmd_radial(args) -> int:
             "predicted": predicted,
         },
     }
-    path = _write_report(report, Path(args.out))
+    path = _write_report(report, out_dir)
     flag = "" if u_fit.guaranteed else " [unguaranteed]"
     print(
         f"radial: m={args.order} fit exponent {u_fit.exponent:.6g} "
@@ -537,8 +568,7 @@ def cmd_solve(args) -> int:
         config, box["lo"], box["hi"], box["h"], cfg["order_m"], cfg["boundary_rule"]
     )
     result = field.minimize_energy(problem, tol=tol, max_iter=args.max_iter)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     csv_path = out_dir / "field.csv"
     _write_field_csv(csv_path, problem.lo, problem.h, result.values)
     report = {
@@ -563,7 +593,7 @@ def cmd_solve(args) -> int:
             "gradient_sup": field.gradient_sup(result),
         },
     }
-    path = _write_report(report, Path(args.out))
+    path = _write_report(report, out_dir)
     status = "converged" if result.converged else "NOT converged"
     print(
         f"solve: {status}, energy {result.energy:.6g}, residual "

@@ -2,6 +2,8 @@
 
 import argparse
 import csv
+import dataclasses
+import enum
 import inspect
 import json
 import math
@@ -18,7 +20,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from borninfeld import cli, field, quad, radial
+from borninfeld import cli, conditions, field, quad, radial
 from borninfeld.cli import main, validate_report
 from borninfeld.quad import AccuracyError, refined_constant_ctilde
 
@@ -363,6 +365,148 @@ def test_words_match_format_on_edge_values():
     assert _csv_texts(values) == _format17(values)
     assert _csv_texts(values, cli._SEP) == _format17(values, b",")
     assert _csv_texts(values, cli._EOL) == _format17(values, b"\r\n")
+
+
+# ---------------------------------------------------------------------------
+# report.json: the bytes of json.dumps(indent=2, sort_keys=True)
+# ---------------------------------------------------------------------------
+
+
+def _reference(obj):
+    """The report rules that json.dumps(_, indent=2, sort_keys=True) is given:
+    an enum as its value, a numpy scalar as its item(), non-finite floats as
+    strings and a record as the dict of its fields."""
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, dict):
+        return {k: _reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        return "nan" if math.isnan(obj) else obj
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _reference(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return obj
+
+
+def _report_text(obj) -> str:
+    out = []
+    cli._json(obj, out, "\n")
+    return "".join(out)
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e-7,
+                1.7976931348623157e308, math.inf, -math.inf, math.nan]
+_FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(_EDGE_FLOATS)
+_TEXT = st.text(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f a\u00e9\u2028\U0001f600')) | st.text()
+_SCALARS = st.one_of(
+    _FLOATS,
+    st.integers() | st.integers(-(2**80), 2**80),
+    st.booleans(),
+    st.none(),
+    _TEXT,
+    st.sampled_from(conditions.VerdictLevel),
+    _FLOATS.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.builds(conditions.PairVerdict, j=st.integers(0, 9), l=st.integers(0, 9),
+              level=st.sampled_from(conditions.VerdictLevel), separation=_FLOATS),
+    st.builds(field.SegmentRecord, j=st.integers(0, 9), l=st.integers(0, 9),
+              distance=_FLOATS, same_sign=st.booleans(), chord_defect=_FLOATS,
+              light_ratio=_FLOATS, near_light=st.booleans()),
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200)
+@given(_TREES)
+def test_report_writer_matches_json_dumps(tree):
+    assert _report_text(tree) == json.dumps(_reference(tree), indent=2, sort_keys=True)
+
+
+def test_report_writer_on_empty_and_nested_containers():
+    tree = {"b": [], "a": {}, "c": [[], {}, ([()],)], "": {"z": (1,), "y": [{}]}}
+    assert _report_text(tree) == json.dumps(_reference(tree), indent=2, sort_keys=True)
+    record = field.SegmentRecord(j=1, l=0, distance=math.inf, same_sign=True,
+                                 chord_defect=-0.0, light_ratio=math.nan, near_light=False)
+    assert json.loads(_report_text([record])) == [{
+        "chord_defect": -0.0, "distance": "inf", "j": 1, "l": 0, "light_ratio": "nan",
+        "near_light": False, "same_sign": True,
+    }]
+
+
+@pytest.mark.parametrize(
+    "value", [np.zeros(2), {1, 2}, object(), conditions.PairVerdict, np.bool_(True), b"x"],
+    ids=["array", "set", "object", "record-type", "numpy-bool", "bytes"],
+)
+def test_report_writer_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(_reference(value))
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _report_text({"results": [value]})
+
+
+_REPORT_RUNS = {
+    "constants": ["constants", "--dim", "3", "--orders", "4,8,16"],
+    "check-dipole": ["check", "{dipole}"],
+    "check-one-charge": ["check", "{single}"],
+    "radial": ["radial", "--a", "1", "--order", "4", "--points", "50"],
+    "radial-unpredicted": ["radial", "--a", "2", "--order", "2", "--dim", "4", "--points", "50"],
+    "solve": ["solve", "{solve}"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(_REPORT_RUNS))
+def test_report_json_is_its_own_canonical_dump(tmp_path, run):
+    # what json.dumps writes back from the parsed report is the report: indent 2,
+    # sorted keys, ASCII with \\u escapes, and one final newline
+    configs = {
+        "dipole": DIPOLE,
+        "single": {"dim": 3, "charges": [{"pos": [0.0, 0.0, 0.0], "a": 1.0}]},
+        "solve": TestSolveCommand.SOLVE,
+    }
+    argv = [a.format(**{k: write_config(tmp_path / f"{k}.json", c) for k, c in configs.items()})
+            for a in _REPORT_RUNS[run]]
+    assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "report.json").read_text()
+    assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+    results = json.loads(text)["results"]
+    if run == "check-one-charge":
+        assert results["verdicts"][0]["margin"] == "inf"
+    if run == "radial-unpredicted":
+        assert results["predicted"] is None
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", ["constants", "check", "radial", "solve"])
+def test_unusable_out_exit_2(tmp_path, capsys, command, below):
+    argv = {
+        "constants": ["constants", "--dim", "3"],
+        "check": ["check", write_config(tmp_path / "c.json", DIPOLE)],
+        "radial": ["radial", "--a", "1", "--order", "4", "--points", "50"],
+        "solve": ["solve", write_config(tmp_path / "s.json", TestSolveCommand.SOLVE)],
+    }[command]
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    out = blocker / "out" if below else blocker
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot use --out {out}: ")
+    assert ("Not a directory" if below else "File exists") in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == "not a directory"
 
 
 _IMPORT_PROBE = """
