@@ -7,8 +7,8 @@ and an exit-code convention:
     1  no implemented certificate applies (check only)
     2  invalid input, raised as ``core.InputError``: a schema violation, a
        malformed file, a bad argument (an ``--out`` that cannot be a
-       directory too), or a value outside the problem's hypotheses or
-       outside binary64
+       directory, or an output file that cannot be written, too), or a
+       value outside the problem's hypotheses or outside binary64
     3  quadrature accuracy failure (``quad.AccuracyError``)
     4  solver non-convergence
 
@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import conditions, field, radial
+from . import conditions, radial
 from .core import (
     ChargeConfig,
     InputError,
@@ -259,12 +259,30 @@ def validate_report(report: dict) -> None:
                 raise ValueError("verdict margin must be numeric or inf")
 
 
+@contextlib.contextmanager
+def _refused(what: str):
+    """Exit 2 with "cannot <what>: <reason>" when the file system refuses an
+    output: a file at ``--out`` or above it, a directory in an output file's
+    place, no permission."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot {what}: {exc.strerror}") from exc
+
+
+def _check_out(out: str) -> None:
+    """Refuse, before a command's long work, an ``--out`` that is a file or
+    lies below one.  It makes nothing, so a command that fails after it
+    leaves no directory behind."""
+    with _refused(f"use --out {out}"), contextlib.suppress(FileNotFoundError):
+        Path(out).stat()  # missing: made later; below a file: refused
+        Path(out).mkdir(exist_ok=True)  # it exists: kept if a directory, else refused
+
+
 def _out_dir(out: str) -> Path:
     """The ``--out`` directory, made if missing; exit 2 if it cannot be."""
-    try:
+    with _refused(f"use --out {out}"):
         Path(out).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file at the path or above it, or no permission
-        raise ConfigError(f"cannot use --out {out}: {exc.strerror}") from exc
     return Path(out)
 
 
@@ -273,7 +291,8 @@ def _write_report(report: dict, out_dir: Path) -> Path:
     text = []
     _json(report, text, "\n")
     path = out_dir / "report.json"
-    path.write_text("".join(text) + "\n")
+    with _refused(f"write {path}"):
+        path.write_text("".join(text) + "\n")
     return path
 
 
@@ -388,7 +407,7 @@ def _words(x: np.ndarray, sep: int) -> np.ndarray:
 
 def _write_rows(path: Path, header: str, n: int, block) -> None:
     """The header, n rows by ``block(i, j)`` (rows i to j, each CRLF first), a last CRLF."""
-    with path.open("wb") as handle:
+    with _refused(f"write {path}"), path.open("wb") as handle:
         handle.write(header.encode())
         for i in range(0, n, _CHUNK):
             handle.write(block(i, min(i + _CHUNK, n)).tobytes().translate(None, b"\0"))
@@ -515,6 +534,7 @@ def cmd_radial(args) -> int:
         )
     if not 2 <= args.points <= 10**5:  # 10^5 radii: 0.2 s, 100 MB; 10^6: 0.8 GB
         raise ConfigError(f"radial grid needs 2 to 100000 points, got {args.points}")
+    _check_out(args.out)
     rgrid = np.geomspace(args.rmin, args.rmax, args.points)
     profile = radial.approx_radial_profile(args.a, args.order, args.dim, rgrid)
     window = tuple(args.fit_window)
@@ -558,6 +578,8 @@ def cmd_radial(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import field  # the grid solver: no other command loads it
+
     if args.max_iter < 0:
         raise ConfigError(f"--max-iter must be >= 0, got {args.max_iter}")
     cfg = load_config(Path(args.config), need_box=True)
@@ -567,6 +589,7 @@ def cmd_solve(args) -> int:
     problem = field.assemble_problem(
         config, box["lo"], box["hi"], box["h"], cfg["order_m"], cfg["boundary_rule"]
     )
+    _check_out(args.out)
     result = field.minimize_energy(problem, tol=tol, max_iter=args.max_iter)
     out_dir = _out_dir(args.out)
     csv_path = out_dir / "field.csv"

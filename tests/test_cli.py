@@ -509,8 +509,61 @@ def test_unusable_out_exit_2(tmp_path, capsys, command, below):
     assert blocker.read_text() == "not a directory"
 
 
+def _argv(tmp_path, command):
+    """A call of ``command`` that succeeds, without ``--out``."""
+    return {
+        "constants": ["constants", "--dim", "3"],
+        "check": ["check", write_config(tmp_path / "c.json", DIPOLE)],
+        "radial": ["radial", "--a", "1", "--order", "4", "--points", "50"],
+        "solve": ["solve", write_config(tmp_path / "s.json", TestSolveCommand.SOLVE)],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("constants", "report.json"), ("check", "report.json"), ("radial", "profile.csv"),
+     ("radial", "report.json"), ("solve", "field.csv"), ("solve", "report.json")],
+)
+def test_directory_in_an_output_file_place_exit_2(tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert run_cli(_argv(tmp_path, command) + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out / name}: Is a directory\n"
+    assert (out / name).is_dir()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize(
+    "command, work",
+    [("radial", (radial, "approx_radial_profile")), ("solve", (field, "minimize_energy"))],
+    ids=["radial", "solve"],
+)
+def test_unusable_out_exit_2_before_the_work(tmp_path, monkeypatch, capsys, command,
+                                             work, below):
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{work[1]} ran")
+
+    monkeypatch.setattr(*work, unreachable)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    out = blocker / "out" if below else blocker
+    assert run_cli(_argv(tmp_path, command) + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot use --out {out}: " + (
+        "Not a directory\n" if below else "File exists\n")
+
+
 _IMPORT_PROBE = """
 import json, sys
+import borninfeld
+
+
+def grid():
+    return [m for m in ("borninfeld.field", "borninfeld._linear") if m in sys.modules]
+
+
+bare = grid()
 from borninfeld.cli import main
 
 out, config, solve_config = sys.argv[1:]
@@ -520,9 +573,11 @@ codes = [
     main(["radial", "--a", "1", "--order", "4", "--points", "50", "--out", out]),
 ]
 light = sorted(m for m in sys.modules if m.startswith("scipy"))
+light_grid = grid()
 codes.append(main(["solve", solve_config, "--out", out]))
 solve = sorted(m for m in sys.modules if m.startswith("scipy"))
-print(json.dumps({"codes": codes, "light": light, "solve": solve}))
+print(json.dumps({"codes": codes, "light": light, "solve": solve,
+                  "grid": [bare, light_grid, grid()]}))
 """
 
 
@@ -549,6 +604,9 @@ def test_scipy_stays_off_the_import_path(tmp_path):
     # nor does solve: the incomplete Beta of its boundary data and starting
     # guess is evaluated with numpy alone, so all four commands load none
     assert probe["solve"] == []
+    # the grid solver loads for solve only: not with the package, nor with
+    # the cli, constants, check or radial
+    assert probe["grid"] == [[], [], ["borninfeld.field", "borninfeld._linear"]]
 
 
 _SPACING = "grid spacing must be finite, in [1e-100, 1e100]"

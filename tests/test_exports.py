@@ -65,6 +65,21 @@ def test_package_imports_only_names_in_their_modules_all():
         for alias in node.names:
             assert alias.name in module.__all__, f"{node.module}.{alias.name}"
             assert getattr(borninfeld, alias.name) is getattr(module, alias.name)
+    # the grid solver's names resolve on first use (module __getattr__)
+    field = importlib.import_module("borninfeld.field")
+    assert set(borninfeld._FIELD_NAMES) == {
+        "DiscreteProblem", "GridField", "assemble_problem", "compare_solutions",
+        "extremum_report", "gradient_sup", "minimize_energy", "segment_report",
+    }
+    for name in borninfeld._FIELD_NAMES:
+        assert name in field.__all__, f"field.{name}"
+        assert getattr(borninfeld, name) is getattr(field, name)
+    assert borninfeld.field is field
+    with pytest.raises(AttributeError, match="no_such_name"):
+        borninfeld.no_such_name
+    star = {}
+    exec("from borninfeld import *", star)
+    assert {"field", *borninfeld._FIELD_NAMES, "core", "minimize_energy"} <= set(star)
 
 
 OPTIONS = {
