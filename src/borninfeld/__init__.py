@@ -4,46 +4,16 @@ Modules by role: ``core`` (types, expansion coefficients, closed-form
 constants), ``quad`` (batched quadrature, exact single-charge field),
 ``conditions`` (solvability certificates), ``radial`` (order-m radial
 solver, singularity fits, cone-plus-tail extremals), ``field`` (grid solver
-and property reports), ``cli`` (command-line front end).  ``field`` loads
-on first use of it or of one of its names here, so only a grid solve pays
-for importing it.
+and property reports), ``cli`` (command-line front end).  The package
+re-exports the ``__all__`` of ``core``, ``quad``, ``conditions`` and
+``radial``.  ``field`` loads on first use of it or of one of its names
+here, so only a grid solve pays for importing it.
 """
 
-from .core import (
-    AsymptoticsSpec,
-    Charge,
-    ChargeConfig,
-    GuaranteeRangeError,
-    InputError,
-    asymptotics_spec,
-    best_constant_cbar,
-    sphere_measure,
-    taylor_coefficients,
-)
-from .quad import (
-    AccuracyError,
-    RadialProfile,
-    exact_radial_profile,
-    refined_constant_ctilde,
-    shape_constant_A,
-)
-from .conditions import (
-    PairVerdict,
-    Verdict,
-    VerdictLevel,
-    check_global,
-    check_refined,
-    check_two_charge,
-)
-from .radial import (
-    ConeTailCandidate,
-    FitResult,
-    approx_radial_profile,
-    cone_tail_energy,
-    fit_singularity,
-    flux_gradient_magnitude,
-    spacelike_ratio,
-)
+from .core import *
+from .quad import *
+from .conditions import *
+from .radial import *
 
 # ``field``'s names here, resolved on first use (PEP 562)
 _FIELD_NAMES = (

@@ -104,9 +104,11 @@ def _verdict(level, rule: str, lhs: float, rhs: float, per_segment=None) -> Verd
     return Verdict(level, rule, lhs, rhs, rhs - lhs, per_segment)
 
 
-def _single_charge(lhs: float) -> Verdict:
-    """A lone charge has no segment for the minimizer to be affine on."""
-    return _verdict(VerdictLevel.GLOBAL_CLASSICAL, "single-charge", lhs, math.inf)
+def _threshold(config: ChargeConfig, lhs: float, rule: str, per_segment=None) -> Verdict:
+    """``rule``'s verdict of lhs against the minimum pairwise distance."""
+    if config.n < 2:  # no segment for the minimizer to be affine on
+        rule, per_segment = "single-charge", None
+    return _verdict(VerdictLevel.GLOBAL_CLASSICAL, rule, lhs, config.min_distance(), per_segment)
 
 
 def _strength_bracket(config: ChargeConfig) -> float:
@@ -128,11 +130,7 @@ def check_global(config: ChargeConfig) -> Verdict:
         / (N - 2)
         * _strength_bracket(config)
     )
-    if config.n < 2:
-        return _single_charge(lhs)
-    return _verdict(
-        VerdictLevel.GLOBAL_CLASSICAL, "global-sum-threshold", lhs, config.min_distance()
-    )
+    return _threshold(config, lhs, "global-sum-threshold")
 
 
 def check_refined(config: ChargeConfig, ctilde: float) -> Verdict:
@@ -148,15 +146,7 @@ def check_refined(config: ChargeConfig, ctilde: float) -> Verdict:
         raise ValueError(f"ctilde must be positive and finite, got {ctilde}")
     N = config.dim
     lhs = ctilde ** (-1.0 / (N - 1)) * _strength_bracket(config)
-    if config.n < 2:
-        return _single_charge(lhs)
-    return _verdict(
-        VerdictLevel.GLOBAL_CLASSICAL,
-        "refined-energy-threshold",
-        lhs,
-        config.min_distance(),
-        _pairwise_levels(config, lhs),
-    )
+    return _threshold(config, lhs, "refined-energy-threshold", _pairwise_levels(config, lhs))
 
 
 def check_two_charge(config: ChargeConfig) -> Verdict:

@@ -283,14 +283,6 @@ class FitResult:
     guaranteed: bool
 
 
-def _loglog_fit(x: np.ndarray, y_abs: np.ndarray) -> tuple[float, float, float]:
-    lx = np.log(x)
-    ly = np.log(y_abs)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    residual = float(np.max(np.abs(ly - (slope * lx + intercept))))
-    return float(slope), float(intercept), residual
-
-
 def fit_singularity(
     profile: RadialProfile, window: tuple[float, float]
 ) -> tuple[FitResult, FitResult]:
@@ -329,33 +321,27 @@ def fit_singularity(
     )
     center = profile.u0 if profile.u0 is not None else 0.0
 
-    rw = r[mask]
+    lx = np.log(r[mask])
     diff = profile.u[mask] - center
-    if np.any(diff == 0):
-        raise InputError("field equals its central value inside the window")
-    u_sign = 1.0 if np.median(diff) > 0 else -1.0
-    slope_u, intercept_u, res_u = _loglog_fit(rw, np.abs(diff))
-    u_fit = FitResult(
-        exponent=slope_u,
-        coefficient=u_sign * math.exp(intercept_u),
-        residual=res_u,
-        window=(w_lo, w_hi),
-        n_samples=int(rw.size),
-        guaranteed=guaranteed,
-    )
-    du_w = np.abs(profile.du[mask])
-    if np.any(du_w == 0):
-        raise InputError("slope vanishes inside the window")
-    slope_d, intercept_d, res_d = _loglog_fit(rw, du_w)
-    du_fit = FitResult(
-        exponent=slope_d,
-        coefficient=math.exp(intercept_d),
-        residual=res_d,
-        window=(w_lo, w_hi),
-        n_samples=int(rw.size),
-        guaranteed=guaranteed,
-    )
-    return u_fit, du_fit
+    fits = []
+    for values, signed, vanishes in (
+        (diff, True, "field equals its central value"),
+        (profile.du[mask], False, "slope vanishes"),
+    ):
+        if np.any(values == 0):
+            raise InputError(f"{vanishes} inside the window")
+        sign = -1.0 if signed and not np.median(values) > 0 else 1.0
+        ly = np.log(np.abs(values))
+        slope, intercept = np.polyfit(lx, ly, 1)
+        fits.append(FitResult(
+            exponent=float(slope),
+            coefficient=sign * math.exp(intercept),
+            residual=float(np.max(np.abs(ly - (slope * lx + intercept)))),
+            window=(w_lo, w_hi),
+            n_samples=int(lx.size),
+            guaranteed=guaranteed,
+        ))
+    return fits[0], fits[1]
 
 
 # ---------------------------------------------------------------------------

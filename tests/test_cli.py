@@ -554,6 +554,29 @@ def test_unusable_out_exit_2_before_the_work(tmp_path, monkeypatch, capsys, comm
         "Not a directory\n" if below else "File exists\n")
 
 
+@pytest.mark.parametrize("refuses", ["mkdir", "write_text", "open"])
+@pytest.mark.parametrize("command", ["constants", "check", "radial", "solve"])
+def test_unwritable_out_exit_2(tmp_path, monkeypatch, capsys, command, refuses):
+    # as a directory without write permission would; reads still work, so
+    # the config loads
+    argv = _argv(tmp_path, command)
+    original = getattr(Path, refuses)
+
+    def refused(self, *args, **kwargs):
+        mode = args[0] if args else kwargs.get("mode", "r")
+        if refuses == "open" and "w" not in mode:
+            return original(self, *args, **kwargs)
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, refuses, refused)
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    first = {"radial": "profile.csv", "solve": "field.csv"}.get(command, "report.json")
+    what = {"mkdir": f"use --out {out}", "write_text": f"write {out / 'report.json'}",
+            "open": f"write {out / first}"}[refuses]
+    assert capsys.readouterr() == ("", f"error: cannot {what}: Permission denied\n")
+
+
 _IMPORT_PROBE = """
 import json, sys
 import borninfeld

@@ -703,6 +703,32 @@ def test_buffers_hand_back_one_view_per_name_shape_and_type():
 
 
 @pytest.mark.filterwarnings("ignore:boundary clearance")
+@pytest.mark.parametrize("rule", ["zero", "radial-superposition"])
+@pytest.mark.parametrize("m", [2, 16])
+def test_solve_takes_every_array_from_its_block(monkeypatch, m, rule):
+    # a take of a name the block does not size, or larger than its array,
+    # gets an array of its own without a word; only the charge blocks' dense
+    # matrices are meant to
+    made = []
+
+    def spy(shape):
+        made.append(_solve_buffers(shape))
+        return made[-1]
+
+    monkeypatch.setattr(field, "_solve_buffers", spy)
+    problem = assemble_problem(DIPOLE, -4.0, 4.0, 0.25, m, rule)
+    assert minimize_energy(problem, tol=1e-9).converged
+    (take,) = made
+    block = take["nodes"].base
+    assert block.size == sum(a.size for a in take.values())
+    own = {key[0] for key in take.views if isinstance(key[0], tuple)}
+    assert own == {("block H", k) for k in range(len(problem.charges))}
+    for (name, shape, dtype), view in take.views.items():
+        assert np.shares_memory(view, block) != (name in own), (name, shape, dtype)
+        assert name in own or np.shares_memory(view, take[name]), (name, shape, dtype)
+
+
+@pytest.mark.filterwarnings("ignore:boundary clearance")
 def test_solve_keeps_the_last_models_steepest_cell_for_gradient_sup():
     import dataclasses
 
