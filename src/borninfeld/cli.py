@@ -120,7 +120,7 @@ def load_config(path: Path, *, need_box: bool) -> dict:
     """Parse and validate a run configuration; unknown keys are rejected."""
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -129,6 +129,8 @@ def load_config(path: Path, *, need_box: bool) -> dict:
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep, an integer too long
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     _object(raw, "<root>", _TOP_KEYS, ("dim", "charges"))
     dim = raw["dim"]
     if type(dim) is not int:
@@ -286,7 +288,9 @@ def _out_dir(out: str) -> Path:
     return Path(out)
 
 
-def _write_report(report: dict, out_dir: Path) -> Path:
+def _write_report(command: str, seed: int, inputs: dict, results: dict, out_dir: Path) -> Path:
+    """Write ``report.json``: the command's inputs and results under one envelope."""
+    report = {"command": command, "seed": seed, "inputs": inputs, "results": results}
     validate_report(report)
     text = []
     _json(report, text, "\n")
@@ -471,21 +475,17 @@ def cmd_constants(args) -> int:
     cbar = best_constant_cbar(N)
     omega = sphere_measure(N)
     ctilde = refined_constant_ctilde(N)
-    report = {
-        "command": "constants",
-        "seed": args.seed,
-        "inputs": {"dim": N, "orders": orders},
-        "results": {
-            "sphere_measure": omega,
-            "best_constant": cbar,
-            "central_value_scale": shape_constant_A(N),
-            "refined_constant": ctilde,
-            "refined_over_sphere": ctilde / omega,
-            "min_guaranteed_order": min_order_for_guarantee(N),
-            "orders": per_order,
-        },
+    results = {
+        "sphere_measure": omega,
+        "best_constant": cbar,
+        "central_value_scale": shape_constant_A(N),
+        "refined_constant": ctilde,
+        "refined_over_sphere": ctilde / omega,
+        "min_guaranteed_order": min_order_for_guarantee(N),
+        "orders": per_order,
     }
-    path = _write_report(report, _out_dir(args.out))
+    path = _write_report(args.command, args.seed, {"dim": N, "orders": orders}, results,
+                         _out_dir(args.out))
     print(f"constants: dim={N}, report written to {path}")
     return 0
 
@@ -502,23 +502,19 @@ def cmd_check(args) -> int:
         bool(segments)
         and all(p.level is not conditions.VerdictLevel.INCONCLUSIVE for p in segments)
     )
-    report = {
-        "command": "check",
-        "seed": args.seed,
-        "inputs": {
-            "config": str(args.config),
-            "dim": config.dim,
-            "n_charges": config.n,
-            "min_distance": config.min_distance(),
-            "ctilde": ctilde,
-        },
-        "results": {
-            "verdicts": [_verdict_dict(v) for v in verdicts],
-            "per_segment": segments,
-            "conclusive": conclusive,
-        },
+    inputs = {
+        "config": str(args.config),
+        "dim": config.dim,
+        "n_charges": config.n,
+        "min_distance": config.min_distance(),
+        "ctilde": ctilde,
     }
-    path = _write_report(report, _out_dir(args.out))
+    results = {
+        "verdicts": [_verdict_dict(v) for v in verdicts],
+        "per_segment": segments,
+        "conclusive": conclusive,
+    }
+    path = _write_report(args.command, args.seed, inputs, results, _out_dir(args.out))
     for v in verdicts:
         margin = "inf" if math.isinf(v.margin) else f"{v.margin:.6g}"
         print(f"check[{v.rule}]: {v.level.value} (margin {margin})")
@@ -550,24 +546,20 @@ def cmd_radial(args) -> int:
         predicted = _fields(
             spec, "u_exponent", "grad_exponent", "K", "Kprime", "guaranteed"
         )
-    report = {
-        "command": "radial",
-        "seed": args.seed,
-        "inputs": {
-            **_fields(args, "a", "dim", "order", "rmin", "rmax", "points"),
-            "fit_window": list(window),
-        },
-        "results": {
-            "profile_csv": csv_path.name,
-            "n_samples": profile.n_samples,
-            "central_value": profile.u0 if profile.u0 is not None else "nan",
-            "u_fit": _fields(u_fit, *_FIT_KEYS),
-            "du_fit": _fields(du_fit, *_FIT_KEYS),
-            "guaranteed": u_fit.guaranteed,
-            "predicted": predicted,
-        },
+    inputs = {
+        **_fields(args, "a", "dim", "order", "rmin", "rmax", "points"),
+        "fit_window": list(window),
     }
-    path = _write_report(report, out_dir)
+    results = {
+        "profile_csv": csv_path.name,
+        "n_samples": profile.n_samples,
+        "central_value": profile.u0 if profile.u0 is not None else "nan",
+        "u_fit": _fields(u_fit, *_FIT_KEYS),
+        "du_fit": _fields(du_fit, *_FIT_KEYS),
+        "guaranteed": u_fit.guaranteed,
+        "predicted": predicted,
+    }
+    path = _write_report(args.command, args.seed, inputs, results, out_dir)
     flag = "" if u_fit.guaranteed else " [unguaranteed]"
     print(
         f"radial: m={args.order} fit exponent {u_fit.exponent:.6g} "
@@ -594,29 +586,25 @@ def cmd_solve(args) -> int:
     out_dir = _out_dir(args.out)
     csv_path = out_dir / "field.csv"
     _write_field_csv(csv_path, problem.lo, problem.h, result.values)
-    report = {
-        "command": "solve",
-        "seed": args.seed,
-        "inputs": {
-            "config": str(args.config),
-            "dim": config.dim,
-            "n_charges": config.n,
-            "order_m": cfg["order_m"],
-            "h": box["h"],
-            "boundary_rule": cfg["boundary_rule"],
-            "tol": tol,
-        },
-        "results": {
-            "field_csv": csv_path.name,
-            **_fields(result, "energy", "grad_norm", "iterations", "cg_iterations",
-                      "cg_per_step", "charge_blocks", "converged", "stop_reason"),
-            "snap_distances": list(problem.snap_distances),
-            "extremum": field.extremum_report(result) if result.converged else [],
-            "segments": field.segment_report(result) if result.converged else [],
-            "gradient_sup": field.gradient_sup(result),
-        },
+    inputs = {
+        "config": str(args.config),
+        "dim": config.dim,
+        "n_charges": config.n,
+        "order_m": cfg["order_m"],
+        "h": box["h"],
+        "boundary_rule": cfg["boundary_rule"],
+        "tol": tol,
     }
-    path = _write_report(report, out_dir)
+    results = {
+        "field_csv": csv_path.name,
+        **_fields(result, "energy", "grad_norm", "iterations", "cg_iterations",
+                  "cg_per_step", "charge_blocks", "converged", "stop_reason"),
+        "snap_distances": list(problem.snap_distances),
+        "extremum": field.extremum_report(result) if result.converged else [],
+        "segments": field.segment_report(result) if result.converged else [],
+        "gradient_sup": field.gradient_sup(result),
+    }
+    path = _write_report(args.command, args.seed, inputs, results, out_dir)
     status = "converged" if result.converged else "NOT converged"
     print(
         f"solve: {status}, energy {result.energy:.6g}, residual "

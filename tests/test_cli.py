@@ -1009,6 +1009,15 @@ def test_report_schema_is_every_results_key_a_command_writes(tmp_path, command):
     assert set(results) == cli._RESULT_KEYS[command]
 
 
+@pytest.mark.parametrize("command", ["constants", "check", "radial", "solve"])
+def test_report_envelope_records_the_command_and_seed(tmp_path, command):
+    out = tmp_path / "out"
+    assert run_cli(_argv(tmp_path, command) + ["--seed", "7", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"command", "seed", "inputs", "results"}
+    assert (report["command"], report["seed"]) == (command, 7)
+
+
 def test_repeated_calls_build_one_parser_and_share_no_state(tmp_path, monkeypatch):
     # main builds its parser once per process; a default handed to one call
     # must not carry into the next, and commands are looked up per call
@@ -1405,6 +1414,67 @@ def test_integer_past_binary64_exit_2(tmp_path, capsys, slot):
     assert run_cli(["solve", write_config(tmp_path / "c.json", config),
                     "--out", str(tmp_path / "out")]) == 2
     assert "finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        # a UTF-16 byte-order mark: the file is not UTF-8, and stays refused
+        (b'\xff\xfe{"dim": 3}', "cannot read config file {}: 'utf-8' codec can't decode"),
+        (b"[" * 1000 + b"]" * 1000, "cannot parse config file {}: maximum recursion depth"),
+        (b'{"dim": ' + b"1" * 5000 + b"}", "cannot parse config file {}: Exceeds the limit"),
+    ],
+    ids=["not-utf-8", "nested-1000-deep", "5000-digit-integer"],
+)
+def test_undecodable_or_unparsable_config_exit_2(tmp_path, capsys, command, content,
+                                                 message):
+    path = tmp_path / "c.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert run_cli([command, str(path), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: " + message.format(path))
+    assert not out.exists()
+
+
+def test_check_on_a_directory_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["check", str(tmp_path), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: cannot read config file {tmp_path}: ")
+    assert "Is a directory" in line
+    assert not out.exists()
+
+
+def _break(*path, value=MISSING):
+    """Delete the key at ``path`` of a report, or set it to ``value``."""
+    def apply(report):
+        _edit(report, path, value, delete=value is MISSING)
+    return apply
+
+
+@pytest.mark.parametrize(
+    "breaks, message",
+    [
+        (_break("seed"), "report missing key 'seed'"),
+        (_break("command", value="plot"), "unknown report command 'plot'"),
+        (_break("inputs", value=[]), "report inputs/results must be objects"),
+        (_break("results", "conclusive"), "report results missing keys ['conclusive']"),
+        (_break("results", "verdicts", 0, "margin", value="wide"),
+         "verdict margin must be numeric or inf"),
+    ],
+    ids=["envelope-key", "command", "inputs", "results-key", "margin"],
+)
+def test_validate_report_refuses_a_broken_report(tmp_path, breaks, message):
+    assert run_cli(["check", write_config(tmp_path / "c.json", DIPOLE),
+                    "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    validate_report(report)  # as emitted, it passes
+    breaks(report)
+    with pytest.raises(ValueError) as caught:
+        validate_report(report)
+    assert str(caught.value) == message
 
 
 @st.composite

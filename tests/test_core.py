@@ -361,6 +361,11 @@ class TestInputError:
         ):
             call(a)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_position(self, x):
+        with pytest.raises(InputError, match=r"^charge position must be finite, got "):
+            ChargeConfig(3, [((0.0, x, 0.0), 1.0)])
+
     @pytest.mark.parametrize(
         "call",
         [

@@ -255,6 +255,10 @@ class TestAssembly:
         with pytest.raises(InputError, match="finite"):
             call()
 
+    def test_unknown_boundary_rule_rejected(self):
+        with pytest.raises(InputError, match=r"^unknown boundary rule 'dirichlet'$"):
+            assemble_problem(SINGLE, -1, 1, 0.25, 2, "dirichlet")
+
     def test_dimension_restriction(self):
         cfg = ChargeConfig(4, [((0, 0, 0, 0), 1.0)])
         with pytest.raises(ValueError):
@@ -569,6 +573,12 @@ class TestReports:
         assert 0 < rec.light_ratio < 1
         assert not rec.near_light  # threshold undefined at this spacing
         assert rec.chord_defect > 0
+
+    def test_segment_report_refuses_unconverged(self):
+        result = minimize_energy(small_problem(), max_iter=0)
+        assert not result.converged
+        with pytest.raises(ValueError, match="^segment diagnostics require a converged field$"):
+            segment_report(result)
 
     def test_segment_report_single_charge_empty(self):
         result = minimize_energy(small_problem(), tol=1e-9)

@@ -1,5 +1,6 @@
 """Tests for the batched quadrature engine and the exact radial field."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -228,6 +229,28 @@ class TestExactRadialProfile:
         profile = exact_radial_profile(1.0, 3, grid)
         residual = flux_identity_residual(profile)
         assert np.max(np.abs(residual)) < 1e-10
+
+    def test_flux_identity_refuses_an_approximant(self):
+        approximant = dataclasses.replace(self.profile, kind="approximant", order=4)
+        with pytest.raises(ValueError, match="^flux identity in this form applies to exact"):
+            flux_identity_residual(approximant)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda p: {"u": p.u[:-1]}, "r, u, du must be 1-d arrays of equal length"),
+            (lambda p: {"r": p.r[::-1]}, "radii must be positive and strictly increasing"),
+            (lambda p: {"kind": "numeric"}, "unknown profile kind 'numeric'"),
+            (lambda p: {"kind": "approximant"}, "approximant profiles need an order m >= 1"),
+            (lambda p: {"du": -p.du}, "slope must have the sign of -strength at every radius"),
+            (lambda p: {"du": 2 * p.du}, "exact profile slope exceeds the light-cone bound"),
+        ],
+        ids=["lengths", "radii", "kind", "order", "slope-sign", "light-cone"],
+    )
+    def test_profile_refuses_inconsistent_samples(self, change, message):
+        with pytest.raises(ValueError) as caught:
+            dataclasses.replace(self.profile, **change(self.profile))
+        assert str(caught.value) == message
 
     def test_central_value_matches_shape_constant(self):
         assert self.profile.u0 == pytest.approx(shape_constant_A(3), abs=1e-6)

@@ -130,6 +130,20 @@ class TestFluxRoot:
         flux_gradient_magnitude(np.geomspace(1e-7, 1e3, 1200), 1.0, m, N)
         assert len(calls) <= 12
 
+    def test_bisection_and_step_limit_end_a_root_that_never_closes(self, monkeypatch):
+        # g = +inf everywhere: no residual, bracket or Newton test ever holds,
+        # so Newton's 100 steps give way to bisection and the loop ends at 300
+        calls = []
+
+        def never_down(s, alphas):
+            calls.append(None)
+            return np.full_like(s, math.inf), np.full_like(s, math.inf)
+
+        monkeypatch.setattr(radial, "_sigma_series", never_down)
+        t = flux_gradient_magnitude(1.0, 1.0, 4, 3)
+        assert math.isfinite(t) and t >= 0
+        assert len(calls) == 300
+
     @pytest.mark.parametrize("N, m", [(3, 16), (3, 64), (4, 8)])
     def test_slopes_match_40_digit_roots(self, N, m):
         import mpmath
