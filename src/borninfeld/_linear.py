@@ -16,6 +16,7 @@ quantities (``field._NewtonModel.blocks``).  At m = 1 the scaling is the
 identity and the sweep the exact inverse Hessian.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -38,6 +39,7 @@ def _sine_matrix(n: int) -> np.ndarray:
     return math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * jk / (n + 1))
 
 
+@functools.lru_cache(maxsize=1)
 def _poisson_inverse(n_inner: tuple[int, int, int], h: float):
     """Exact inverse of h times the 7-point Dirichlet Laplacian, by DST-I.
 
@@ -56,6 +58,9 @@ def _poisson_inverse(n_inner: tuple[int, int, int], h: float):
     contracting the last axis and rotating it to the front.  Up to 129^3
     nodes that beats a DST-I by FFT, by a margin that shrinks as the grid
     grows: the products cost O(n^4) against the FFT's O(n^3 log n).
+
+    The inverse depends on the grid alone, so the last one is kept for the
+    next solve on the same grid; its arrays are read-only.
     """
     eig = np.zeros(n_inner)
     for d, n in enumerate(n_inner):
@@ -63,6 +68,8 @@ def _poisson_inverse(n_inner: tuple[int, int, int], h: float):
         eig = eig + (2.0 - 2.0 * np.cos(np.pi * k / (n + 1)))
     scale = h * eig
     sines = [_sine_matrix(n) for n in reversed(n_inner)]
+    for a in (scale, *sines):
+        a.flags.writeable = False
 
     def transform(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for s, out in zip(sines, (a, b, a)):  # ends in a, r only read

@@ -37,6 +37,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -211,7 +212,7 @@ def _items(items: list, out: list, pad: str, ends: str) -> None:
     out.append(pad + ends[1] if items else ends)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)  # reports hold four record types
 def _record_keys(kind: type) -> tuple:
     """('"name": ', name) for a record type's fields, sorted by name."""
     return tuple((_quote(n) + ": ", n) for n in sorted(f.name for f in dataclasses.fields(kind)))
@@ -418,17 +419,40 @@ def _write_rows(path: Path, header: str, n: int, block) -> None:
         handle.write(b"\r\n")
 
 
-def _write_field_csv(path: Path, lo, h: float, values: np.ndarray) -> None:
-    """Rows ``x, y, z, u`` over every node, last axis fastest.  The "x" and
-    ",y,z" prefixes are formatted once and gathered beside each block."""
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """``arrays``, made read-only: a grid-keyed cache hands them to every call."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=1)
+def _radial_grid(rmin: float, rmax: float, points: int) -> tuple:
+    """``radial``'s radii and the words of their "r" column, one array per
+    ``_CHUNK`` rows, kept for the next call on the same grid."""
+    r = np.geomspace(rmin, rmax, points)
+    r, *column = _read_only(r, *(_words(r[i:i + _CHUNK], _EOL) for i in range(0, points, _CHUNK)))
+    return r, tuple(column)
+
+
+@functools.lru_cache(maxsize=1)
+def _field_prefixes(lo: tuple, h: float, shape: tuple) -> tuple:
+    """The words of each "x" and ",y,z" row prefix of a grid's ``field.csv``,
+    NUL-padded to whole words, kept for the next call on the same grid."""
     xs, ys, zs = (
         [w.tobytes().translate(None, b"\0") for w in _words(lo[d] + h * np.arange(n), sep)]
-        for d, (n, sep) in enumerate(zip(values.shape, (_EOL, _SEP, _SEP)))
+        for d, (n, sep) in enumerate(zip(shape, (_EOL, _SEP, _SEP)))
     )
-    x_pre, yz_pre = (  # NUL-padded to whole words
+    return _read_only(*(
         np.array(t, f"S{-(-max(map(len, t)) // 4) * 4}").view(np.uint32).reshape(len(t), -1)
         for t in (xs, [y + z for y, z in itertools.product(ys, zs)])
-    )
+    ))
+
+
+def _write_field_csv(path: Path, lo, h: float, values: np.ndarray) -> None:
+    """Rows ``x, y, z, u`` over every node, last axis fastest.  The "x" and
+    ",y,z" prefixes (``_field_prefixes``) are gathered beside each block."""
+    x_pre, yz_pre = _field_prefixes(tuple(lo), h, values.shape)
 
     def block(i, j):
         x, yz = np.divmod(np.arange(i, j), len(yz_pre))
@@ -531,15 +555,14 @@ def cmd_radial(args) -> int:
     if not 2 <= args.points <= 10**5:  # 10^5 radii: 0.2 s, 100 MB; 10^6: 0.8 GB
         raise ConfigError(f"radial grid needs 2 to 100000 points, got {args.points}")
     _check_out(args.out)
-    rgrid = np.geomspace(args.rmin, args.rmax, args.points)
+    rgrid, r_words = _radial_grid(args.rmin, args.rmax, args.points)
     profile = radial.approx_radial_profile(args.a, args.order, args.dim, rgrid)
     window = tuple(args.fit_window)
     u_fit, du_fit = radial.fit_singularity(profile, window)
     out_dir = _out_dir(args.out)
     csv_path = out_dir / "profile.csv"
-    columns = ((profile.r, _EOL), (profile.u, _SEP), (profile.du, _SEP))
-    _write_rows(csv_path, "r,u,du", len(profile.r),
-                lambda i, j: np.hstack([_words(c[i:j], sep) for c, sep in columns]))
+    _write_rows(csv_path, "r,u,du", len(rgrid), lambda i, j: np.hstack(
+        [r_words[i // _CHUNK], _words(profile.u[i:j], _SEP), _words(profile.du[i:j], _SEP)]))
     predicted = None
     if 2 * args.order != args.dim:
         spec = asymptotics_spec(args.order, args.dim, args.a, override_guarantee=True)
@@ -578,9 +601,15 @@ def cmd_solve(args) -> int:
     config: ChargeConfig = cfg["config"]
     box = cfg["box"]
     tol = cfg["tolerances"].get("solver", 1e-9)
-    problem = field.assemble_problem(
-        config, box["lo"], box["hi"], box["h"], cfg["order_m"], cfg["boundary_rule"]
-    )
+    with warnings.catch_warnings(record=True) as caught:  # the filters still apply
+        problem = field.assemble_problem(
+            config, box["lo"], box["hi"], box["h"], cfg["order_m"], cfg["boundary_rule"]
+        )
+    for w in caught:  # a UserWarning, such as a thin boundary clearance, in one line
+        if issubclass(w.category, UserWarning):
+            print(f"warning: {w.message}", file=sys.stderr)
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     _check_out(args.out)
     result = field.minimize_energy(problem, tol=tol, max_iter=args.max_iter)
     out_dir = _out_dir(args.out)

@@ -253,14 +253,14 @@ def _energy_series(s, alphas: tuple[float, ...], out=None):
     return W
 
 
-def _sigma_series(s, alphas: tuple[float, ...], out=(None, None)):
+def _sigma_series(s, alphas: tuple[float, ...], *out):
     """sigma(s) = 2 W'(s) and sigma'(s) by Horner, as ``_energy_series``,
-    into the pair ``out`` if given.
+    into the two arrays ``out`` if given.
 
     The radial flux is g(t) = t sigma(t^2), with g'(t) = sigma + 2 t^2 sigma'.
     """
     terms = _horner_terms(alphas)[isinstance(s, np.ndarray)][1]
-    sigma, dsigma = (0.0 if a is None else _zeroed(a) for a in out)
+    sigma, dsigma = map(_zeroed, out) if out else (0.0, 0.0)
     for a in terms:
         dsigma *= s
         dsigma += sigma
@@ -289,7 +289,8 @@ class _Density:
 
     Arrays come from ``take`` (``_fresh`` by default): "rest" and "root"
     (1 - s and its root), which ``sigma()`` overwrites with sigma' and sigma,
-    so it comes after ``energy()``; "cells" for W; "mask" for the split.
+    so it comes after ``energy()``; "cells" for W; "mask" for the split;
+    the heads of "edges", "pairs" and "adjoint" for the Horner entries.
     """
 
     def __init__(self, s: np.ndarray, alphas: tuple[float, ...], take=_fresh):
@@ -302,13 +303,16 @@ class _Density:
             self.rest = np.subtract(1.0, np.minimum(s, tau, out=rest), out=rest)
             self.root = np.sqrt(self.rest, out=take("root", s.shape))
 
-    def _horner(self, series):
-        s = self.s[self.near]
-        if s.size > 16:
-            with np.errstate(invalid="ignore"):  # 0 * inf in the first step
-                return series(s, self.alphas)
-        # a few entries cost less as Python floats than 2-4 ufunc calls a term
-        return np.array([series(x, self.alphas) for x in s.tolist()]).T
+    def _horner(self, series, *names: str):
+        """``series`` at the near entries.  Past 16 of them, they are gathered
+        into the head of "edges" and ``series`` writes into the heads of the
+        arrays ``names``, all idle while the density is evaluated."""
+        n = len(self.near)
+        if n <= 16:  # a few entries cost less as Python floats than 2-4 ufunc calls a term
+            return np.array([series(x, self.alphas) for x in self.s[self.near].tolist()]).T
+        s, *out = (self.take(name, self.s.shape)[:n] for name in ("edges", *names))
+        with np.errstate(invalid="ignore"):  # 0 * inf in the first step
+            return series(self.s.take(self.near, out=s, mode="clip"), self.alphas, *out)
 
     def energy(self) -> np.ndarray:
         W = self.take("cells", self.s.shape)
@@ -316,17 +320,17 @@ class _Density:
             return _energy_series(self.s, self.alphas, W)
         np.add(self.root, 1.0, out=W)
         np.divide(self.s, W, out=W)
-        W[self.near] = self._horner(_energy_series)
+        W[self.near] = self._horner(_energy_series, "pairs")
         return W
 
     def sigma(self) -> tuple[np.ndarray, np.ndarray]:
         if self.near is None:
             out = self.take("root", self.s.shape), self.take("rest", self.s.shape)
-            return _sigma_series(self.s, self.alphas, out)
+            return _sigma_series(self.s, self.alphas, *out)
         dsigma = np.multiply(self.rest, self.root, out=self.rest)
         np.divide(0.5, dsigma, out=dsigma)
         sigma = np.divide(1.0, self.root, out=self.root)
-        for out, values in zip((sigma, dsigma), self._horner(_sigma_series)):
+        for out, values in zip((sigma, dsigma), self._horner(_sigma_series, "pairs", "adjoint")):
             out[self.near] = values  # no rows at all when no entry is near
         return sigma, dsigma
 

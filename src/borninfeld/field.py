@@ -682,7 +682,7 @@ def minimize_energy(
     there for ``gradient_sup``.  Each charge block keeps its H[E, B] for the
     solve.  At 33^3 the traced peak is about 24.2 node arrays (tracemalloc);
     from the second step on, a step allocates only the block inverses and,
-    at m >= 4, the Horner path's near-charge cells.
+    at m >= 4, the index of the near-charge cells.
     """
     if not 0 < tol < math.inf:
         raise InputError(f"tol must be positive and finite, got {tol}")

@@ -289,27 +289,49 @@ def _field_csv_by_loop(path, lo, h, values):
 
 
 def test_profile_csv_bytes_match_csv_writer(tmp_path):
-    argv = ["radial", "--a", "-1.5", "--order", "3", "--points", "300"]
-    assert run_cli(argv + ["--out", str(tmp_path)]) == 0
-    profile = radial.approx_radial_profile(-1.5, 3, 3, np.geomspace(1e-7, 1e3, 300))
-    with (tmp_path / "old.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["r", "u", "du"])
-        for r, u, du in zip(profile.r, profile.u, profile.du):
-            writer.writerow([format(v, ".17g") for v in (r, u, du)])
-    new, old = (tmp_path / "profile.csv"), (tmp_path / "old.csv")
-    assert new.read_bytes() == old.read_bytes()
+    # the radii column is kept for the next call on the same grid: the
+    # default grid and 300 points, each missed and then hit, and the default
+    # missed again
+    for k, points in enumerate((1200, 1200, 300, 300, 1200)):
+        out = tmp_path / str(k)
+        argv = ["radial", "--a", "-1.5", "--order", "3", "--points", str(points)]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        profile = radial.approx_radial_profile(-1.5, 3, 3, np.geomspace(1e-7, 1e3, points))
+        with (out / "old.csv").open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["r", "u", "du"])
+            for r, u, du in zip(profile.r, profile.u, profile.du):
+                writer.writerow([format(v, ".17g") for v in (r, u, du)])
+        assert (out / "profile.csv").read_bytes() == (out / "old.csv").read_bytes()
 
 
 def test_field_csv_bytes_match_per_node_writer(tmp_path):
+    # the row prefixes are kept for the next file on the same grid: each
+    # grid missed and then hit, and the first missed again
     rng = np.random.default_rng(7)
-    values = rng.normal(0.0, 1.0, (4, 5, 6)) * 10.0 ** rng.integers(-20, 20, (4, 5, 6))
-    values[0, 0, 0] = 0.0
-    values[1, 2, 3] = -0.0
-    lo, h = (-1.3, 0.1, 2.0), 0.1
-    cli._write_field_csv(tmp_path / "new.csv", lo, h, values)
-    _field_csv_by_loop(tmp_path / "old.csv", lo, h, values)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    a, b = (
+        (lo, h, rng.normal(0.0, 1.0, shape) * 10.0 ** rng.integers(-20, 20, shape))
+        for shape, lo, h in (((4, 5, 6), (-1.3, 0.1, 2.0), 0.1),
+                             ((3, 2, 7), (0.0, -0.0, 1e-9), 2.5))
+    )
+    a[2][0, 0, 0] = b[2][0, 0, 0] = 0.0
+    a[2][1, 1, 3] = b[2][1, 1, 3] = -0.0
+    for k, (lo, h, values) in enumerate((a, a, b, b, a)):
+        cli._write_field_csv(tmp_path / f"new{k}.csv", lo, h, values)
+        _field_csv_by_loop(tmp_path / f"old{k}.csv", lo, h, values)
+        assert (tmp_path / f"new{k}.csv").read_bytes() == (tmp_path / f"old{k}.csv").read_bytes()
+
+
+def test_grid_caches_are_read_only(tmp_path):
+    r, column = cli._radial_grid(1e-7, 1e3, 9000)
+    assert len(r) == 9000 and [len(w) for w in column] == [cli._CHUNK, 9000 - cli._CHUNK]
+    values = np.zeros((3, 3, 3))
+    cli._write_field_csv(tmp_path / "field.csv", (0.0, 0.0, 0.0), 0.5, values)
+    prefixes = cli._field_prefixes((0.0, 0.0, 0.0), 0.5, values.shape)
+    for array in (r, *column, *prefixes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert cli._radial_grid(1e-7, 1e3, 9000)[0] is r
 
 
 def test_field_csv_blocks_split_planes(tmp_path):
@@ -643,6 +665,39 @@ class TestSolveCommand:
         "order_m": 2,
         "boundary_rule": "radial-superposition",
     }
+
+    def test_thin_clearance_warns_in_one_stderr_line(self, tmp_path, capsys):
+        # each call prints the solver's UserWarning as one "warning:" line,
+        # not Python's file:line format; library callers still get the warning
+        charges = [{"pos": [-1.0, 0.0, 0.0], "a": 1.0}, {"pos": [1.0, 0.0, 0.0], "a": -1.0}]
+        box = {"lo": -3.0, "hi": 3.0, "h": 0.25}
+        config = write_config(tmp_path / "solve.json", dict(self.SOLVE, charges=charges, box=box))
+        for out in ("a", "b"):
+            assert run_cli(["solve", config, "--out", str(tmp_path / out)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "warning: boundary clearance 2 is below twice the min charge spacing 2; "
+                "truncation effects grow\n"
+            )
+            assert captured.out.startswith("solve: converged")
+        with pytest.warns(UserWarning, match="boundary clearance 2 is below"):
+            field.assemble_problem(cli.load_config(Path(config), need_box=True)["config"],
+                                   -3.0, 3.0, 0.25, 2)
+
+    def test_other_warnings_keep_their_filters(self, tmp_path, capsys, monkeypatch):
+        def assemble(*args, _assemble=field.assemble_problem):
+            warnings.warn("a future change", FutureWarning)
+            return _assemble(*args)
+
+        monkeypatch.setattr(field, "assemble_problem", assemble)
+        config = write_config(tmp_path / "solve.json", self.SOLVE)
+        with pytest.warns(FutureWarning, match="a future change"):
+            assert run_cli(["solve", config, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FutureWarning)
+            with pytest.raises(FutureWarning):
+                run_cli(["solve", config, "--out", str(tmp_path)])
 
     def test_single_charge_solve(self, tmp_path):
         config = write_config(tmp_path / "solve.json", self.SOLVE)

@@ -9,6 +9,7 @@ import argparse
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -138,3 +139,30 @@ def test_defaulted_parameters_are_pinned():
                     if p.default is not p.empty
                 }
     assert found == DEFAULTED_PARAMETERS
+
+
+def test_caches_that_take_arguments_are_bounded():
+    # a long-running process keeps at most maxsize entries of each cache
+    importlib.import_module("borninfeld.field")  # and the modules it loads
+    caches = {}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "borninfeld":
+            continue
+        owners = [vars(module)] + [
+            vars(value) for value in vars(module).values()
+            if inspect.isclass(value) and value.__module__ == name
+        ]
+        for owner in owners:
+            for attr, value in owner.items():
+                if hasattr(value, "cache_parameters"):
+                    caches[f"{name}.{attr}"] = value
+    assert {
+        "borninfeld.cli._tables", "borninfeld.cli._record_keys", "borninfeld.cli._radial_grid",
+        "borninfeld.cli._field_prefixes", "borninfeld.core._horner_terms",
+        "borninfeld._linear._poisson_inverse",
+    } <= set(caches)
+    unbounded = [
+        name for name, cache in caches.items()
+        if inspect.signature(cache).parameters and cache.cache_parameters()["maxsize"] is None
+    ]
+    assert unbounded == []

@@ -914,15 +914,15 @@ class TestNewtonSolver:
         # under 25 node arrays at 33^3, and from the second Newton step on
         # nothing grid-sized comes and goes.  What does is the block
         # inverses and numpy's buffers for small strided operands (about
-        # 0.06 node arrays) and, at m >= 4, the Horner path's near-charge
-        # cells (0.48 node arrays at m = 16 for this charge).  No step
-        # starts holding more than the second did, but for small Python
-        # objects, about 400 bytes a step (as many as before views were
-        # kept).
+        # 0.06 node arrays) and, at m >= 4, the index of the near-charge
+        # cells (0.12 node arrays at m = 16 for this charge, 0.13 in all);
+        # their Horner values sit in idle node arrays.  No step starts
+        # holding more than the second did, but for small Python objects,
+        # about 400 bytes a step (as many as before views were kept).
         import tracemalloc
 
         cfg = ChargeConfig(3, [((0.0, 0.0, 0.0), 20.0)])
-        for m, transient in ((16, 0.55), (2, 0.1)):
+        for m, transient in ((16, 0.15), (2, 0.1)):
             problem = assemble_problem(cfg, -4, 4, 0.25, m, "radial-superposition")
             problem._blocks, problem._coefficients  # cached before the trace
             node_array, starts, peaks = 8 * problem.n_nodes, [], []
@@ -950,7 +950,8 @@ class TestNewtonSolver:
             assert max(starts[2:]) <= starts[1] + 2048
 
     def test_solves_leave_no_state(self):
-        # nothing of a solve outlives it: two problems on different grids
+        # nothing of a solve outlives it but the grid-keyed Poisson inverse
+        # (``_linear._poisson_inverse``): two problems on different grids
         # give the same bits in either order
         cfg = ChargeConfig(3, [((0.25, 0.0, -0.25), -2.0)])
         problems = [
@@ -1232,6 +1233,16 @@ class TestNewtonSolver:
         got = _poisson_inverse(shape, h)(r)
         assert got.flags.c_contiguous
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_poisson_inverse_is_kept_for_its_grid(self):
+        # the last grid's inverse is reused for an equal key, rebuilt for another
+        inverse = _poisson_inverse((5, 6, 7), 0.25)
+        assert _poisson_inverse((5, 6, 7), 0.25) is inverse
+        other = _poisson_inverse((5, 6, 7), 0.5)
+        assert other is not inverse
+        r = np.random.default_rng(9).normal(0.0, 1.0, (5, 6, 7))
+        assert np.array_equal(other(r), inverse(r) / 2)
+        assert _poisson_inverse((5, 6, 7), 0.25) is not inverse
 
     @pytest.mark.parametrize("a, m", [(20.0, 16), (1.0, 64)])
     def test_strong_charge_and_high_order_converge(self, a, m):
